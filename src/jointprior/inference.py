@@ -2,8 +2,8 @@
 Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 
 The sampler alternates block updates: the field block s is updated by an
-exact Gibbs draw when the forward model is linear (the conditional is
-Gaussian) and by adaptive random-walk Metropolis otherwise; the correlation
+exact Gibbs draw by pathwise conditioning when the forward model is linear
+and by adaptive random-walk Metropolis otherwise; the correlation
 coordinates gamma (c_i = tanh(gamma_i)) take a fixed number of random-walk
 Metropolis steps per field update.  Proposal adaptation runs during burn-in
 only, so the retained chain is Markovian.
@@ -19,6 +19,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .forward_models import ForwardModelError, fd_jacobian
 from .joint_prior import JointPrior, correlation_prior_logdensity
 from .linalg import ContractionError, FactorizationError, cholesky_lower
+from .mesh_fem import FemAssemblyError
 
 
 @dataclass(frozen=True)
@@ -131,51 +132,18 @@ class FullJointFamily:
         self.mean = build.mean
         self.n_free = contraction.n_free
         self.dim = build.n
-        self._scalar_cache = None
 
     def prior(self, values=None):
-        c = self.contraction if values is None else self.contraction.with_values(values)
+        """Joint prior at the given free correlation coordinates; a contraction
+        without free coordinates (dense) gives the template prior for []."""
+        if values is None or (self.n_free == 0 and np.size(values) == 0):
+            return self._template
+        c = self.contraction.with_values(values)
         return JointPrior(self.filter_p, self.filter_m, c,
                           self._template.mean_p, self._template.mean_m)
 
     def log_density(self, s, values):
         return self.prior(values).log_density(s)
-
-    def _scalar_blocks(self):
-        if self._scalar_cache is None:
-            lam_p = self.filter_p.precision()
-            lam_m = self.filter_m.precision()
-            cross = self.filter_p.apply_t(self.filter_m.dense_matrix())
-            self._scalar_cache = (lam_p, lam_m, cross)
-        return self._scalar_cache
-
-    def precision(self, values=None):
-        """Dense joint precision; homogeneous scalar correlation uses the
-        closed-form blocks, other variants the dense whitening product."""
-        c = self.contraction if values is None else self.contraction.with_values(values)
-        if c.variant == "scalar":
-            lam_p, lam_m, cross = self._scalar_blocks()
-            cval = c.values[0]
-            u = 1.0 / (1.0 - cval * cval)
-            n1 = self.filter_p.dim
-            prec = np.empty((self.dim, self.dim))
-            prec[:n1, :n1] = u * lam_p
-            prec[n1:, n1:] = u * lam_m
-            prec[:n1, n1:] = (-cval * u) * cross
-            prec[n1:, :n1] = prec[:n1, n1:].T
-            return prec
-        prior = self.prior(values)
-        lp = self.filter_p.dense_matrix()
-        lm = self.filter_m.dense_matrix()
-        z = -prior.defect.solve(prior.contraction.rmatvec(lp))
-        w = prior.defect.solve(lm)
-        n1 = self.filter_p.dim
-        prec = np.empty((self.dim, self.dim))
-        prec[:n1, :n1] = lp.T @ lp + z.T @ z
-        prec[:n1, n1:] = z.T @ w
-        prec[n1:, :n1] = prec[:n1, n1:].T
-        prec[n1:, n1:] = w.T @ w
-        return 0.5 * (prec + prec.T)
 
 
 class ReducedJointFamily:
@@ -369,8 +337,9 @@ class AdaptiveProposal:
         return np.asarray(self.trace, dtype=float)
 
 
-_REJECTABLE = (ForwardModelError, ContractionError, FactorizationError, ValueError,
-               ArithmeticError)
+# Failures that make a proposal impossible; anything else (a shape bug, a
+# programming error inside a target) propagates.
+_REJECTABLE = (ForwardModelError, ContractionError, FactorizationError, FemAssemblyError)
 
 
 def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
@@ -414,32 +383,50 @@ def metropolis_update_correlation(rng, gamma, prior_logdens, corr_prior, x, fami
 
 
 class _LinearGibbs:
-    """Exact Gibbs draws for linear models, with a single-entry factorisation
-    cache so fixed-correlation runs factor the posterior precision once."""
+    """Exact Gibbs draws for a linear model d = G s + e by pathwise
+    conditioning (Matheron's rule): with s0 ~ prior(c) and e ~ noise,
+    s = s0 + B(c) K(c)^{-1} (d - G s0 - e) has exactly the conditional law,
+    where B(c) = Gamma(c) G^T = B_0 + sum_l c_l B_l (affine, as both marginal
+    blocks are fixed) and K(c) = G B(c) + Sigma.  The c-free terms take q
+    filter solves each at construction, so a new c costs O(n q + q^3) and
+    ``_key`` changes exactly when K(c) is factorised.  A draw uses 2n + q
+    standard normals."""
 
     def __init__(self, g, d, noise, family):
-        g = np.asarray(g, dtype=float)
-        w = 1.0 / noise.var_vector
-        self.gtg = (g.T * w) @ g
-        self.gtb = g.T @ (w * np.asarray(d, dtype=float))
+        self.g = np.asarray(g, dtype=float)
+        self.d = np.asarray(d, dtype=float)
+        self.noise = noise
         self.family = family
+        fp, fm, con, n_free = family.filter_p, family.filter_m, family.contraction, family.n_free
+        # B_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
+        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)) if n_free else con,
+                          None, None)
+        a = base.sample_t(self.g.T)
+        terms = [base.sample(a)]
+        for l in range(n_free):  # B_l = 2 B(e_l / 2): e_l itself is no strict contraction
+            half = con.with_values(0.5 * np.eye(n_free)[l])
+            terms.append(2.0 * np.concatenate([fp.solve(half.matvec(a[fp.dim :])),
+                                               fm.solve(half.rmatvec(a[: fp.dim]))]))
+        self._terms = np.stack(terms)
+        self._gterms = self.g @ self._terms
+        self._gterms[0] += noise.covariance()
         self._key = None
         self._state = None
+
+    def columns(self, values):
+        """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
+        return np.tensordot(np.concatenate([[1.0], values]), self._terms, axes=1)
 
     def draw(self, rng, values):
         key = np.asarray(values, dtype=float).tobytes()
         if key != self._key:
-            prec = self.family.precision(values)
-            h = self.gtg + prec
-            r = cholesky_lower(0.5 * (h + h.T), "posterior precision")
-            b = self.gtb + prec @ self.family.mean
-            mean = solve_triangular(
-                r, solve_triangular(r, b, lower=True), lower=True, trans="T"
-            )
-            self._key, self._state = key, (mean, r)
-        mean, r = self._state
-        z = rng.standard_normal(mean.size)
-        return mean + solve_triangular(r, z, lower=True, trans="T")
+            k = np.tensordot(np.concatenate([[1.0], values]), self._gterms, axes=1)
+            r = cholesky_lower(0.5 * (k + k.T), "data-space covariance")
+            self._key, self._state = key, (self.family.prior(values), self.columns(values), r)
+        prior, b, r = self._state
+        s0 = prior.sample(rng.standard_normal(prior.n))
+        resid = self.d - self.g @ s0 - self.noise.sample(rng)
+        return s0 + b @ cho_solve((r, True), resid)
 
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,

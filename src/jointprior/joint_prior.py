@@ -315,6 +315,16 @@ class JointPrior:
         )
         return np.concatenate([p, m])
 
+    def sample_t(self, y):
+        """Transpose of the mean-free colouring map, S^T = [[L_p^{-T}, C L_m^{-T}],
+        [0, D L_m^{-T}]] (D is symmetric), applied to y of shape (n,) or (n, k)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape[0] != self.n:
+            raise ValueError(f"y must have leading dimension {self.n}, got {y.shape}")
+        t = self.filter_m.solve_t(y[self.n1 :])
+        top = self.filter_p.solve_t(y[: self.n1]) + self.contraction.matvec(t)
+        return np.concatenate([top, self.defect.apply(t)])
+
     def whiten(self, s):
         """Exact inverse of ``sample``: recovers eta from a joint state."""
         s = np.asarray(s, dtype=float)

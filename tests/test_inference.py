@@ -3,18 +3,20 @@ import pytest
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
 
-from jointprior.covariance import whitening_filter
+from jointprior.covariance import fem_precision_filter, PdePriorConfig, whitening_filter
 from jointprior.forward_models import CokrigeModel, ForwardModelError, MonodModel
 from jointprior.inference import (AdaptiveProposal, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
-                                  ReducedJointFamily, adaptive_metropolis_update_s,
+                                  ReducedJointFamily, _LinearGibbs,
+                                  adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik,
                                   gibbs_update_linear, linear_gaussian_posterior,
                                   metropolis_update_correlation, mwg_run)
 from jointprior.joint_prior import Contraction, correlation_prior_logdensity
 from jointprior.covariance import kl_truncate
+from jointprior.mesh_fem import build_lattice_mesh
 
-from conftest import random_spd
+from conftest import random_dense_contraction, random_spd
 
 
 def scalar_family(c0=0.0):
@@ -143,6 +145,129 @@ class TestGibbsUpdate:
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.01)
 
 
+class Scripted:
+    """Stands in for a Generator: each standard_normal(size) call serves the
+    next ``size`` entries of a fixed vector."""
+
+    def __init__(self, z):
+        self.z = z
+        self.pos = 0
+
+    def standard_normal(self, size):
+        out = self.z[self.pos : self.pos + size]
+        self.pos += size
+        return out
+
+
+def implied_moments(gibbs, values):
+    """Mean and covariance of a Gibbs draw, read off its affine dependence on
+    the 2n + q standard normals it consumes."""
+    m = gibbs.family.dim + gibbs.noise.q
+    mean = gibbs.draw(Scripted(np.zeros(m)), values)
+    cols = np.column_stack([gibbs.draw(Scripted(e), values) - mean for e in np.eye(m)])
+    return mean, cols @ cols.T
+
+
+def variant_family(variant, rng, kind="principal_sqrt", mean=True):
+    n1, n2 = 6, (6 if variant in ("scalar", "piecewise") else 4)
+    contraction = {
+        "scalar": lambda: Contraction.scalar(0.0, n1),
+        "piecewise": lambda: Contraction.piecewise([0, 1, 2, 0, 1, 2], [0.0, 0.0, 0.0]),
+        "paired_sparse": lambda: Contraction.paired_sparse([0, 3, 5], [2, 0, 3],
+                                                           [0.0, 0.0, 0.0], (n1, n2)),
+        "dense": lambda: Contraction.dense(random_dense_contraction(rng, n1, n2)),
+    }[variant]()
+    return FullJointFamily(
+        whitening_filter(random_spd(rng, n1), kind),
+        whitening_filter(random_spd(rng, n2), kind), contraction,
+        rng.standard_normal(n1) if mean else None,
+        rng.standard_normal(n2) if mean else None,
+    )
+
+
+class TestPathwiseGibbs:
+    @pytest.mark.parametrize("variant", ["scalar", "piecewise", "paired_sparse"])
+    def test_columns_match_dense_covariance(self, rng, variant):
+        fam = variant_family(variant, rng, kind="cholesky")
+        g = rng.standard_normal((5, fam.dim))
+        gibbs = _LinearGibbs(g, np.zeros(5), NoiseModel(0.5, 5), fam)
+        for _ in range(3):
+            values = rng.uniform(-0.95, 0.95, fam.n_free)
+            ref = fam.prior(values).dense_covariance() @ g.T
+            gap = np.abs(gibbs.columns(values) - ref).max()
+            assert gap <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("variant", ["scalar", "piecewise", "paired_sparse", "dense"])
+    def test_implied_moments_match_analytic_posterior(self, rng, variant):
+        fam = variant_family(variant, rng)
+        g = rng.standard_normal((5, fam.dim))
+        noise = NoiseModel(0.3, 2, 0.6, 3)
+        d = rng.standard_normal(5)
+        gibbs = _LinearGibbs(g, d, noise, fam)
+        values = rng.uniform(-0.9, 0.9, fam.n_free)
+        mean, cov = implied_moments(gibbs, values)
+        ref_mean, ref_cov = linear_gaussian_posterior(
+            g, d, noise, fam.mean, fam.prior(values).dense_covariance())
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-9, atol=1e-10)
+
+    def test_desk_problem_matches_oracle(self):
+        # the dense oracle inverts the nugget-1e-8 squared-exponential
+        # covariance and is itself only good to about 1e-7 here
+        from jointprior.experiments.cokrige import build_problem
+        from jointprior.experiments.configs import CokrigeConfig, load_config
+
+        problem = build_problem(load_config(CokrigeConfig, None, {}))
+        fam, g = problem["family"], problem["model"].matrix
+        gibbs = _LinearGibbs(g, problem["d"], problem["noise"], fam)
+        mean, cov = implied_moments(gibbs, [-0.9])
+        ref_mean, ref_cov = linear_gaussian_posterior(
+            g, problem["d"], problem["noise"], fam.mean,
+            fam.prior([-0.9]).dense_covariance())
+        assert np.abs(mean - ref_mean).max() < 1e-6 * np.abs(ref_mean).max()
+        assert np.abs(cov - ref_cov).max() < 1e-6 * np.abs(ref_cov).max()
+
+    def test_no_data_draw_is_prior_draw(self):
+        mesh = build_lattice_mesh(4, 3, 1.0, 1.0)
+        flt = fem_precision_filter(mesh, PdePriorConfig(1.0, 20.0, 5.0))
+        fam = FullJointFamily(flt, flt, Contraction.scalar(0.0, mesh.n_nodes))
+        gibbs = _LinearGibbs(np.zeros((0, fam.dim)), np.zeros(0),
+                             NoiseModel(1.0, 0, 1.0, 0), fam)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        for c in (0.3, 0.3, -0.8):
+            draw = gibbs.draw(rng_a, [c])
+            prior_draw = fam.prior([c]).sample(rng_b.standard_normal(fam.dim))
+            np.testing.assert_array_equal(draw, prior_draw)
+
+    def test_key_changes_only_on_new_correlation(self, rng):
+        fam, model, noise, d = small_linear_problem(rng)
+        gibbs = _LinearGibbs(model.matrix, d, noise, fam)
+        keys = []
+        for c in (0.2, 0.2, -0.5, -0.5, -0.5, 0.2):
+            gibbs.draw(rng, [c])
+            keys.append(gibbs._key)
+        changed = [a != b for a, b in zip(keys, keys[1:])]
+        assert changed == [False, True, False, False, True]
+
+    def test_dense_contraction_chain_matches_analytic(self, rng):
+        fam = variant_family("dense", rng, mean=True)
+        g = rng.standard_normal((4, fam.dim))
+        noise = NoiseModel(0.5, 4)
+        d = rng.standard_normal(4)
+
+        class Linear:
+            is_linear = True
+            matrix = g
+
+        chain = mwg_run(Linear(), fam, noise, d,
+                        MwgConfig(total_samples=40000, burn_in=100, seed=2))
+        mean, cov = linear_gaussian_posterior(
+            g, d, noise, fam.mean, fam.prior().dense_covariance())
+        np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.02)
+        assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.03
+        assert chain.corr.shape == (chain.retained, 0)
+
+
 class TestCorrelationUpdate:
     def test_zero_step_always_accepted(self, rng):
         fam = scalar_family()
@@ -228,6 +353,72 @@ class TestAdaptiveMetropolis:
         x2, logd, accepted = adaptive_metropolis_update_s(rng, x, 0.0, target, proposal)
         assert not accepted
         np.testing.assert_array_equal(x2, x)
+
+
+class TestLoudFailures:
+    """A programming error inside a target propagates; a failure that makes
+    a proposal impossible (here a forward-model error) is a counted
+    rejection."""
+
+    @staticmethod
+    def shape_bug(x):
+        raise ValueError("operands could not be broadcast together")
+
+    def test_value_error_propagates_from_field_step(self, rng):
+        proposal = AdaptiveProposal(2, MwgConfig(total_samples=2, burn_in=1))
+        with pytest.raises(ValueError, match="broadcast"):
+            adaptive_metropolis_update_s(rng, np.zeros(2), 0.0, self.shape_bug, proposal)
+
+    def test_value_error_propagates_from_correlation_step(self, rng):
+        class BrokenFamily:
+            def log_density(self, x, values):
+                raise ValueError("operands could not be broadcast together")
+
+        with pytest.raises(ValueError, match="broadcast"):
+            metropolis_update_correlation(rng, np.zeros(1), 0.0, 0.0, np.zeros(2),
+                                          BrokenFamily(), 1.0)
+
+    def test_value_error_propagates_from_chain(self):
+        class ShapeBugAfterStart:
+            is_linear = False
+            calls = 0
+
+            def __call__(self, x):
+                self.calls += 1
+                if self.calls > 1:
+                    raise ValueError("operands could not be broadcast together")
+                return x[:1]
+
+        cfg = MwgConfig(total_samples=20, burn_in=5, seed=1)
+        with pytest.raises(ValueError, match="broadcast"):
+            mwg_run(ShapeBugAfterStart(), scalar_family(), NoiseModel(1.0, 1),
+                    np.zeros(1), cfg, init_state=np.zeros(2))
+
+    def test_forward_model_error_is_counted_rejection(self, rng):
+        def failing(x):
+            raise ForwardModelError("non-finite heads")
+
+        proposal = AdaptiveProposal(2, MwgConfig(total_samples=2, burn_in=1))
+        x, logd, accepted = adaptive_metropolis_update_s(
+            rng, np.ones(2), -1.0, failing, proposal)
+        assert not accepted and logd == -1.0
+        np.testing.assert_array_equal(x, np.ones(2))
+
+        class FailsAfterStart:
+            is_linear = False
+            calls = 0
+
+            def __call__(self, x):
+                self.calls += 1
+                if self.calls > 1:
+                    raise ForwardModelError("non-finite heads")
+                return x[:1]
+
+        cfg = MwgConfig(total_samples=30, burn_in=5, seed=1)
+        chain = mwg_run(FailsAfterStart(), scalar_family(), NoiseModel(1.0, 1),
+                        np.zeros(1), cfg, init_state=np.zeros(2))
+        assert chain.s_steps == 30 and chain.s_accepted == 0
+        assert np.all(chain.states == 0.0)
 
 
 class TestMwgRun:

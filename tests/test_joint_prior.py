@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from jointprior.covariance import kl_truncate, whitening_filter
+from jointprior.covariance import (PdePriorConfig, fem_precision_filter,
+                                   kl_truncate, whitening_filter)
 from jointprior.joint_prior import (Contraction, build_joint_prior,
                                     canonical_cross,
                                     correlation_prior_logdensity,
@@ -11,6 +12,7 @@ from jointprior.joint_prior import (Contraction, build_joint_prior,
                                     reduced_joint_covariance, sample_joint,
                                     scalar_prior_stationary)
 from jointprior.linalg import ContractionError, cholesky_lower
+from jointprior.mesh_fem import build_lattice_mesh
 
 from conftest import random_dense_contraction, random_spd
 
@@ -172,6 +174,49 @@ class TestSampling:
         draws = prior.sample(rng.standard_normal((20, 200000)))
         empirical = draws @ draws.T / draws.shape[1]
         assert np.abs(empirical - prior.dense_covariance()).max() < 0.02
+
+
+def variant_contraction(variant, rng, n1, n2):
+    if variant == "scalar":
+        return Contraction.scalar(0.7, n1)
+    if variant == "piecewise":
+        return Contraction.piecewise(np.arange(n1) % 3, [0.6, -0.8, 0.3])
+    if variant == "paired_sparse":
+        return Contraction.paired_sparse([0, 4, 7], [2, 0, 9], [0.9, -0.5, 0.3], (n1, n2))
+    return Contraction.dense(random_dense_contraction(rng, n1, n2))
+
+
+def marginal_filter(kind, rng, nx, ny=3):
+    if kind == "precision_sqrt":
+        return fem_precision_filter(build_lattice_mesh(nx, ny, 1.0, 1.0),
+                                    PdePriorConfig(1.0, 20.0, 5.0))
+    return whitening_filter(random_spd(rng, nx * ny), kind)
+
+
+class TestSampleTranspose:
+    @pytest.mark.parametrize("kind", ["cholesky", "principal_sqrt", "precision_sqrt"])
+    @pytest.mark.parametrize("variant", ["scalar", "piecewise", "paired_sparse", "dense"])
+    def test_adjoint_and_covariance_identities(self, rng, variant, kind):
+        square = variant in ("scalar", "piecewise")
+        fp = marginal_filter(kind, rng, 3)
+        fm = marginal_filter(kind, rng, 3 if square else 4)
+        c = variant_contraction(variant, rng, fp.dim, fm.dim)
+        prior = build_joint_prior(fp, fm, c)  # mean-free, so sample is S
+        eta = rng.standard_normal((prior.n, 5))
+        y = rng.standard_normal((prior.n, 5))
+        np.testing.assert_allclose(np.sum(prior.sample(eta) * y),
+                                   np.sum(eta * prior.sample_t(y)), rtol=1e-12)
+        cov = prior.dense_covariance()
+        ref = cov @ y
+        gap = np.abs(prior.sample(prior.sample_t(y)) - ref).max()
+        assert gap <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(prior.sample_t(y[:, 0]), prior.sample_t(y)[:, 0],
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_leading_dimension_checked(self, rng):
+        prior, _, _ = make_prior(rng)
+        with pytest.raises(ValueError, match="leading dimension"):
+            prior.sample_t(np.zeros(prior.n + 1))
 
 
 class TestJointWhitening:
