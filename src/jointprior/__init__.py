@@ -21,10 +21,7 @@ from .joint_prior import (
     build_joint_prior,
     canonical_cross,
     correlation_prior_logdensity,
-    joint_log_density,
-    joint_whitening_filter,
     reduced_joint_covariance,
-    sample_joint,
     scalar_prior_stationary,
 )
 from .inference import Chain, MwgConfig, NoiseModel, gauss_newton_map, mwg_run
@@ -53,12 +50,9 @@ __all__ = [
     "ess",
     "fem_precision_filter",
     "gauss_newton_map",
-    "joint_log_density",
-    "joint_whitening_filter",
     "kl_truncate",
     "mwg_run",
     "reduced_joint_covariance",
-    "sample_joint",
     "scalar_prior_stationary",
     "solve_darcy",
     "sqexp_covariance",

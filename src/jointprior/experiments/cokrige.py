@@ -10,15 +10,14 @@ exact Gibbs field draws with Metropolis steps only for the correlation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           sqexp_covariance, whitening_filter)
-from ..diagnostics import (correlation_histogram, error_metrics, ess,
-                           summary_from_chain, summary_from_gaussian)
+from ..diagnostics import (error_metrics, ess, summary_from_chain,
+                           summary_from_gaussian)
 from ..forward_models import CokrigeModel
 from ..inference import (FullJointFamily, MwgConfig, NoiseModel,
                          linear_gaussian_posterior, mwg_run)
@@ -26,7 +25,9 @@ from ..io_utils import save_field_csv, save_mesh_csv, save_table_csv, write_json
 from ..joint_prior import Contraction
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
 from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
-                     write_manifest, write_plot_script, write_timings)
+                     run_chains, save_correlation_histogram_csv,
+                     save_observation_csv, write_manifest, write_plot_script,
+                     write_timings)
 from .configs import config_dict
 
 PLOT = """\
@@ -162,15 +163,7 @@ def run(cfg, out_dir):
 
     # joint run: exact Gibbs for the fields, Metropolis for the correlation
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_chains)
-    if cfg.n_chains == 1:
-        chains = [_run_single_chain(config_dict(cfg), seeds[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.n_chains) as pool:
-            futures = [
-                pool.submit(_run_single_chain, config_dict(cfg), seed)
-                for seed in seeds
-            ]
-            chains = [f.result() for f in futures]
+    chains = run_chains(_run_single_chain, config_dict(cfg), seeds)
     states = np.vstack([ch.states for ch in chains])
     c_samples = np.concatenate([ch.corr[:, 0] for ch in chains])
     timer.mark("mcmc")
@@ -230,23 +223,10 @@ def run(cfg, out_dir):
         "d_m": metrics_joint.d_m,
     })
     clean = problem["clean"]
-    for name, op, block, pure in (
-        ("obs_p.csv", problem["obs_p"], d[: noise.q1], clean[: noise.q1]),
-        ("obs_m.csv", problem["obs_m"], d[noise.q1 :], clean[noise.q1 :]),
-    ):
-        save_table_csv(
-            out_dir / name,
-            [op.requested[:, 0], op.requested[:, 1], op.node_indices,
-             op.snapped[:, 0], op.snapped[:, 1], block, pure, block - pure],
-            ["x_requested", "y_requested", "node", "x", "y", "value", "clean",
-             "noise"],
-        )
-    counts, edges = correlation_histogram(c_samples)
-    save_table_csv(
-        out_dir / "c_histogram.csv",
-        [edges[:-1], edges[1:], counts, counts / (counts.sum() * np.diff(edges))],
-        ["left", "right", "count", "density"],
-    )
+    q1 = noise.q1
+    save_observation_csv(out_dir / "obs_p.csv", problem["obs_p"], d[:q1], clean[:q1])
+    save_observation_csv(out_dir / "obs_m.csv", problem["obs_m"], d[q1:], clean[q1:])
+    save_correlation_histogram_csv(out_dir / "c_histogram.csv", c_samples)
     save_table_csv(out_dir / "c_chain.csv", [c_samples], ["c"])
     tracked = np.unique(np.linspace(0, n - 1, cfg.tracked_nodes).astype(int))
     save_table_csv(

@@ -1,16 +1,17 @@
 """Shared experiment plumbing: observation layouts, posterior summaries from
-reduced chains, and the run manifest."""
+reduced chains, multi-chain runs, shared output tables and the run manifest."""
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .. import __version__
-from ..diagnostics import PosteriorSummary, ess
-from ..io_utils import write_json
+from ..diagnostics import PosteriorSummary, correlation_histogram, ess
+from ..io_utils import save_table_csv, write_json
 
 
 def interior_grid(x0, x1, y0, y1, nx, ny):
@@ -73,6 +74,39 @@ def median_ess(states):
             continue
         vals.append(ess(col))
     return float(np.median(vals)) if vals else float("nan")
+
+
+def run_chains(worker, cfg_dict, seeds, *args):
+    """Run ``worker(cfg_dict, seed, *args)`` once per chain seed, in a
+    process pool when there are several.  Workers rebuild their problem from
+    the config dict: a problem holding a ``fem_precision_filter`` cannot be
+    pickled (the filter keeps a SuperLU factor)."""
+    if len(seeds) == 1:
+        return [worker(cfg_dict, seeds[0], *args)]
+    with ProcessPoolExecutor(max_workers=len(seeds)) as pool:
+        futures = [pool.submit(worker, cfg_dict, seed, *args) for seed in seeds]
+        return [f.result() for f in futures]
+
+
+def save_observation_csv(path, op, observed, clean):
+    """Requested and snapped observation locations with the observed values,
+    their noise-free part and the noise."""
+    return save_table_csv(
+        path,
+        [op.requested[:, 0], op.requested[:, 1], op.node_indices,
+         op.snapped[:, 0], op.snapped[:, 1], observed, clean, observed - clean],
+        ["x_requested", "y_requested", "node", "x", "y", "value", "clean", "noise"],
+    )
+
+
+def save_correlation_histogram_csv(path, samples):
+    """Fifty-bin histogram of correlation samples on (-1, 1) with densities."""
+    counts, edges = correlation_histogram(samples)
+    return save_table_csv(
+        path,
+        [edges[:-1], edges[1:], counts, counts / (counts.sum() * np.diff(edges))],
+        ["left", "right", "count", "density"],
+    )
 
 
 def write_manifest(out_dir, subcommand, cfg_dict, extras=None):

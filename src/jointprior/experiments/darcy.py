@@ -10,14 +10,13 @@ Gauss-Newton warm start whose Laplace factor initialises the proposal.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           kl_truncate, sqexp_covariance, whitening_filter)
-from ..diagnostics import correlation_histogram, error_metrics, ess
+from ..diagnostics import error_metrics, ess
 from ..forward_models import DarcyModel, ReducedFieldMap, ReducedModel
 from ..inference import (MwgConfig, NoiseModel, ReducedJointFamily,
                          gauss_newton_map, mwg_run)
@@ -26,8 +25,10 @@ from ..io_utils import (save_field_csv, save_kl_basis_csv, save_matrix_csv,
 from ..joint_prior import Contraction, build_joint_prior
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
 from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
-                     reduced_chain_field_summary, well_points, write_manifest,
-                     write_plot_script, write_timings)
+                     reduced_chain_field_summary, run_chains,
+                     save_correlation_histogram_csv, save_observation_csv,
+                     well_points, write_manifest, write_plot_script,
+                     write_timings)
 from .configs import config_dict
 
 PLOT = """\
@@ -132,37 +133,22 @@ def warm_start(cfg, problem):
     )
 
 
-def _run_single_chain(cfg_dict, chain_seed, joint):
+def _run_single_chain(cfg_dict, chain_seed, joint, init, factor):
+    """Worker for one chain: rebuilds the problem and samples from ``init``
+    with the initial proposal factor ``factor`` (None for the identity)."""
     from .configs import DarcyConfig, load_config
 
     cfg = load_config(DarcyConfig, None, cfg_dict)
     problem = build_problem(cfg)
-    if cfg.warm_start:
-        start = warm_start(cfg, problem)
-        init, factor = start.point, start.factor
-    else:
-        init, factor = np.zeros(problem["family"].dim), None
     mcfg = MwgConfig(
         total_samples=cfg.samples, burn_in=cfg.burn_in,
         c_steps_per_s_step=cfg.c_steps, gamma_step_std=cfg.gamma_step_std,
         seed=int(chain_seed),
     )
-    chain = mwg_run(
+    return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         mcfg, sample_correlation=joint, init_state=init, proposal_factor=factor,
     )
-    return chain
-
-
-def _run_chains(cfg, joint, seeds):
-    if cfg.n_chains == 1:
-        return [_run_single_chain(config_dict(cfg), seeds[0], joint)]
-    with ProcessPoolExecutor(max_workers=cfg.n_chains) as pool:
-        futures = [
-            pool.submit(_run_single_chain, config_dict(cfg), seed, joint)
-            for seed in seeds
-        ]
-        return [f.result() for f in futures]
 
 
 def run(cfg, out_dir):
@@ -178,12 +164,16 @@ def run(cfg, out_dir):
     timer.mark("setup")
 
     start = warm_start(cfg, problem) if cfg.warm_start else None
+    init = np.zeros(family.dim) if start is None else start.point
+    factor = None if start is None else start.factor
     timer.mark("warm_start")
 
     seed_pairs = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_chains)
-    chains_ind = _run_chains(cfg, False, seed_pairs[: cfg.n_chains])
+    chains_ind = run_chains(_run_single_chain, config_dict(cfg),
+                            seed_pairs[: cfg.n_chains], False, init, factor)
     timer.mark("mcmc_independent")
-    chains_joint = _run_chains(cfg, True, seed_pairs[cfg.n_chains :])
+    chains_joint = run_chains(_run_single_chain, config_dict(cfg),
+                              seed_pairs[cfg.n_chains :], True, init, factor)
     timer.mark("mcmc_joint")
 
     states_ind = np.vstack([ch.states for ch in chains_ind])
@@ -241,25 +231,12 @@ def run(cfg, out_dir):
         "d_m": metrics_joint.d_m,
     })
     q1 = problem["noise"].q1
-    for name, op, block, pure in (
-        ("obs_u.csv", problem["obs_u"], problem["d"][:q1], problem["clean"][:q1]),
-        ("obs_p.csv", problem["obs_p"], problem["d"][q1:], problem["clean"][q1:]),
-    ):
-        save_table_csv(
-            out_dir / name,
-            [op.requested[:, 0], op.requested[:, 1], op.node_indices,
-             op.snapped[:, 0], op.snapped[:, 1], block, pure, block - pure],
-            ["x_requested", "y_requested", "node", "x", "y", "value", "clean",
-             "noise"],
-        )
+    d, clean = problem["d"], problem["clean"]
+    save_observation_csv(out_dir / "obs_u.csv", problem["obs_u"], d[:q1], clean[:q1])
+    save_observation_csv(out_dir / "obs_p.csv", problem["obs_p"], d[q1:], clean[q1:])
     save_table_csv(out_dir / "c_chain.csv", [corr[:, 0], corr[:, 1]], ["c1", "c2"])
     for i in (0, 1):
-        counts, edges = correlation_histogram(corr[:, i])
-        save_table_csv(
-            out_dir / f"c{i + 1}_histogram.csv",
-            [edges[:-1], edges[1:], counts, counts / (counts.sum() * np.diff(edges))],
-            ["left", "right", "count", "density"],
-        )
+        save_correlation_histogram_csv(out_dir / f"c{i + 1}_histogram.csv", corr[:, i])
     joint_hist, xedges, yedges = np.histogram2d(
         corr[:, 0], corr[:, 1], bins=50, range=[[-1, 1], [-1, 1]]
     )

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from ..covariance import whitening_filter
-from ..diagnostics import correlation_histogram, ess
+from ..diagnostics import ess
 from ..forward_models import MonodModel
 from ..inference import FullJointFamily, MwgConfig, NoiseModel, mwg_run
 from ..io_utils import save_matrix_csv, save_table_csv
 from ..joint_prior import Contraction
-from .common import StageTimer, write_manifest, write_plot_script, write_timings
+from .common import (StageTimer, save_correlation_histogram_csv, write_manifest,
+                     write_plot_script, write_timings)
 from .configs import config_dict
 
 PLOT = """\
@@ -135,13 +136,7 @@ def run(cfg, out_dir):
 
     c_samples = chain.corr[:, 0]
     pos_mass = float(np.mean(c_samples > 0.0))
-    counts, edges = correlation_histogram(c_samples)
-    save_table_csv(
-        out_dir / "c_histogram.csv",
-        [edges[:-1], edges[1:], counts,
-         counts / (counts.sum() * np.diff(edges))],
-        ["left", "right", "count", "density"],
-    )
+    save_correlation_histogram_csv(out_dir / "c_histogram.csv", c_samples)
     save_table_csv(
         out_dir / "chain.csv",
         [chain.states[:, 0], chain.states[:, 1], c_samples],

@@ -16,8 +16,8 @@ from ..diagnostics import ess
 from ..inference import FullJointFamily, NoiseModel, linear_gaussian_posterior
 from ..io_utils import write_json
 from ..joint_prior import (Contraction, build_joint_prior, canonical_cross,
-                           joint_whitening_filter, scalar_prior_stationary)
-from ..linalg import cholesky_lower, defect_factor, logdet_spd
+                           scalar_prior_stationary)
+from ..linalg import cholesky_lower, logdet_spd
 from .common import StageTimer, write_manifest, write_timings
 from .configs import config_dict
 
@@ -48,8 +48,8 @@ def check_defect_identity(seed):
     for _ in range(20):
         n1, n2 = rng.integers(2, 9, 2)
         for kind in ("scalar", "piecewise", "paired_sparse", "dense"):
-            c = _random_contraction(rng, kind, int(n1), int(n2)).as_matrix()
-            d = defect_factor(c)
+            con = _random_contraction(rng, kind, int(n1), int(n2))
+            c, d = con.as_matrix(), con.defect().dense()
             gap = np.abs(d @ d.T + c.T @ c - np.eye(c.shape[1])).max()
             worst = max(worst, gap)
     return worst < 1e-12, f"max |D D^T + C^T C - I| = {worst:.2e}"
@@ -120,7 +120,7 @@ def check_whitening_roundtrip(seed):
     eta = rng.standard_normal((10, 6 + 4)).T
     back = prior.whiten(prior.sample(eta))
     gap = np.abs(back - eta).max()
-    lw = joint_whitening_filter(prior).dense()
+    lw = prior.whiten(prior.mean[:, None] + np.eye(prior.n))
     ident = lw.T @ lw @ prior.dense_covariance() - np.eye(10)
     frob = np.linalg.norm(ident) / np.sqrt(10)
     ok = gap < 1e-8 and frob < 1e-8

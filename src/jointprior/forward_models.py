@@ -10,11 +10,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh_fem import DarcySolver
+from .linalg import ContractionError, FactorizationError
+from .mesh_fem import DarcySolver, FemAssemblyError
 
 
 class ForwardModelError(ValueError):
     pass
+
+
+# Failures that make a model evaluation impossible at a point (outside the
+# admissible region, a non-contraction, a singular factorisation).  Anything
+# else, such as a shape bug or a TypeError inside a model, propagates.
+DOMAIN_ERRORS = (ForwardModelError, ContractionError, FactorizationError, FemAssemblyError)
 
 
 def monod_forward(p, m, substrate):
@@ -137,15 +144,6 @@ class ReducedFieldMap:
         m = self.mean_m + self.basis_m.expand(shat[kp:])
         return p, m
 
-    def project(self, p, m):
-        """Basis projection of mean-free fields (warm-start initialisation)."""
-        return np.concatenate([
-            self.basis_p.modes.T @ (np.asarray(p, dtype=float) - self.mean_p)
-            / self.basis_p.scales,
-            self.basis_m.modes.T @ (np.asarray(m, dtype=float) - self.mean_m)
-            / self.basis_m.scales,
-        ])
-
 
 class ReducedModel:
     """Forward model composed with a reduced-coordinate field reconstruction."""
@@ -174,7 +172,7 @@ def fd_jacobian(model, s0, h_rel=1e-5):
         try:
             fp = np.asarray(model(sp), dtype=float)
             fm = np.asarray(model(sm), dtype=float)
-        except Exception as exc:
+        except DOMAIN_ERRORS as exc:
             raise ForwardModelError(
                 f"forward model failed while perturbing coordinate {i}: {exc}"
             ) from exc

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .forward_models import ForwardModelError, fd_jacobian
+from .forward_models import DOMAIN_ERRORS, fd_jacobian
 from .joint_prior import JointPrior, correlation_prior_logdensity
-from .linalg import ContractionError, FactorizationError, cholesky_lower
-from .mesh_fem import FemAssemblyError
+from .linalg import ContractionError, cholesky_lower
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,6 @@ def gaussian_loglik(d, prediction, noise):
     return -0.5 * float(r @ r)
 
 
-def _precision_from_cov(cov):
-    r = cholesky_lower(cov, "prior covariance")
-    prec = cho_solve((r, True), np.eye(cov.shape[0]))
-    return 0.5 * (prec + prec.T)
-
-
-def _posterior_state(g, d, noise, prior_mean, prior_prec):
-    """Posterior mean and the lower Cholesky factor of the posterior precision."""
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    w = 1.0 / noise.var_vector
-    h = (g.T * w) @ g + prior_prec
-    r = cholesky_lower(0.5 * (h + h.T), "posterior precision")
-    b = g.T @ (w * d) + prior_prec @ prior_mean
-    mean = solve_triangular(r, solve_triangular(r, b, lower=True), lower=True, trans="T")
-    return mean, r
-
-
 def linear_gaussian_posterior(g, d, noise, prior_mean, prior_cov):
     """Conjugate Gaussian update for a linear model d = G s + e.
 
@@ -95,24 +76,20 @@ def linear_gaussian_posterior(g, d, noise, prior_mean, prior_cov):
     covariance = (G^T cov_e^{-1} G + prior_cov^{-1})^{-1} and
     mean = covariance @ (G^T cov_e^{-1} d + prior_cov^{-1} prior_mean).
     """
+    g = np.asarray(g, dtype=float)
+    d = np.asarray(d, dtype=float)
     prior_mean = np.asarray(prior_mean, dtype=float)
-    prior_prec = _precision_from_cov(np.asarray(prior_cov, dtype=float))
-    mean, r = _posterior_state(g, d, noise, prior_mean, prior_prec)
+    prior_cov = np.asarray(prior_cov, dtype=float)
+    prior_prec = cho_solve((cholesky_lower(prior_cov, "prior covariance"), True),
+                           np.eye(prior_cov.shape[0]))
+    prior_prec = 0.5 * (prior_prec + prior_prec.T)
+    w = 1.0 / noise.var_vector
+    h = (g.T * w) @ g + prior_prec
+    r = cholesky_lower(0.5 * (h + h.T), "posterior precision")
+    b = g.T @ (w * d) + prior_prec @ prior_mean
+    mean = solve_triangular(r, solve_triangular(r, b, lower=True), lower=True, trans="T")
     cov = cho_solve((r, True), np.eye(r.shape[0]))
     return mean, 0.5 * (cov + cov.T)
-
-
-def gibbs_update_linear(rng, g, d, noise, prior_mean, prior_cov):
-    """Exact draw from the Gaussian conditional of a linear model.
-
-    Samples via a factor of the posterior covariance: with R R^T the
-    posterior precision, mean + R^{-T} z has exactly the posterior law.
-    """
-    prior_mean = np.asarray(prior_mean, dtype=float)
-    prior_prec = _precision_from_cov(np.asarray(prior_cov, dtype=float))
-    mean, r = _posterior_state(g, d, noise, prior_mean, prior_prec)
-    z = rng.standard_normal(mean.size)
-    return mean + solve_triangular(r, z, lower=True, trans="T")
 
 
 # ----------------------------------------------------------------------------
@@ -201,19 +178,6 @@ class ReducedJointFamily:
         quad = float(phat @ phat) + float(resid @ resid)
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))
         return -0.5 * (quad + logdet)
-
-    def precision(self, values=None):
-        values = self.contraction.values if values is None else values
-        chat = self.cross_block(values)
-        gram = np.eye(self.basis_m.k) - chat.T @ chat
-        gram_inv = _precision_from_cov(gram)
-        kp = self.basis_p.k
-        prec = np.empty((self.dim, self.dim))
-        prec[:kp, :kp] = np.eye(kp) + chat @ gram_inv @ chat.T
-        prec[:kp, kp:] = -chat @ gram_inv
-        prec[kp:, :kp] = prec[:kp, kp:].T
-        prec[kp:, kp:] = gram_inv
-        return 0.5 * (prec + prec.T)
 
 
 # ----------------------------------------------------------------------------
@@ -337,11 +301,6 @@ class AdaptiveProposal:
         return np.asarray(self.trace, dtype=float)
 
 
-# Failures that make a proposal impossible; anything else (a shape bug, a
-# programming error inside a target) propagates.
-_REJECTABLE = (ForwardModelError, ContractionError, FactorizationError, FemAssemblyError)
-
-
 def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
                                  iteration=0, adapting=False):
     """One adaptive random-walk Metropolis step on the field block.
@@ -352,7 +311,7 @@ def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
     prop = x + proposal.step(rng)
     try:
         cand = float(log_target(prop))
-    except _REJECTABLE:
+    except DOMAIN_ERRORS:
         cand = -np.inf
     accepted = np.isfinite(cand) and np.log(rng.random()) < cand - cur_logdens
     if accepted:
@@ -373,7 +332,7 @@ def metropolis_update_correlation(rng, gamma, prior_logdens, corr_prior, x, fami
     prop = gamma + step_std * rng.standard_normal(gamma.shape)
     try:
         prop_pd = family.log_density(x, np.tanh(prop))
-    except _REJECTABLE:
+    except DOMAIN_ERRORS:
         return gamma, prior_logdens, corr_prior, False
     prop_cp = correlation_prior_logdensity(prop)
     log_ratio = (prop_pd + prop_cp) - (prior_logdens + corr_prior)
@@ -453,21 +412,28 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     if linear:
         gibbs = _LinearGibbs(model.matrix, d, noise, family)
         x = gibbs.draw(rng, values)
-        proposal = None
+        cur_pd = None
     else:
         if init_state is None:
             raise ValueError("nonlinear models need an initial state")
+        # the correlation steps need the prior term on its own: the target
+        # keeps the (log likelihood, log prior) of its last evaluation
+        last = [None, None]
+
+        def log_target(s):
+            last[0] = gaussian_loglik(d, model(s), noise)
+            last[1] = family.log_density(s, values)
+            return last[0] + last[1]
+
         x = np.asarray(init_state, dtype=float).copy()
-        cur_ll = gaussian_loglik(d, model(x), noise)
-        cur_pd = family.log_density(x, values)
-        if not np.isfinite(cur_ll + cur_pd):
+        if not np.isfinite(log_target(x)):
             raise ValueError("target log density is not finite at the initial state")
+        cur_ll, cur_pd = last
         proposal = AdaptiveProposal(family.dim, cfg, proposal_factor)
 
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
     s_steps = s_accepted = gamma_steps = gamma_accepted = 0
-    cur_pd = None if linear else cur_pd
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
 
     for k in range(cfg.total_samples):
@@ -479,17 +445,11 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             if track_gamma:
                 cur_pd = family.log_density(x, values)
         else:
-            prop = x + proposal.step(rng)
-            try:
-                prop_ll = gaussian_loglik(d, model(prop), noise)
-                prop_pd = family.log_density(prop, values)
-                cand = prop_ll + prop_pd
-            except _REJECTABLE:
-                cand = -np.inf
-            accepted = np.isfinite(cand) and np.log(rng.random()) < cand - (cur_ll + cur_pd)
+            x, _, accepted = adaptive_metropolis_update_s(
+                rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
+            )
             if accepted:
-                x, cur_ll, cur_pd = prop, prop_ll, prop_pd
-            proposal.register(accepted, x, k, adapting)
+                cur_ll, cur_pd = last
             s_steps += 1
             s_accepted += int(accepted)
 
@@ -581,7 +541,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
         for _ in range(max_halvings + 1):
             try:
                 fn = objective(x + alpha * step)
-            except _REJECTABLE:
+            except DOMAIN_ERRORS:
                 fn = np.inf
             if fn <= fx + 1e-4 * alpha * slope:
                 break

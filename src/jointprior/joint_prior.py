@@ -19,11 +19,10 @@ satisfy cov(draw(eta)) = Gamma and Gamma = (L^T L)^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
+from .covariance import whitening_filter
 from .linalg import CONTRACTION_MARGIN, ContractionError, scale_rows
 
 
@@ -371,44 +370,6 @@ def build_joint_prior(filter_p, filter_m, contraction, mean_p=None, mean_m=None)
     return JointPrior(filter_p, filter_m, contraction, mean_p, mean_m)
 
 
-def sample_joint(prior, eta):
-    """Deterministic colouring map of Gaussian white noise into a joint draw."""
-    return prior.sample(eta)
-
-
-@dataclass(frozen=True)
-class JointWhitening:
-    """Block whitening operator L of the joint prior: Gamma = (L^T L)^{-1}."""
-
-    prior: JointPrior
-
-    def apply(self, x):
-        """L @ x for mean-free joint vectors x of shape (n,) or (n, k)."""
-        p = self.prior
-        xp, xm = x[: p.n1], x[p.n1 :]
-        w1 = p.filter_p.apply(xp)
-        w2 = p.defect.solve(p.filter_m.apply(xm) - p.contraction.rmatvec(w1))
-        return np.concatenate([w1, w2])
-
-    def dense(self):
-        p = self.prior
-        lp = p.filter_p.dense_matrix()
-        lm = p.filter_m.dense_matrix()
-        bottom_left = -p.defect.solve(p.contraction.rmatvec(lp))
-        bottom_right = p.defect.solve(lm)
-        top = np.hstack([lp, np.zeros((p.n1, p.n2))])
-        bottom = np.hstack([bottom_left, bottom_right])
-        return np.vstack([top, bottom])
-
-
-def joint_whitening_filter(prior):
-    return JointWhitening(prior)
-
-
-def joint_log_density(prior, s, include_logdet=True):
-    return prior.log_density(s, include_logdet=include_logdet)
-
-
 def canonical_cross(prior):
     """Whitened cross-covariance and its singular values.
 
@@ -417,16 +378,9 @@ def canonical_cross(prior):
     fields; with principal-square-root filters W equals the contraction
     entrywise, and for any valid filter pair sigma(W) = sigma(C).
     """
-    def inv_sqrt(cov, name):
-        w, q = linalg.sym_eig(cov, name)
-        if w[0] <= 0 or w[-1] <= linalg.EIGENVALUE_FLOOR * w[0]:
-            raise linalg.FactorizationError(f"{name} is not positive definite")
-        m = (q / np.sqrt(w)) @ q.T
-        return 0.5 * (m + m.T)
-
-    gpm = prior.cross_covariance()
-    w_matrix = inv_sqrt(prior.filter_p.covariance(), "p-marginal") @ gpm
-    w_matrix = w_matrix @ inv_sqrt(prior.filter_m.covariance(), "m-marginal")
+    inv_sqrt_p = whitening_filter(prior.filter_p.covariance(), "principal_sqrt")
+    inv_sqrt_m = whitening_filter(prior.filter_m.covariance(), "principal_sqrt")
+    w_matrix = inv_sqrt_m.apply(inv_sqrt_p.apply(prior.cross_covariance()).T).T
     sigma = np.linalg.svd(w_matrix, compute_uv=False)
     return w_matrix, sigma
 

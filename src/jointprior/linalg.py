@@ -83,55 +83,12 @@ def sym_eig(a, name="matrix"):
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
-def _positive_eigenvalues(a, name):
-    w, v = sym_eig(a, name)
-    if a.shape[0] and w[0] > 0 and w[-1] > EIGENVALUE_FLOOR * w[0]:
-        return w, v
-    raise FactorizationError(
-        f"{name} is not positive definite: eigenvalue range "
-        f"[{w[-1] if a.shape[0] else float('nan'):.3e}, "
-        f"{w[0] if a.shape[0] else float('nan'):.3e}]"
-    )
-
-
-def principal_sqrt(a, name="matrix"):
-    """Unique SPD S with S @ S == a, via symmetric eigendecomposition."""
-    w, v = _positive_eigenvalues(a, name)
-    s = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (s + s.T)
-
-
 def spectral_norm(c):
     """Largest singular value of a rectangular matrix."""
     c = np.asarray(c, dtype=float)
     if c.size == 0:
         return 0.0
     return float(np.linalg.svd(c, compute_uv=False)[0])
-
-
-def _is_diagonal(c):
-    return c.shape[0] == c.shape[1] and np.count_nonzero(c - np.diag(np.diagonal(c))) == 0
-
-
-def defect_factor(c):
-    """Defect operator D (n2 x n2) of a strict contraction: D @ D.T == I - C.T @ C.
-
-    Uses the symmetric choice D = (I - C.T C)^(1/2), which is deterministic;
-    diagonal contractions take the closed-form diagonal path.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2:
-        raise ValueError(f"contraction must be 2-D, got shape {c.shape}")
-    sigma = spectral_norm(c)
-    if sigma >= 1.0 - CONTRACTION_MARGIN:
-        raise ContractionError(
-            f"not a strict contraction: sigma_max = {sigma:.17g} >= 1 - {CONTRACTION_MARGIN:g}",
-            sigma_max=sigma,
-        )
-    if _is_diagonal(c):
-        return np.diag(np.sqrt(1.0 - np.diagonal(c) ** 2))
-    gram = np.eye(c.shape[1]) - c.T @ c
-    return principal_sqrt(0.5 * (gram + gram.T), "defect Gram matrix")
 
 
 def logdet_spd(a, name="matrix"):

@@ -18,7 +18,7 @@ from jointprior.forward_models import CokrigeModel
 from jointprior.inference import (FullJointFamily, MwgConfig, NoiseModel,
                                   linear_gaussian_posterior, mwg_run)
 from jointprior.joint_prior import (Contraction, build_joint_prior,
-                                    canonical_cross, sample_joint,
+                                    canonical_cross,
                                     scalar_prior_stationary)
 from jointprior.linalg import cholesky_lower
 from jointprior.mesh_fem import build_lattice_mesh, solve_darcy
@@ -113,7 +113,7 @@ def test_criterion_03_sampling_whitening_round_trip():
         )
         eta = rng.standard_normal((64, 12)).T
         worst_eta = max(worst_eta,
-                        np.abs(prior.whiten(sample_joint(prior, eta)) - eta).max())
+                        np.abs(prior.whiten(prior.sample(eta)) - eta).max())
     assert worst_eta < 1e-8
 
     def unit_diagonal(m):

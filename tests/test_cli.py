@@ -13,11 +13,33 @@ TINY_COKRIGE = {
     "samples": 400, "burn_in": 50, "tracked_nodes": 3,
 }
 
+TINY_DARCY = {
+    "nx": 9, "ny": 5, "k_p": 4, "k_m": 6, "samples": 300, "burn_in": 60,
+    "c_steps": 3, "u_obs_nx": 3, "u_obs_ny": 2, "p_wells": 2,
+    "p_per_well": 2, "warm_start": True,
+}
+
 
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def assert_rerun_byte_identical(tmp_path, subcommand, payload):
+    cfg = write_config(tmp_path, payload)
+    for name in ("a", "b"):
+        code = main([subcommand, "--config", str(cfg), "--seed", "4",
+                     "--out", str(tmp_path / name)])
+        assert code == 0
+    files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
+    files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert files_a == files_b
+    for name in files_a:
+        if name == "timings.json":  # wall clock differs by design
+            continue
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
 
 
 class TestConfigLoading:
@@ -103,19 +125,10 @@ class TestCliRuns:
         assert code == 2
 
     def test_cokrige_rerun_is_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_COKRIGE)
-        for name in ("a", "b"):
-            code = main(["cokrige", "--config", str(cfg), "--seed", "4",
-                         "--out", str(tmp_path / name)])
-            assert code == 0
-        files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
-        files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
-        assert files_a == files_b
-        for name in files_a:
-            if name == "timings.json":  # wall clock differs by design
-                continue
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes(), name
+        assert_rerun_byte_identical(tmp_path, "cokrige", TINY_COKRIGE)
+
+    def test_darcy_rerun_is_byte_identical(self, tmp_path):
+        assert_rerun_byte_identical(tmp_path, "darcy", TINY_DARCY)
 
     def test_monod_scaled_smoke(self, tmp_path):
         cfg = write_config(tmp_path, {"samples": 500, "burn_in": 100, "grid_n": 41})
@@ -126,11 +139,7 @@ class TestCliRuns:
         assert table.shape == (10, 3)
 
     def test_darcy_tiny_smoke(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "nx": 9, "ny": 5, "k_p": 4, "k_m": 6, "samples": 300, "burn_in": 60,
-            "c_steps": 3, "u_obs_nx": 3, "u_obs_ny": 2, "p_wells": 2,
-            "p_per_well": 2, "warm_start": True,
-        })
+        cfg = write_config(tmp_path, TINY_DARCY)
         code = main(["darcy", "--config", str(cfg), "--out", str(tmp_path / "dy")])
         assert code == 0
         metrics = json.loads((tmp_path / "dy" / "metrics.json").read_text())

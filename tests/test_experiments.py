@@ -5,10 +5,13 @@ from jointprior.experiments.common import (interior_grid, median_ess,
                                            range_noise_std,
                                            reduced_chain_field_summary,
                                            well_points)
-from jointprior.experiments.configs import CokrigeConfig, load_config
+from jointprior.experiments import darcy
+from jointprior.experiments.configs import CokrigeConfig, DarcyConfig, load_config
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
 from jointprior.io_utils import load_matrix_csv, save_kl_basis_csv, save_mesh_csv
 from jointprior.mesh_fem import build_lattice_mesh, point_observation_operator
+
+from test_cli import TINY_DARCY
 
 
 class TestObservationLayouts:
@@ -88,6 +91,28 @@ class TestMultiChain:
         assert not np.array_equal(res["chains"][0].corr, res["chains"][1].corr)
         c = np.loadtxt(tmp_path / "ck" / "c_chain.csv", delimiter=",", skiprows=1)
         assert c.size == 500
+
+    def test_darcy_pools_independent_chains(self, tmp_path):
+        cfg = load_config(DarcyConfig, None, {**TINY_DARCY, "samples": 200, "burn_in": 50,
+                                              "n_chains": 2})
+        res = darcy.run(cfg, tmp_path / "dy")
+        for chains in (res["chains_independent"], res["chains_joint"]):
+            assert [ch.retained for ch in chains] == [150, 150]
+            assert not np.array_equal(chains[0].states, chains[1].states)
+        c = np.loadtxt(tmp_path / "dy" / "c_chain.csv", delimiter=",", skiprows=1)
+        assert c.shape == (300, 2)
+
+    def test_darcy_runs_the_warm_start_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = darcy.gauss_newton_map
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(darcy, "gauss_newton_map", counted)
+        darcy.run(load_config(DarcyConfig, None, TINY_DARCY), tmp_path / "dy")
+        assert len(calls) == 1
 
 
 class TestCsvExports:

@@ -10,9 +10,10 @@ from jointprior.inference import (AdaptiveProposal, FullJointFamily,
                                   ReducedJointFamily, _LinearGibbs,
                                   adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik,
-                                  gibbs_update_linear, linear_gaussian_posterior,
+                                  linear_gaussian_posterior,
                                   metropolis_update_correlation, mwg_run)
-from jointprior.joint_prior import Contraction, correlation_prior_logdensity
+from jointprior.joint_prior import (Contraction, correlation_prior_logdensity,
+                                    reduced_joint_covariance)
 from jointprior.covariance import kl_truncate
 from jointprior.mesh_fem import build_lattice_mesh
 
@@ -93,17 +94,17 @@ class TestLinearGaussianPosterior:
         np.testing.assert_allclose(cov, prior_cov, rtol=1e-10)
 
     def test_monte_carlo_cross_check(self, rng):
-        n = 8
-        prior_cov = random_spd(rng, n)
-        prior_mean = rng.standard_normal(n)
-        g = rng.standard_normal((5, n))
+        gp, gm = random_spd(rng, 4), random_spd(rng, 4)
+        fam = FullJointFamily(whitening_filter(gp, "principal_sqrt"),
+                              whitening_filter(gm, "cholesky"), Contraction.scalar(0.0, 4),
+                              mean_p=rng.standard_normal(4), mean_m=rng.standard_normal(4))
+        g = rng.standard_normal((5, 8))
         noise = NoiseModel(0.7, 5)
         d = rng.standard_normal(5)
-        mean, cov = linear_gaussian_posterior(g, d, noise, prior_mean, prior_cov)
-        draws = np.array([
-            gibbs_update_linear(rng, g, d, noise, prior_mean, prior_cov)
-            for _ in range(200000)
-        ])
+        mean, cov = linear_gaussian_posterior(g, d, noise, fam.mean,
+                                              fam.prior([0.6]).dense_covariance())
+        gibbs = _LinearGibbs(g, d, noise, fam)
+        draws = np.array([gibbs.draw(rng, [0.6]) for _ in range(200000)])
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.01)
         emp = np.cov(draws, rowvar=False)
         assert np.abs(emp - cov).max() < 0.02
@@ -111,25 +112,19 @@ class TestLinearGaussianPosterior:
 
 class TestGibbsUpdate:
     def test_zero_noise_concentrates_on_exact_solution(self, rng):
-        n = 3
+        n = 4
+        flt = whitening_filter(np.eye(n // 2), "principal_sqrt")
+        fam = FullJointFamily(flt, flt, Contraction.scalar(0.0, n // 2))
         g = random_spd(rng, n) + np.eye(n)  # invertible square model
         truth = rng.standard_normal(n)
-        d = g @ truth
-        noise = NoiseModel(1e-6, n)
-        draws = np.array([
-            gibbs_update_linear(rng, g, d, noise, np.zeros(n), np.eye(n))
-            for _ in range(50)
-        ])
+        gibbs = _LinearGibbs(g, g @ truth, NoiseModel(1e-6, n), fam)
+        draws = np.array([gibbs.draw(rng, [0.0]) for _ in range(50)])
         assert np.linalg.norm(draws - truth, axis=1).max() < 1e-3
 
     def test_uncorrelated_prior_decouples_blocks(self, rng):
         fam, model, noise, d = small_linear_problem(rng, n=3, c_true=0.0)
-        cov = fam.prior([0.0]).dense_covariance()
-        g = model.matrix
-        draws = np.array([
-            gibbs_update_linear(rng, g, d, noise, fam.mean, cov)
-            for _ in range(30000)
-        ])
+        gibbs = _LinearGibbs(model.matrix, d, noise, fam)
+        draws = np.array([gibbs.draw(rng, [0.0]) for _ in range(30000)])
         emp = np.cov(draws, rowvar=False)
         assert np.abs(emp[:3, 3:]).max() < 0.02
 
@@ -138,10 +133,8 @@ class TestGibbsUpdate:
         cov = fam.prior([0.4]).dense_covariance()
         g = model.matrix
         mean, _ = linear_gaussian_posterior(g, d, noise, fam.mean, cov)
-        draws = np.array([
-            gibbs_update_linear(rng, g, d, noise, fam.mean, cov)
-            for _ in range(100000)
-        ])
+        gibbs = _LinearGibbs(g, d, noise, fam)
+        draws = np.array([gibbs.draw(rng, [0.4]) for _ in range(100000)])
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.01)
 
 
@@ -534,8 +527,7 @@ class TestReducedFamily:
         fam = ReducedJointFamily(bp, bm, Contraction.piecewise(labels, [0.0, 0.0]))
         sh = rng.standard_normal(7)
         for values in ([0.4, -0.7], [0.0, 0.0], [0.95, 0.95]):
-            cov = fam.precision(np.asarray(values))
-            cov = np.linalg.inv(cov)
+            cov = reduced_joint_covariance(bp, bm, fam.contraction.with_values(values))
             oracle = -0.5 * (sh @ np.linalg.solve(cov, sh) + np.linalg.slogdet(cov)[1])
             ours = fam.log_density(sh, np.asarray(values))
             assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-9)

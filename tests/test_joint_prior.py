@@ -3,18 +3,27 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+import jointprior
 from jointprior.covariance import (PdePriorConfig, fem_precision_filter,
                                    kl_truncate, whitening_filter)
 from jointprior.joint_prior import (Contraction, build_joint_prior,
                                     canonical_cross,
                                     correlation_prior_logdensity,
-                                    joint_log_density, joint_whitening_filter,
-                                    reduced_joint_covariance, sample_joint,
+                                    reduced_joint_covariance,
                                     scalar_prior_stationary)
 from jointprior.linalg import ContractionError, cholesky_lower
 from jointprior.mesh_fem import build_lattice_mesh
 
 from conftest import random_dense_contraction, random_spd
+
+
+def test_public_names_resolve():
+    assert [name for name in jointprior.__all__ if not hasattr(jointprior, name)] == []
+
+
+def dense_whitening(prior):
+    """The joint whitening operator L as a dense matrix, column by column."""
+    return prior.whiten(prior.mean[:, None] + np.eye(prior.n))
 
 
 def make_prior(rng, n1=6, n2=4, kind_p="principal_sqrt", kind_m="cholesky",
@@ -151,14 +160,14 @@ class TestBuildJointPrior:
 class TestSampling:
     def test_zero_noise_returns_mean(self, rng):
         prior, _, _ = make_prior(rng, mean=True)
-        np.testing.assert_array_equal(sample_joint(prior, np.zeros(prior.n)), prior.mean)
+        np.testing.assert_array_equal(prior.sample(np.zeros(prior.n)), prior.mean)
 
     def test_decoupled_p_component(self, rng):
         prior, _, _ = make_prior(rng, contraction=Contraction.scalar(0.0, 6), n2=6)
         eta = rng.standard_normal(12)
         eta2 = eta.copy()
         eta2[6:] = rng.standard_normal(6)
-        s1, s2 = sample_joint(prior, eta), sample_joint(prior, eta2)
+        s1, s2 = prior.sample(eta), prior.sample(eta2)
         np.testing.assert_array_equal(s1[:6], s2[:6])
 
     def test_monte_carlo_covariance(self, rng):
@@ -222,41 +231,41 @@ class TestSampleTranspose:
 class TestJointWhitening:
     def test_block_diagonal_when_uncorrelated(self, rng):
         prior, _, _ = make_prior(rng, contraction=Contraction.scalar(0.0, 6), n2=6)
-        lw = joint_whitening_filter(prior).dense()
+        lw = dense_whitening(prior)
         np.testing.assert_array_equal(lw[:6, 6:], np.zeros((6, 6)))
         np.testing.assert_allclose(lw[6:, :6], np.zeros((6, 6)), atol=1e-14)
 
     def test_recovers_driving_noise(self, rng):
         prior, _, _ = make_prior(rng, mean=True)
         eta = rng.standard_normal(prior.n)
-        np.testing.assert_allclose(prior.whiten(sample_joint(prior, eta)), eta, atol=1e-8)
+        np.testing.assert_allclose(prior.whiten(prior.sample(eta)), eta, atol=1e-8)
 
     def test_round_trip_identity(self, rng):
         prior, _, _ = make_prior(rng, n1=6, n2=4)
-        lw = joint_whitening_filter(prior).dense()
+        lw = dense_whitening(prior)
         gap = lw.T @ lw @ prior.dense_covariance() - np.eye(10)
         assert np.linalg.norm(gap) / np.sqrt(10) < 1e-8
 
     def test_apply_matches_dense(self, rng):
-        prior, _, _ = make_prior(rng, n1=5, n2=7)
-        x = rng.standard_normal(12)
-        op = joint_whitening_filter(prior)
-        np.testing.assert_allclose(op.apply(x), op.dense() @ x, atol=1e-10)
+        prior, _, _ = make_prior(rng, n1=5, n2=7, mean=True)
+        s = rng.standard_normal(12)
+        np.testing.assert_allclose(prior.whiten(s), dense_whitening(prior) @ (s - prior.mean),
+                                   atol=1e-10)
 
 
 class TestJointLogDensity:
     def test_zero_at_mean_with_zero_contraction(self, rng):
         prior, _, _ = make_prior(rng, contraction=Contraction.scalar(0.0, 6), n2=6,
                                  mean=True)
-        assert joint_log_density(prior, prior.mean) == pytest.approx(0.0, abs=1e-12)
+        assert prior.log_density(prior.mean) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_matches_stationary_formula(self):
         fp = whitening_filter(np.eye(1), "cholesky")
         for c in (-0.7, 0.2, 0.9):
             prior = build_joint_prior(fp, fp, Contraction.scalar(c, 1))
             v, _, _ = scalar_prior_stationary(0.0, 0.0, c)
-            assert joint_log_density(prior, np.zeros(2)) == pytest.approx(v, rel=1e-12)
-            assert joint_log_density(prior, np.zeros(2)) == pytest.approx(
+            assert prior.log_density(np.zeros(2)) == pytest.approx(v, rel=1e-12)
+            assert prior.log_density(np.zeros(2)) == pytest.approx(
                 -0.5 * np.log(1 - c * c), rel=1e-12
             )
 
@@ -281,14 +290,14 @@ class TestJointLogDensity:
         for ca, cb in [(c1, c1), (c1, c2)]:
             pa = build_joint_prior(fp, fm, ca, mean[:5], mean[5:])
             pb = build_joint_prior(fp, fm, cb, mean[:5], mean[5:])
-            ours = joint_log_density(pa, s1) - joint_log_density(pb, s2)
+            ours = pa.log_density(s1) - pb.log_density(s2)
             ref = oracle(s1, ca) - oracle(s2, cb)
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
     def test_logdet_flag_drops_contraction_term(self, rng):
         prior, _, _ = make_prior(rng)
         s = rng.standard_normal(prior.n)
-        gap = joint_log_density(prior, s) - joint_log_density(prior, s, include_logdet=False)
+        gap = prior.log_density(s) - prior.log_density(s, include_logdet=False)
         assert gap == pytest.approx(-0.5 * prior.logdet_complement(), rel=1e-12)
 
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jointprior import linalg
+from jointprior.covariance import whitening_filter
+from jointprior.joint_prior import Contraction
 from jointprior.linalg import (ContractionError, FactorizationError,
-                               cholesky_lower, defect_factor, logdet_spd,
-                               principal_sqrt, spectral_norm, sym_eig)
+                               cholesky_lower, logdet_spd, spectral_norm,
+                               sym_eig)
 
 from conftest import random_dense_contraction, random_spd
 
@@ -39,6 +41,11 @@ class TestCholesky:
         assert err < 1e-10
         assert np.all(np.diagonal(r) > 0)
         assert np.allclose(np.triu(r, 1), 0.0)
+
+
+def principal_sqrt(a):
+    """The colouring root of a principal-square-root whitening filter."""
+    return whitening_filter(a, "principal_sqrt").solve(np.eye(a.shape[0]))
 
 
 class TestPrincipalSqrt:
@@ -100,12 +107,17 @@ class TestSpectralNorm:
         assert spectral_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0, rel=1e-14)
 
 
+def defect_factor(c):
+    """Dense defect operator of a contraction given as a matrix."""
+    return Contraction.dense(c).defect().dense()
+
+
 class TestDefectFactor:
     def test_zero_contraction(self):
-        np.testing.assert_allclose(defect_factor(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_allclose(Contraction.scalar(0.0, 3).defect().dense(), np.eye(3))
 
     def test_diagonal_closed_form(self):
-        d = defect_factor(np.diag([0.6, 0.8]))
+        d = Contraction.piecewise([0, 1], [0.6, 0.8]).defect().dense()
         np.testing.assert_allclose(d, np.diag([0.8, 0.6]), rtol=1e-15)
 
     def test_dense_rectangular_identity(self, rng):
