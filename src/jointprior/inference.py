@@ -111,11 +111,10 @@ class FullJointFamily:
         self.dim = build.n
 
     def prior(self, values=None):
-        """Joint prior at the given free correlation coordinates; a contraction
-        without free coordinates (dense) gives the template prior for []."""
-        if values is None or (self.n_free == 0 and np.size(values) == 0):
+        """Joint prior at the given free correlation coordinates."""
+        c = self.contraction if values is None else self.contraction.with_values(values)
+        if c is self.contraction:
             return self._template
-        c = self.contraction.with_values(values)
         return JointPrior(self.filter_p, self.filter_m, c,
                           self._template.mean_p, self._template.mean_m)
 
@@ -139,29 +138,18 @@ class ReducedJointFamily:
         self.n_free = contraction.n_free
         self.dim = basis_p.k + basis_m.k
         self.mean = np.zeros(self.dim)
-        # cross blocks are linear in the correlation values for the
-        # diagonal-like variants: precompute one block per coordinate
-        self._blocks = None
-        if contraction.variant in ("scalar", "piecewise"):
-            v = basis_p.modes
-            u = basis_m.modes
-            if contraction.variant == "scalar":
-                self._blocks = [v.T @ u]
-            else:
-                labels = contraction._labels
-                self._blocks = [
-                    v[labels == l].T @ u[labels == l] for l in range(contraction.n_free)
-                ]
+        # the cross block is affine in the correlation values,
+        # V^T C(c) U = V^T C(0) U + sum_l c_l V[rows_l]^T U[cols_l]
+        v, u = basis_p.modes, basis_m.modes
+        self._fixed = v.T @ contraction.with_values(np.zeros(self.n_free)).matvec(u)
+        self._blocks = [v[rows].T @ u[cols]
+                        for rows, cols in map(contraction.pairs, range(self.n_free))]
 
     def cross_block(self, values):
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if self._blocks is not None:
-            chat = np.zeros((self.basis_p.k, self.basis_m.k))
-            for val, block in zip(values, self._blocks):
-                chat += val * block
-            return chat
-        c = self.contraction.with_values(values)
-        return self.basis_p.modes.T @ c.matvec(self.basis_m.modes)
+        chat = self._fixed.copy()
+        for val, block in zip(np.atleast_1d(np.asarray(values, dtype=float)), self._blocks):
+            chat += val * block
+        return chat
 
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
@@ -358,8 +346,7 @@ class _LinearGibbs:
         self.family = family
         fp, fm, con, n_free = family.filter_p, family.filter_m, family.contraction, family.n_free
         # B_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
-        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)) if n_free else con,
-                          None, None)
+        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)), None, None)
         a = base.sample_t(self.g.T)
         terms = [base.sample(a)]
         for l in range(n_free):  # B_l = 2 B(e_l / 2): e_l itself is no strict contraction

@@ -29,7 +29,7 @@ from .linalg import CONTRACTION_MARGIN, ContractionError, scale_rows
 class Defect(object):
     """Defect operator D with D @ D.T == I - C.T @ C.
 
-    Diagonal for diagonal-like contractions; otherwise the symmetric root of
+    Diagonal for index pairings; for a dense contraction the symmetric root of
     the Gram complement, stored by its eigendecomposition.
     """
 
@@ -63,30 +63,30 @@ class Defect(object):
 class Contraction:
     """Cross-correlation operator with spectral norm strictly below 1.
 
-    Variants:
-      scalar          c * I on a shared n-node index set
-      piecewise       diag(values[labels]) - one coefficient per subdomain label
-      paired_sparse   C[rows[k], cols[k]] = values[k], a one-to-one pairing
-                      (couples fields of different dimensions)
-      dense           arbitrary rectangular strict contraction
+    A structured contraction is a one-to-one index pairing whose entries are
+    tied to free correlation coordinates,
 
-    The first three expose free correlation coordinates through ``values`` /
-    ``with_values``; correlation inference reparameterises each coordinate
-    as tanh(gamma).
+        C[rows[k], cols[k]] = values[labels[k]],   zero elsewhere:
+
+      scalar          identity pairing, one label: c * I
+      piecewise       identity pairing, one label per subdomain
+      paired_sparse   any one-to-one pairing, one label per pair
+                      (couples fields of different dimensions)
+
+    A dense contraction is an arbitrary rectangular strict contraction with
+    no free coordinates: ``values`` is empty and ``with_values([])`` returns
+    it unchanged.  Correlation inference reparameterises each coordinate as
+    tanh(gamma).
     """
 
-    def __init__(self, variant, shape, *, value=None, labels=None, values=None,
-                 rows=None, cols=None, matrix=None):
-        self.variant = variant
+    def __init__(self, shape, values, pairs=None, matrix=None):
         self.shape = (int(shape[0]), int(shape[1]))
-        self._value = value
-        self._labels = labels
         self._values = values
-        self._rows = rows
-        self._cols = cols
+        self._pairs = pairs  # (rows, cols, labels); None for a dense matrix
         self._matrix = matrix
+        self._entries = None if pairs is None else values[pairs[2]]  # C[rows[k], cols[k]]
         sigma = self.sigma_max()
-        if sigma >= 1.0 - CONTRACTION_MARGIN:
+        if not sigma < 1.0 - CONTRACTION_MARGIN:  # also rejects a NaN or inf coordinate
             raise ContractionError(
                 f"not a strict contraction: sigma_max = {sigma:.17g} "
                 f">= 1 - {CONTRACTION_MARGIN:g}",
@@ -100,7 +100,8 @@ class Contraction:
         """Homogeneous correlation c * I on n shared indices."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        return cls("scalar", (n, n), value=float(c))
+        idx = np.arange(n)
+        return cls((n, n), np.array([float(c)]), (idx, idx, np.zeros(n, dtype=int)))
 
     @classmethod
     def piecewise(cls, labels, values):
@@ -114,7 +115,8 @@ class Contraction:
                 f"labels reference values outside [0, {values.size})"
             )
         n = labels.size
-        return cls("piecewise", (n, n), labels=labels.copy(), values=values.copy())
+        idx = np.arange(n)
+        return cls((n, n), values.copy(), (idx, idx, labels.copy()))
 
     @classmethod
     def paired_sparse(cls, rows, cols, values, shape):
@@ -130,128 +132,109 @@ class Contraction:
                 raise ValueError(f"pair indices out of range for shape {shape}")
             if np.unique(rows).size != rows.size or np.unique(cols).size != cols.size:
                 raise ValueError("paired_sparse requires each row and column index at most once")
-        return cls("paired_sparse", (n1, n2), rows=rows.copy(), cols=cols.copy(),
-                   values=values.copy())
+        return cls((n1, n2), values.copy(), (rows.copy(), cols.copy(), np.arange(rows.size)))
 
     @classmethod
     def dense(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"dense contraction must be 2-D, got shape {matrix.shape}")
-        return cls("dense", matrix.shape, matrix=matrix.copy())
+        if not np.isfinite(matrix).all():
+            raise ContractionError("dense contraction entries must be finite")
+        return cls(matrix.shape, np.empty(0), matrix=matrix.copy())
 
     # -- free correlation coordinates ---------------------------------------
 
     @property
     def n_free(self):
-        if self.variant == "scalar":
-            return 1
-        if self.variant in ("piecewise", "paired_sparse"):
-            return self._values.size
-        return 0
+        return self._values.size
 
     @property
     def values(self):
-        """Free correlation coordinates (not defined for dense contractions)."""
-        if self.variant == "scalar":
-            return np.array([self._value])
-        if self.variant in ("piecewise", "paired_sparse"):
-            return self._values.copy()
-        raise ValueError("dense contractions carry no free correlation coordinates")
+        """Free correlation coordinates (empty for a dense contraction)."""
+        return self._values.copy()
 
     def with_values(self, values):
-        """Same structure, new correlation coordinates."""
+        """Same pairing and tying, new correlation coordinates."""
         values = np.atleast_1d(np.asarray(values, dtype=float))
         if values.size != self.n_free:
             raise ValueError(f"expected {self.n_free} correlation values, got {values.size}")
-        if self.variant == "scalar":
-            return Contraction.scalar(values[0], self.shape[0])
-        if self.variant == "piecewise":
-            return Contraction.piecewise(self._labels, values)
-        if self.variant == "paired_sparse":
-            return Contraction.paired_sparse(self._rows, self._cols, values, self.shape)
-        raise ValueError("dense contractions carry no free correlation coordinates")
+        if self._matrix is not None:
+            return self
+        return Contraction(self.shape, values.copy(), self._pairs)
+
+    def pairs(self, l):
+        """Index pairs (rows, cols) whose entry is the coordinate ``l``."""
+        if not 0 <= l < self.n_free:
+            raise IndexError(f"coordinate {l} outside [0, {self.n_free})")
+        rows, cols, labels = self._pairs
+        return rows[labels == l], cols[labels == l]
 
     # -- linear operator interface ------------------------------------------
-
-    def _diag_entries(self):
-        if self.variant == "scalar":
-            return np.full(self.shape[0], self._value)
-        if self.variant == "piecewise":
-            return self._values[self._labels]
-        raise AssertionError(self.variant)
 
     def matvec(self, x):
         """C @ x for x of shape (n2,) or (n2, k)."""
         x = np.asarray(x, dtype=float)
-        if self.variant in ("scalar", "piecewise"):
-            return scale_rows(self._diag_entries(), x)
-        if self.variant == "paired_sparse":
-            y = np.zeros((self.shape[0],) + x.shape[1:])
-            y[self._rows] = scale_rows(self._values, x[self._cols])
-            return y
-        return self._matrix @ x
+        if self._matrix is not None:
+            return self._matrix @ x
+        rows, cols, _ = self._pairs
+        y = np.zeros((self.shape[0],) + x.shape[1:])
+        y[rows] = scale_rows(self._entries, x[cols])
+        return y
 
     def rmatvec(self, y):
         """C.T @ y for y of shape (n1,) or (n1, k)."""
         y = np.asarray(y, dtype=float)
-        if self.variant in ("scalar", "piecewise"):
-            return scale_rows(self._diag_entries(), y)
-        if self.variant == "paired_sparse":
-            x = np.zeros((self.shape[1],) + y.shape[1:])
-            x[self._cols] = scale_rows(self._values, y[self._rows])
-            return x
-        return self._matrix.T @ y
+        if self._matrix is not None:
+            return self._matrix.T @ y
+        rows, cols, _ = self._pairs
+        x = np.zeros((self.shape[1],) + y.shape[1:])
+        x[cols] = scale_rows(self._entries, y[rows])
+        return x
 
     def as_matrix(self):
-        if self.variant in ("scalar", "piecewise"):
-            return np.diag(self._diag_entries())
-        if self.variant == "paired_sparse":
-            c = np.zeros(self.shape)
-            c[self._rows, self._cols] = self._values
-            return c
-        return self._matrix.copy()
+        if self._matrix is not None:
+            return self._matrix.copy()
+        rows, cols, _ = self._pairs
+        c = np.zeros(self.shape)
+        c[rows, cols] = self._entries
+        return c
 
     def sigma_max(self):
-        if self.variant == "scalar":
-            return abs(self._value)
-        if self.variant in ("piecewise", "paired_sparse"):
-            return float(np.abs(self._values).max()) if self._values.size else 0.0
-        return linalg.spectral_norm(self._matrix)
+        """Largest singular value; for a pairing (one entry per row and column)
+        its largest coordinate in magnitude, unused piecewise labels included."""
+        if self._matrix is not None:
+            return linalg.spectral_norm(self._matrix)
+        return float(np.abs(self._values).max()) if self._values.size else 0.0
 
     # -- defect and determinants ---------------------------------------------
 
     def defect(self):
         """Defect operator D with D @ D.T == I - C.T @ C (symmetric choice)."""
-        n2 = self.shape[1]
-        if self.variant in ("scalar", "piecewise"):
-            return Defect(diag=np.sqrt(1.0 - self._diag_entries() ** 2))
-        if self.variant == "paired_sparse":
-            d = np.ones(n2)
-            d[self._cols] = np.sqrt(1.0 - self._values**2)
-            return Defect(diag=d)
-        gram = np.eye(n2) - self._matrix.T @ self._matrix
-        w, q = linalg.sym_eig(0.5 * (gram + gram.T), "defect Gram matrix")
-        return Defect(eig=(w, q))
+        if self._matrix is not None:
+            gram = np.eye(self.shape[1]) - self._matrix.T @ self._matrix
+            w, q = linalg.sym_eig(0.5 * (gram + gram.T), "defect Gram matrix")
+            return Defect(eig=(w, q))
+        d = np.ones(self.shape[1])
+        d[self._pairs[1]] = np.sqrt(1.0 - self._entries**2)
+        return Defect(diag=d)
 
     def logdet_complement(self):
         """log det(I - C C^T) = log det(I - C^T C).
 
-        Diagonal-like variants use the product formula over their nonzero
-        coefficients; dense variants factor the smaller Gram complement
-        (the two determinants coincide for any rectangular C).
+        A pairing uses the product formula over its entries; a dense
+        contraction factors the smaller Gram complement (the two
+        determinants coincide for any rectangular C).
         """
-        if self.variant in ("scalar", "piecewise"):
-            return float(np.sum(np.log1p(-self._diag_entries() ** 2)))
-        if self.variant == "paired_sparse":
-            return float(np.sum(np.log1p(-self._values**2)))
-        n1, n2 = self.shape
-        c = self._matrix
-        if n2 <= n1:
-            gram = np.eye(n2) - c.T @ c
-        else:
-            gram = np.eye(n1) - c @ c.T
-        return linalg.logdet_spd(0.5 * (gram + gram.T), "Gram complement")
+        if self._matrix is not None:
+            n1, n2 = self.shape
+            c = self._matrix
+            if n2 <= n1:
+                gram = np.eye(n2) - c.T @ c
+            else:
+                gram = np.eye(n1) - c @ c.T
+            return linalg.logdet_spd(0.5 * (gram + gram.T), "Gram complement")
+        return float(np.sum(np.log1p(-self._entries**2)))
 
 
 def _add_mean(x, mean):
@@ -333,9 +316,6 @@ class JointPrior:
         w2 = self.defect.solve(self.filter_m.apply(xm) - self.contraction.rmatvec(w1))
         return np.concatenate([w1, w2])
 
-    def logdet_complement(self):
-        return self.contraction.logdet_complement()
-
     def log_density(self, s, include_logdet=True):
         """Joint log prior density up to a constant independent of s and C.
 
@@ -347,7 +327,7 @@ class JointPrior:
         w = self.whiten(s)
         quad = float(w @ w)
         if include_logdet:
-            return -0.5 * (quad + self.logdet_complement())
+            return -0.5 * (quad + self.contraction.logdet_complement())
         return -0.5 * quad
 
     def cross_covariance(self):

@@ -9,6 +9,7 @@ from jointprior.experiments import darcy
 from jointprior.experiments.configs import CokrigeConfig, DarcyConfig, load_config
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
 from jointprior.io_utils import load_matrix_csv, save_kl_basis_csv, save_mesh_csv
+from jointprior.linalg import ContractionError
 from jointprior.mesh_fem import build_lattice_mesh, point_observation_operator
 
 from test_cli import TINY_DARCY
@@ -113,6 +114,13 @@ class TestMultiChain:
         monkeypatch.setattr(darcy, "gauss_newton_map", counted)
         darcy.run(load_config(DarcyConfig, None, TINY_DARCY), tmp_path / "dy")
         assert len(calls) == 1
+
+
+class TestDarcyProblem:
+    def test_non_finite_truth_rejected(self):
+        cfg = load_config(DarcyConfig, None, {**TINY_DARCY, "c_true": [float("nan"), 0.2]})
+        with pytest.raises(ContractionError):
+            darcy.build_problem(cfg)
 
 
 class TestCsvExports:

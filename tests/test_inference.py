@@ -519,27 +519,61 @@ class TestMwgRun:
         assert np.abs(gaps).max() < 1e-8
 
 
+def zero_contraction(variant, rng, labels, n2):
+    """A contraction of each constructor on len(labels) p-indices and n2
+    m-indices (scalar and piecewise ones are square), with its free
+    coordinates at zero."""
+    n1 = len(labels)
+    if variant == "scalar":
+        return Contraction.scalar(0.0, n1)
+    if variant == "piecewise":
+        return Contraction.piecewise(labels, np.zeros(max(labels) + 1))
+    if variant == "paired_sparse":
+        return Contraction.paired_sparse([0, 3, n1 - 1], [n2 - 1, 0, 2], np.zeros(3),
+                                         (n1, n2))
+    return Contraction.dense(random_dense_contraction(rng, n1, n2))
+
+
+CONSTRUCTORS = ["scalar", "piecewise", "paired_sparse", "dense"]
+
+
 class TestReducedFamily:
-    def test_log_density_matches_dense_covariance(self, rng):
-        gp, gm = random_spd(rng, 7), random_spd(rng, 7)
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_log_density_matches_dense_covariance(self, rng, variant):
+        labels = [0, 0, 1, 1, 0, 1, 0]
+        n2 = 7 if variant in ("scalar", "piecewise") else 5
+        gp, gm = random_spd(rng, 7), random_spd(rng, n2)
         bp, bm = kl_truncate(gp, 4), kl_truncate(gm, 3)
-        labels = np.array([0, 0, 1, 1, 0, 1, 0])
-        fam = ReducedJointFamily(bp, bm, Contraction.piecewise(labels, [0.0, 0.0]))
+        fam = ReducedJointFamily(bp, bm, zero_contraction(variant, rng, labels, n2))
         sh = rng.standard_normal(7)
-        for values in ([0.4, -0.7], [0.0, 0.0], [0.95, 0.95]):
+        n = fam.n_free
+        for values in (np.resize([0.4, -0.7], n), np.zeros(n), np.full(n, 0.95)):
             cov = reduced_joint_covariance(bp, bm, fam.contraction.with_values(values))
             oracle = -0.5 * (sh @ np.linalg.solve(cov, sh) + np.linalg.slogdet(cov)[1])
             ours = fam.log_density(sh, np.asarray(values))
             assert ours == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
-    def test_cross_block_matches_direct_projection(self, rng):
-        gp, gm = random_spd(rng, 6), random_spd(rng, 6)
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_cross_block_matches_direct_projection(self, rng, variant):
+        labels = [0, 1, 0, 1, 0, 1]
+        n2 = 6 if variant in ("scalar", "piecewise") else 5
+        gp, gm = random_spd(rng, 6), random_spd(rng, n2)
         bp, bm = kl_truncate(gp, 3), kl_truncate(gm, 4)
-        labels = np.array([0, 1, 0, 1, 0, 1])
-        fam = ReducedJointFamily(bp, bm, Contraction.piecewise(labels, [0.0, 0.0]))
-        values = np.array([0.5, -0.3])
-        direct = bp.modes.T @ np.diag(values[labels]) @ bm.modes
+        fam = ReducedJointFamily(bp, bm, zero_contraction(variant, rng, labels, n2))
+        values = np.resize([0.5, -0.3], fam.n_free)
+        direct = bp.modes.T @ fam.contraction.with_values(values).as_matrix() @ bm.modes
         np.testing.assert_allclose(fam.cross_block(values), direct, atol=1e-12)
+
+    def test_dense_contraction_chain_with_nonlinear_model(self, rng):
+        bp, bm = kl_truncate(random_spd(rng, 6), 3), kl_truncate(random_spd(rng, 5), 2)
+        fam = ReducedJointFamily(bp, bm, Contraction.dense(random_dense_contraction(rng, 6, 5)))
+        noise = NoiseModel(0.5, 2)
+        chain = mwg_run(lambda s: np.tanh(s[:2]) + s[3:], fam, noise, np.array([0.3, -0.2]),
+                        MwgConfig(total_samples=60, burn_in=20, seed=3),
+                        init_state=np.zeros(fam.dim))
+        assert chain.kind == "adaptive"
+        assert chain.states.shape == (40, 5) and chain.corr.shape == (40, 0)
+        assert chain.s_accepted > 0 and chain.gamma_steps == 0
 
 
 class TestGaussNewton:

@@ -84,6 +84,47 @@ class TestContraction:
         c = Contraction.piecewise([0, 1, 0], [0.1, 0.2]).with_values([0.3, -0.4])
         np.testing.assert_allclose(np.diagonal(c.as_matrix()), [0.3, -0.4, 0.3])
 
+    def test_dense_has_no_free_coordinates(self, rng):
+        c = Contraction.dense(random_dense_contraction(rng, 4, 3))
+        assert c.n_free == 0 and c.values.size == 0
+        assert c.with_values([]) is c
+        x = rng.standard_normal((3, 2))
+        np.testing.assert_array_equal(c.with_values(np.zeros(0)).matvec(x), c.matvec(x))
+        with pytest.raises(ValueError, match="expected 0"):
+            c.with_values([0.1])
+
+    def test_pairs_tie_entries_to_coordinates(self):
+        for c in (
+            Contraction.scalar(0.6, 4),
+            Contraction.piecewise([0, 1, 1, 0], [0.5, -0.25]),
+            Contraction.paired_sparse([1, 4], [0, 2], [0.7, 0.2], (6, 3)),
+        ):
+            rebuilt = np.zeros(c.shape)
+            for l, value in enumerate(c.values):
+                rows, cols = c.pairs(l)
+                rebuilt[rows, cols] = value
+            np.testing.assert_array_equal(rebuilt, c.as_matrix())
+            with pytest.raises(IndexError):
+                c.pairs(c.n_free)
+        rows, cols = Contraction.piecewise([0, 1, 1, 0], [0.5, -0.25]).pairs(1)
+        np.testing.assert_array_equal(rows, [1, 2])
+        np.testing.assert_array_equal(cols, [1, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ContractionError):
+            Contraction.scalar(bad, 3)
+        with pytest.raises(ContractionError):
+            Contraction.piecewise([0, 1, 0], [0.2, bad])
+        with pytest.raises(ContractionError):
+            Contraction.paired_sparse([0, 2], [1, 0], [bad, 0.1], (3, 2))
+        with pytest.raises(ContractionError):
+            Contraction.piecewise([0, 1, 0], [0.2, 0.3]).with_values([0.1, bad])
+        m = np.full((2, 3), 0.1)
+        m[1, 2] = bad
+        with pytest.raises(ContractionError, match="finite"):
+            Contraction.dense(m)
+
     def test_defect_matches_direct_factor(self, rng):
         for c in (
             Contraction.scalar(0.6, 4),
@@ -298,7 +339,7 @@ class TestJointLogDensity:
         prior, _, _ = make_prior(rng)
         s = rng.standard_normal(prior.n)
         gap = prior.log_density(s) - prior.log_density(s, include_logdet=False)
-        assert gap == pytest.approx(-0.5 * prior.logdet_complement(), rel=1e-12)
+        assert gap == pytest.approx(-0.5 * prior.contraction.logdet_complement(), rel=1e-12)
 
 
 class TestCanonicalCross:
