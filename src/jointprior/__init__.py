@@ -14,11 +14,10 @@ from .covariance import (
     sqexp_covariance,
     whitening_filter,
 )
-from .mesh_fem import Mesh, build_lattice_mesh, assemble_fem_matrices, solve_darcy
+from .mesh_fem import Mesh, build_lattice_mesh, assemble_fem_matrices
 from .joint_prior import (
     Contraction,
     JointPrior,
-    build_joint_prior,
     canonical_cross,
     correlation_prior_logdensity,
     reduced_joint_covariance,
@@ -43,7 +42,6 @@ __all__ = [
     "WhiteningFilter",
     "assemble_fem_matrices",
     "autocorrelation",
-    "build_joint_prior",
     "build_lattice_mesh",
     "canonical_cross",
     "correlation_prior_logdensity",
@@ -54,7 +52,6 @@ __all__ = [
     "mwg_run",
     "reduced_joint_covariance",
     "scalar_prior_stationary",
-    "solve_darcy",
     "sqexp_covariance",
     "whitening_filter",
 ]

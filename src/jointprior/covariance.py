@@ -2,13 +2,14 @@
 
 A whitening filter is a factor L with cov = (L^T L)^{-1}: applying L maps a
 correlated Gaussian to white noise, applying L^{-1} colours white noise.
-Three kinds are supported:
+Three factors are built:
 
 * ``cholesky``        L = R^{-1} with R the lower Cholesky factor of cov
 * ``principal_sqrt``  L = cov^{-1/2}, the symmetric root
-* ``precision_sqrt``  L given directly as an SPD (sparse) operator, cov = L^{-2}
+* elliptic            L given directly as an SPD sparse operator, cov = L^{-2}
+                      (``fem_precision_filter``)
 
-The third kind hosts elliptic-operator priors cov = (a1 K + a2 M + a3 B)^{-2}
+The third hosts elliptic-operator priors cov = (a1 K + a2 M + a3 B)^{-2}
 assembled from finite-element matrices; the covariance is never formed
 densely unless explicitly requested.
 """
@@ -79,60 +80,35 @@ class PdePriorConfig:
 
 
 class WhiteningFilter:
-    """Factor L with cov = (L^T L)^{-1}; supports apply, inverse apply and
-    log-determinant.  Immutable after construction."""
+    """Factor L with cov = (L^T L)^{-1}, held as the maps x -> L x and
+    x -> L^{-1} x and their transposes (which default to the maps, for a
+    symmetric L); x may be (n,) or (n, k).  Immutable after construction."""
 
-    def __init__(self, kind, dim, *, chol=None, root=None, inv_root=None,
-                 sparse_l=None, cov=None, logdet_cov=None):
-        self.kind = kind
+    def __init__(self, dim, apply, solve, logdet_cov, *, apply_t=None, solve_t=None,
+                 cov=None):
         self.dim = dim
-        self._chol = chol            # lower Cholesky factor R of cov (kind=cholesky)
-        self._root = root            # cov^{1/2} (kind=principal_sqrt)
-        self._inv_root = inv_root    # cov^{-1/2}
-        self._sparse_l = sparse_l    # SPD sparse operator (kind=precision_sqrt)
-        self._lu = spla.splu(sparse_l.tocsc()) if sparse_l is not None else None
-        self._cov = cov
+        self._apply = apply
+        self._apply_t = apply if apply_t is None else apply_t
+        self._solve = solve
+        self._solve_t = solve if solve_t is None else solve_t
         self._logdet_cov = logdet_cov
-
-    # -- forward/inverse applications; x may be (n,) or (n, k) ------------
+        self._cov = cov
 
     def apply(self, x):
         """L @ x."""
-        if self.kind == "cholesky":
-            return solve_triangular(self._chol, x, lower=True)
-        if self.kind == "principal_sqrt":
-            return self._inv_root @ x
-        return self._sparse_l @ x
+        return self._apply(x)
 
     def apply_t(self, x):
         """L.T @ x."""
-        if self.kind == "cholesky":
-            return solve_triangular(self._chol, x, lower=True, trans="T")
-        return self.apply(x)  # symmetric kinds
+        return self._apply_t(x)
 
     def solve(self, x):
         """L^{-1} @ x (colouring map for sampling)."""
-        if self.kind == "cholesky":
-            return self._chol @ x
-        if self.kind == "principal_sqrt":
-            return self._root @ x
-        return self._lu.solve(np.asarray(x, dtype=float))
+        return self._solve(x)
 
     def solve_t(self, x):
         """L^{-T} @ x."""
-        if self.kind == "cholesky":
-            return self._chol.T @ x
-        return self.solve(x)  # symmetric kinds
-
-    # -- dense views (testing / small problems) ---------------------------
-
-    def dense_matrix(self):
-        """L as a dense array."""
-        if self.kind == "cholesky":
-            return solve_triangular(self._chol, np.eye(self.dim), lower=True)
-        if self.kind == "principal_sqrt":
-            return self._inv_root.copy()
-        return self._sparse_l.toarray()
+        return self._solve_t(x)
 
     def covariance(self):
         """Dense covariance (L^T L)^{-1} (computed once, then cached)."""
@@ -140,14 +116,6 @@ class WhiteningFilter:
             cov = self.solve(self.solve_t(np.eye(self.dim)))
             self._cov = 0.5 * (cov + cov.T)
         return self._cov.copy()
-
-    def precision(self):
-        """Dense precision L^T L."""
-        if self.kind == "precision_sqrt":
-            l = self._sparse_l
-            return (l @ l).toarray()
-        prec = self.apply_t(self.apply(np.eye(self.dim)))
-        return 0.5 * (prec + prec.T)
 
     def logdet_cov(self):
         """log det of the covariance."""
@@ -157,16 +125,20 @@ class WhiteningFilter:
 def whitening_filter(cov, kind):
     """Build a whitening filter for a dense SPD covariance.
 
-    kind = "cholesky" uses the lower Cholesky factor of cov (so the
-    colouring map L^{-1} is triangular); kind = "principal_sqrt" uses the
-    symmetric root cov^{-1/2}.
+    kind = "cholesky" uses L = R^{-1} with R the lower Cholesky factor of cov
+    (so the colouring map L^{-1} is triangular); kind = "principal_sqrt"
+    uses the symmetric root L = cov^{-1/2}.
     """
     cov = linalg.check_symmetric(cov, "covariance")
     n = cov.shape[0]
     if kind == "cholesky":
         r = linalg.cholesky_lower(cov, "covariance")
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))
-        return WhiteningFilter("cholesky", n, chol=r, cov=cov.copy(), logdet_cov=logdet)
+        return WhiteningFilter(
+            n, lambda x: solve_triangular(r, x, lower=True), lambda x: r @ x,
+            2.0 * float(np.sum(np.log(np.diagonal(r)))),
+            apply_t=lambda x: solve_triangular(r, x, lower=True, trans="T"),
+            solve_t=lambda x: r.T @ x, cov=cov.copy(),
+        )
     if kind == "principal_sqrt":
         w, v = linalg.sym_eig(cov, "covariance")
         if n and (w[0] <= 0 or w[-1] <= linalg.EIGENVALUE_FLOOR * w[0]):
@@ -175,13 +147,10 @@ def whitening_filter(cov, kind):
             )
         root = (v * np.sqrt(w)) @ v.T
         inv_root = (v / np.sqrt(w)) @ v.T
-        return WhiteningFilter(
-            "principal_sqrt", n,
-            root=0.5 * (root + root.T),
-            inv_root=0.5 * (inv_root + inv_root.T),
-            cov=cov.copy(),
-            logdet_cov=float(np.sum(np.log(w))),
-        )
+        root = 0.5 * (root + root.T)
+        inv_root = 0.5 * (inv_root + inv_root.T)
+        return WhiteningFilter(n, lambda x: inv_root @ x, lambda x: root @ x,
+                               float(np.sum(np.log(w))), cov=cov.copy())
     raise ValueError(f"unknown whitening filter kind: {kind!r}")
 
 
@@ -197,14 +166,15 @@ def fem_precision_filter(mesh, cfg: PdePriorConfig):
     l = (cfg.a1 * fem.stiffness + cfg.a2 * fem.mass + cfg.a3 * fem.boundary_mass).tocsc()
     l = 0.5 * (l + l.T)
     try:
-        flt = WhiteningFilter("precision_sqrt", l.shape[0], sparse_l=l)
+        lu = spla.splu(l.tocsc())
     except RuntimeError as exc:  # splu: exactly singular
         raise FactorizationError(f"elliptic operator is singular: {exc}") from exc
-    u_diag = flt._lu.U.diagonal()
+    u_diag = lu.U.diagonal()
     if np.any(u_diag <= 0):
         raise FactorizationError("elliptic operator is not positive definite")
-    flt._logdet_cov = -2.0 * float(np.sum(np.log(u_diag)))
-    return flt
+    return WhiteningFilter(l.shape[0], lambda x: l @ x,
+                           lambda x: lu.solve(np.asarray(x, dtype=float)),
+                           -2.0 * float(np.sum(np.log(u_diag))))
 
 
 def sqexp_covariance(points, cfg: KernelConfig):

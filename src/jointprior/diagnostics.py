@@ -71,9 +71,10 @@ class PosteriorSummary:
         return np.sqrt(self.var_m)
 
 
-def summary_from_gaussian(mean, cov, n1):
+def summary_from_gaussian(mean, var, n1):
+    """Moment summary of a Gaussian from its mean and marginal variances."""
     mean = np.asarray(mean, dtype=float)
-    var = np.diagonal(np.asarray(cov, dtype=float)).copy()
+    var = np.asarray(var, dtype=float)
     return PosteriorSummary(mean[:n1], mean[n1:], var[:n1], var[n1:])
 
 

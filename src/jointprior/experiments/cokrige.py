@@ -4,8 +4,10 @@ regions, with the homogeneous correlation either fixed or inferred.
 The truth pair is drawn from the joint prior at a prescribed correlation;
 p is observed on a grid in the right half of the domain, m on a grid in the
 top half, both with range-relative noise.  Both forward maps are linear, so
-fixed-correlation posteriors are exact Gaussian updates and the sampler uses
-exact Gibbs field draws with Metropolis steps only for the correlation.
+the fixed-correlation posteriors are exact Gaussian updates and the sampler
+uses exact Gibbs field draws with Metropolis steps only for the correlation.
+Both come from one data-space algebra (``_LinearGibbs``), whose q x q
+factor gives the fixed-c means and variances without densifying Gamma(c).
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
 from ..diagnostics import (error_metrics, ess, summary_from_chain,
                            summary_from_gaussian)
 from ..forward_models import CokrigeModel
-from ..inference import (FullJointFamily, MwgConfig, NoiseModel,
-                         linear_gaussian_posterior, mwg_run)
+from ..inference import FullJointFamily, MwgConfig, NoiseModel, _LinearGibbs, mwg_run
 from ..io_utils import save_field_csv, save_mesh_csv, save_table_csv, write_json
 from ..joint_prior import Contraction
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
@@ -118,6 +119,20 @@ def build_problem(cfg):
     }
 
 
+def sign_gaps(w_pos, w_neg, n):
+    """Gaps of the fixed-c posterior covariances at c and -c, from the
+    whitened columns W of ``_LinearGibbs.moments`` (covariance Gamma - W^T W).
+
+    Gamma(c) and Gamma(-c) share their diagonal blocks exactly and have
+    opposite cross blocks, so the gaps are those of W^T W, at O(n^2 q).
+    Returns (largest gap of the p and m blocks, largest entry of the sum of
+    the p-m blocks)."""
+    pos_p, pos_m, neg_p, neg_m = w_pos[:, :n], w_pos[:, n:], w_neg[:, :n], w_neg[:, n:]
+    blocks = max(np.abs(pos_p.T @ pos_p - neg_p.T @ neg_p).max(),
+                 np.abs(pos_m.T @ pos_m - neg_m.T @ neg_m).max())
+    return float(blocks), float(np.abs(pos_p.T @ pos_m + neg_p.T @ neg_m).max())
+
+
 def _run_single_chain(cfg_dict, chain_seed):
     """Worker for the multi-chain pool: rebuilds the problem and samples."""
     from .configs import CokrigeConfig, load_config
@@ -145,20 +160,19 @@ def run(cfg, out_dir):
     noise = problem["noise"]
     d = problem["d"]
     n = mesh.n_nodes
-    g = model.matrix
-    prior_mean = family.mean
     timer.mark("setup")
 
-    # fixed-correlation posteriors are exact Gaussian updates
-    fixed = {}
-    for c in cfg.fixed_correlations:
-        cov = family.prior([c]).dense_covariance()
-        mean_c, cov_c = linear_gaussian_posterior(g, d, noise, prior_mean, cov)
-        fixed[c] = (mean_c, cov_c)
-    if 0.0 not in fixed:
-        cov = family.prior([0.0]).dense_covariance()
-        fixed[0.0] = linear_gaussian_posterior(g, d, noise, prior_mean, cov)
-    independent = summary_from_gaussian(*fixed[0.0], n)
+    # fixed-correlation posteriors are exact Gaussian updates; diag Gamma(c)
+    # is diag Gamma_p (+) diag Gamma_m for every c
+    gibbs = _LinearGibbs(model.matrix, d, noise, family)
+    prior_var = np.concatenate([np.diagonal(family.filter_p.covariance()),
+                                np.diagonal(family.filter_m.covariance())])
+    fixed, whitened = {}, {}
+    for c in dict.fromkeys((*cfg.fixed_correlations, 0.0)):
+        mean_c, whitened[c] = gibbs.moments([c])
+        var_c = prior_var - np.einsum("ij,ij->j", whitened[c], whitened[c])
+        fixed[c] = summary_from_gaussian(mean_c, var_c, n)
+    independent = fixed[0.0]
     timer.mark("fixed_c_posteriors")
 
     # joint run: exact Gibbs for the fields, Metropolis for the correlation
@@ -186,8 +200,7 @@ def run(cfg, out_dir):
     )
     fixed_metrics = {
         f"{c:g}": error_metrics(
-            problem["truth_p"], problem["truth_m"],
-            summary_from_gaussian(*fixed[c], n),
+            problem["truth_p"], problem["truth_m"], fixed[c],
             problem["prior_trace_p"], problem["prior_trace_m"],
         ).to_dict()
         for c in fixed
@@ -200,11 +213,7 @@ def run(cfg, out_dir):
     pairs = [c for c in cfg.fixed_correlations if c > 0 and -c in fixed]
     if pairs:
         c = pairs[0]
-        cov_pos, cov_neg = fixed[c][1], fixed[-c][1]
-        sign_invariance = float(max(
-            np.abs(cov_pos[:n, :n] - cov_neg[:n, :n]).max(),
-            np.abs(cov_pos[n:, n:] - cov_neg[n:, n:]).max(),
-        ))
+        sign_invariance = sign_gaps(whitened[c], whitened[-c], n)[0]
     timer.mark("metrics")
 
     save_mesh_csv(out_dir, mesh)

@@ -12,6 +12,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from ..linalg import CONTRACTION_MARGIN
+
 
 class ConfigError(ValueError):
     pass
@@ -19,6 +21,16 @@ class ConfigError(ValueError):
 
 def _as_tuple(x):
     return tuple(x) if isinstance(x, (list, tuple)) else (x,)
+
+
+def _check_correlations(name, values):
+    """Each entry must pass Contraction's own rule, |c| < 1 - margin."""
+    for c in values:
+        if not (isinstance(c, (int, float)) and abs(c) < 1.0 - CONTRACTION_MARGIN):
+            raise ConfigError(
+                f"{name} entries must be finite with |c| < 1 - {CONTRACTION_MARGIN:g}, "
+                f"got {c!r}"
+            )
 
 
 @dataclass
@@ -150,6 +162,8 @@ class CokrigeConfig:
         if self.n_chains < 1:
             raise ConfigError("n_chains must be >= 1")
         object.__setattr__(self, "fixed_correlations", _as_tuple(self.fixed_correlations))
+        _check_correlations("c_true", (self.c_true,))
+        _check_correlations("fixed_correlations", self.fixed_correlations)
 
 
 @dataclass
@@ -196,6 +210,7 @@ class DarcyConfig:
         object.__setattr__(self, "c_true", _as_tuple(self.c_true))
         if len(self.c_true) != 2:
             raise ConfigError("c_true must hold two per-subdomain correlations")
+        _check_correlations("c_true", self.c_true)
 
 
 @dataclass

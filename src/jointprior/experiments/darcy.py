@@ -22,7 +22,7 @@ from ..inference import (MwgConfig, NoiseModel, ReducedJointFamily,
                          gauss_newton_map, mwg_run)
 from ..io_utils import (save_field_csv, save_kl_basis_csv, save_matrix_csv,
                         save_mesh_csv, save_table_csv, write_json)
-from ..joint_prior import Contraction, build_joint_prior
+from ..joint_prior import Contraction, JointPrior
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
 from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
                      reduced_chain_field_summary, run_chains,
@@ -85,9 +85,7 @@ def build_problem(cfg):
 
     labels = (mesh.nodes[:, 0] > cfg.split_x).astype(int)
     contraction = Contraction.piecewise(labels, [0.0, 0.0])
-    prior_true = build_joint_prior(
-        filter_p, filter_m, contraction.with_values(cfg.c_true)
-    )
+    prior_true = JointPrior(filter_p, filter_m, contraction.with_values(cfg.c_true))
     truth = prior_true.sample(rng.standard_normal(2 * n))
     truth_p, truth_m = truth[:n], truth[n:]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..covariance import KernelConfig, sqexp_covariance, whitening_filter
 from ..io_utils import save_table_csv
-from ..joint_prior import Contraction, build_joint_prior
+from ..joint_prior import Contraction, JointPrior
 from .common import StageTimer, write_manifest, write_plot_script, write_timings
 from .configs import config_dict
 
@@ -74,7 +74,7 @@ def run(cfg, out_dir):
     for kind in ("principal_sqrt", "cholesky"):
         flt_p = whitening_filter(cov, kind)
         flt_m = whitening_filter(cov, kind)
-        priors[kind] = build_joint_prior(flt_p, flt_m, contraction)
+        priors[kind] = JointPrior(flt_p, flt_m, contraction)
 
     target = np.where(labels == 0, cfg.correlation, -cfg.correlation)
     phi_principal = np.diagonal(realised_correlation(priors["principal_sqrt"]))

@@ -20,7 +20,7 @@ import numpy as np
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           sqexp_covariance, whitening_filter)
 from ..io_utils import save_table_csv
-from ..joint_prior import Contraction, build_joint_prior
+from ..joint_prior import Contraction, JointPrior
 from ..mesh_fem import build_lattice_mesh
 from .common import StageTimer, write_manifest, write_plot_script, write_timings
 from .configs import config_dict
@@ -81,8 +81,8 @@ def run(cfg, out_dir):
     labels = (mesh.nodes[:, 0] > cfg.lx / 2.0).astype(int)
     c_split = Contraction.piecewise(labels, [cfg.correlation, -cfg.correlation])
 
-    prior_a = build_joint_prior(filter_p, filter_m, c_hom)
-    prior_b = build_joint_prior(filter_p, filter_m, c_split)
+    prior_a = JointPrior(filter_p, filter_m, c_hom)
+    prior_b = JointPrior(filter_p, filter_m, c_split)
 
     cols = [mesh.nodes[:, 0] * 0, mesh.nodes[:, 1] * 0, mesh.nodes[:, 0], mesh.nodes[:, 1]]
     cols[0] = np.arange(n) % cfg.nx          # lattice i-index
@@ -112,7 +112,7 @@ def run(cfg, out_dir):
         values=np.full(bottom.size, cfg.mixed_correlation),
         shape=(mesh2.n_nodes, bottom.size),
     )
-    prior_mixed = build_joint_prior(filter_p2, filter_b, pairing)
+    prior_mixed = JointPrior(filter_p2, filter_b, pairing)
 
     mixed_cols = [xs]
     mixed_header = ["x"]

@@ -330,14 +330,17 @@ def metropolis_update_correlation(rng, gamma, prior_logdens, corr_prior, x, fami
 
 
 class _LinearGibbs:
-    """Exact Gibbs draws for a linear model d = G s + e by pathwise
-    conditioning (Matheron's rule): with s0 ~ prior(c) and e ~ noise,
-    s = s0 + B(c) K(c)^{-1} (d - G s0 - e) has exactly the conditional law,
-    where B(c) = Gamma(c) G^T = B_0 + sum_l c_l B_l (affine, as both marginal
-    blocks are fixed) and K(c) = G B(c) + Sigma.  The c-free terms take q
-    filter solves each at construction, so a new c costs O(n q + q^3) and
-    ``_key`` changes exactly when K(c) is factorised.  A draw uses 2n + q
-    standard normals."""
+    """Exact posterior of a linear model d = G s + e at fixed correlation,
+    through the q x q data-space covariance K(c) = G B(c) + Sigma, where
+    B(c) = Gamma(c) G^T = B_0 + sum_l c_l B_l (affine, as both marginal
+    blocks are fixed).  It serves the sampler's Gibbs draws and the fixed-c
+    moments from one cached factor K(c) = R R^T, so ``_key`` changes exactly
+    when K(c) is factorised.  The c-free terms take q filter solves each at
+    construction, so a new c costs O(n q + q^3) and Gamma(c) is never formed.
+
+    A draw is pathwise conditioning (Matheron's rule): with s0 ~ prior(c) and
+    e ~ noise, s = s0 + B K^{-1} (d - G s0 - e) has exactly the conditional
+    law; it uses 2n + q standard normals."""
 
     def __init__(self, g, d, noise, family):
         self.g = np.asarray(g, dtype=float)
@@ -346,7 +349,7 @@ class _LinearGibbs:
         self.family = family
         fp, fm, con, n_free = family.filter_p, family.filter_m, family.contraction, family.n_free
         # B_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
-        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)), None, None)
+        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)))
         a = base.sample_t(self.g.T)
         terms = [base.sample(a)]
         for l in range(n_free):  # B_l = 2 B(e_l / 2): e_l itself is no strict contraction
@@ -363,16 +366,30 @@ class _LinearGibbs:
         """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
         return np.tensordot(np.concatenate([[1.0], values]), self._terms, axes=1)
 
-    def draw(self, rng, values):
+    def _factor(self, values):
+        """(prior(c), B(c), R) with K(c) = R R^T, factorised once per new c."""
         key = np.asarray(values, dtype=float).tobytes()
         if key != self._key:
             k = np.tensordot(np.concatenate([[1.0], values]), self._gterms, axes=1)
             r = cholesky_lower(0.5 * (k + k.T), "data-space covariance")
             self._key, self._state = key, (self.family.prior(values), self.columns(values), r)
-        prior, b, r = self._state
+        return self._state
+
+    def draw(self, rng, values):
+        prior, b, r = self._factor(values)
         s0 = prior.sample(rng.standard_normal(prior.n))
         resid = self.d - self.g @ s0 - self.noise.sample(rng)
         return s0 + b @ cho_solve((r, True), resid)
+
+    def moments(self, values):
+        """Posterior mean mu + B K^{-1} (d - G mu) and whitened columns
+        W = R^{-1} B^T, shape (q, n): the posterior covariance is
+        Gamma(c) - W^T W, so the variances are
+        diag Gamma_p (+) diag Gamma_m - colsum(W * W) for every c."""
+        prior, b, r = self._factor(values)
+        mean = prior.mean
+        return (mean + b @ cho_solve((r, True), self.d - self.g @ mean),
+                solve_triangular(r, b.T, lower=True))
 
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,

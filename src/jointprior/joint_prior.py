@@ -245,7 +245,7 @@ class JointPrior:
     """Joint Gaussian prior assembled from marginal whitening filters, a
     strict contraction, and marginal means.  Immutable after construction."""
 
-    def __init__(self, filter_p, filter_m, contraction, mean_p, mean_m):
+    def __init__(self, filter_p, filter_m, contraction, mean_p=None, mean_m=None):
         n1, n2 = filter_p.dim, filter_m.dim
         if contraction.shape != (n1, n2):
             raise ValueError(
@@ -343,11 +343,6 @@ class JointPrior:
         top = np.hstack([gp, gpm])
         bottom = np.hstack([gpm.T, gm])
         return np.vstack([top, bottom])
-
-
-def build_joint_prior(filter_p, filter_m, contraction, mean_p=None, mean_m=None):
-    """Assemble the joint prior; raises on shape mismatch or non-contraction."""
-    return JointPrior(filter_p, filter_m, contraction, mean_p, mean_m)
 
 
 def canonical_cross(prior):

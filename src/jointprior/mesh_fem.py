@@ -202,11 +202,6 @@ class DarcySolver:
         return u
 
 
-def solve_darcy(mesh, p, m):
-    """One-shot Darcy solve; see DarcySolver for the cached variant."""
-    return DarcySolver(mesh).solve(p, m)
-
-
 @dataclass(frozen=True)
 class ObservationOperator:
     """Pointwise nearest-node selection matrix with the snap bookkeeping."""

@@ -16,12 +16,12 @@ from jointprior.covariance import whitening_filter
 from jointprior.diagnostics import ess
 from jointprior.forward_models import CokrigeModel
 from jointprior.inference import (FullJointFamily, MwgConfig, NoiseModel,
-                                  linear_gaussian_posterior, mwg_run)
-from jointprior.joint_prior import (Contraction, build_joint_prior,
+                                  _LinearGibbs, linear_gaussian_posterior, mwg_run)
+from jointprior.joint_prior import (Contraction, JointPrior,
                                     canonical_cross,
                                     scalar_prior_stationary)
 from jointprior.linalg import cholesky_lower
-from jointprior.mesh_fem import build_lattice_mesh, solve_darcy
+from jointprior.mesh_fem import DarcySolver, build_lattice_mesh
 
 from conftest import random_dense_contraction, random_spd
 from test_mesh_fem import poisson_unit_square_oracle
@@ -61,7 +61,7 @@ def test_criterion_01_joint_covariance_validity():
         else:
             n1, n2 = (int(v) for v in rng.integers(2, 51, 2))
         gp, gm = random_spd(rng, n1), random_spd(rng, n2)
-        prior = build_joint_prior(
+        prior = JointPrior(
             whitening_filter(gp, ("cholesky", "principal_sqrt")[i % 2]),
             whitening_filter(gm, ("principal_sqrt", "cholesky")[i % 2]),
             random_contraction(rng, kind, n1, n2),
@@ -85,12 +85,12 @@ def test_criterion_02_canonical_correlation_optimality():
         gp, gm = random_spd(rng, n1), random_spd(rng, n2)
         con = random_contraction(rng, ("dense", "paired_sparse")[i % 2], n1, n2)
         sv_ref = np.sort(np.linalg.svd(con.as_matrix(), compute_uv=False))[::-1]
-        prior = build_joint_prior(whitening_filter(gp, "principal_sqrt"),
-                                  whitening_filter(gm, "principal_sqrt"), con)
+        prior = JointPrior(whitening_filter(gp, "principal_sqrt"),
+                           whitening_filter(gm, "principal_sqrt"), con)
         w, _ = canonical_cross(prior)
         worst_match = max(worst_match, np.abs(w - con.as_matrix()).max())
-        prior = build_joint_prior(whitening_filter(gp, "cholesky"),
-                                  whitening_filter(gm, "cholesky"), con)
+        prior = JointPrior(whitening_filter(gp, "cholesky"),
+                           whitening_filter(gm, "cholesky"), con)
         _, sv = canonical_cross(prior)
         worst_sv = max(worst_sv, np.abs(np.sort(sv)[::-1] - sv_ref).max())
     assert worst_match < 1e-9 and worst_sv < 1e-9
@@ -106,7 +106,7 @@ def test_criterion_03_sampling_whitening_round_trip():
     for kind_p, kind_m in (("cholesky", "principal_sqrt"),
                            ("principal_sqrt", "cholesky")):
         gp, gm = random_spd(rng, 7), random_spd(rng, 5)
-        prior = build_joint_prior(
+        prior = JointPrior(
             whitening_filter(gp, kind_p), whitening_filter(gm, kind_m),
             Contraction.dense(random_dense_contraction(rng, 7, 5)),
             rng.standard_normal(7), rng.standard_normal(5),
@@ -121,9 +121,9 @@ def test_criterion_03_sampling_whitening_round_trip():
 
     gp = unit_diagonal(random_spd(rng, 10))
     gm = unit_diagonal(random_spd(rng, 10))
-    prior = build_joint_prior(whitening_filter(gp, "principal_sqrt"),
-                              whitening_filter(gm, "cholesky"),
-                              Contraction.scalar(0.9, 10))
+    prior = JointPrior(whitening_filter(gp, "principal_sqrt"),
+                       whitening_filter(gm, "cholesky"),
+                       Contraction.scalar(0.9, 10))
     draws = prior.sample(rng.standard_normal((20, 200000)))
     gap = np.abs(draws @ draws.T / 200000 - prior.dense_covariance()).max()
     assert gap < 0.02
@@ -145,8 +145,8 @@ def test_criterion_04_logdet_decomposition_and_shortcuts():
         gp, gm = random_spd(rng, n1), random_spd(rng, n2)
         con = random_contraction(rng, kind, n1, n2)
         c = con.as_matrix()
-        prior = build_joint_prior(whitening_filter(gp, "cholesky"),
-                                  whitening_filter(gm, "cholesky"), con)
+        prior = JointPrior(whitening_filter(gp, "cholesky"),
+                           whitening_filter(gm, "cholesky"), con)
         whole = np.linalg.slogdet(prior.dense_covariance())[1]
         parts = (np.linalg.slogdet(gp)[1] + np.linalg.slogdet(gm)[1]
                  + con.logdet_complement())
@@ -191,7 +191,7 @@ def test_criterion_05_scalar_prior_saddle():
 def test_criterion_06_sign_invariance_at_scale(tmp_path):
     t0 = time.perf_counter()
     from jointprior.experiments.configs import CokrigeConfig, load_config
-    from jointprior.experiments.cokrige import build_problem
+    from jointprior.experiments.cokrige import build_problem, sign_gaps
 
     cfg = load_config(CokrigeConfig, None, None)
     problem = build_problem(cfg)
@@ -208,11 +208,14 @@ def test_criterion_06_sign_invariance_at_scale(tmp_path):
         np.abs(covs[0.9][:n, :n] - covs[-0.9][:n, :n]).max(),
         np.abs(covs[0.9][n:, n:] - covs[-0.9][n:, n:]).max(),
     )
-    assert gap < 1e-9
+    # the study's own metric, from the data-space moments
+    gibbs = _LinearGibbs(g, problem["d"], problem["noise"], problem["family"])
+    moments_gap = sign_gaps(gibbs.moments([0.9])[1], gibbs.moments([-0.9])[1], n)[0]
+    assert gap < 1e-9 and moments_gap < 1e-9
     report(6, "sign invariance of marginal posteriors",
            time.perf_counter() - t0, 30,
-           f"analytic covariances at +-0.9 agree to {gap:.1e} < 1e-9 "
-           f"({n}-node layout)")
+           f"analytic covariances at +-0.9 agree to {gap:.1e}, data-space "
+           f"moments to {moments_gap:.1e} < 1e-9 ({n}-node layout)")
 
 
 def test_criterion_07_mwg_correctness():
@@ -293,7 +296,7 @@ def test_criterion_10_darcy_reproduction(tmp_path):
     t0 = time.perf_counter()
     # forward-solver oracle at the stated tolerance
     mesh = build_lattice_mesh(41, 41, 1.0, 1.0)
-    u = solve_darcy(mesh, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+    u = DarcySolver(mesh).solve(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
     center = np.argmin(np.linalg.norm(mesh.nodes - [0.5, 0.5], axis=1))
     solver_gap = abs(u[center] - poisson_unit_square_oracle(0.5, 0.5))
     assert solver_gap < 2e-3

@@ -120,6 +120,17 @@ class TestCliRuns:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("darcy", {**TINY_DARCY, "c_true": [float("nan"), 0.2]}),
+        ("darcy", {**TINY_DARCY, "c_true": [1.5, 0.2]}),
+        ("cokrige", {**TINY_COKRIGE, "fixed_correlations": [0.9, 1.0]}),
+    ])
+    def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
+        path = write_config(tmp_path, payload)
+        code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_flag_misuse_exit_code(self, tmp_path):
         code = main(["sample-prior", "--samples", "10", "--out", str(tmp_path / "x")])
         assert code == 2

@@ -39,18 +39,18 @@ class TestWhiteningFilter:
     @pytest.mark.parametrize("kind", ["cholesky", "principal_sqrt"])
     def test_identity(self, kind):
         flt = whitening_filter(np.eye(3), kind)
-        np.testing.assert_allclose(flt.dense_matrix(), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(flt.apply(np.eye(3)), np.eye(3), atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["cholesky", "principal_sqrt"])
     def test_scalar(self, kind):
         flt = whitening_filter(np.array([[4.0]]), kind)
-        np.testing.assert_allclose(flt.dense_matrix(), [[0.5]], rtol=1e-14)
+        np.testing.assert_allclose(flt.apply(np.eye(1)), [[0.5]], rtol=1e-14)
 
     @pytest.mark.parametrize("kind", ["cholesky", "principal_sqrt"])
     def test_round_trip(self, rng, kind):
         cov = random_spd(rng, 8)
         flt = whitening_filter(cov, kind)
-        gap = flt.precision() @ cov - np.eye(8)
+        gap = flt.apply_t(flt.apply(np.eye(8))) @ cov - np.eye(8)
         assert np.linalg.norm(gap) / np.sqrt(8) < 1e-8
 
     def test_indefinite_rejected(self):
@@ -111,7 +111,7 @@ class TestFemPrecisionFilter:
     def test_dense_covariance_matches_double_solve(self):
         mesh = build_lattice_mesh(11, 9, 2.0, 1.0)  # 99 nodes
         flt = fem_precision_filter(mesh, PdePriorConfig(0.5, 2.0, 0.25))
-        dense_l = flt.dense_matrix()
+        dense_l = flt.apply(np.eye(flt.dim))
         oracle = np.linalg.inv(dense_l @ dense_l)
         cov = flt.covariance()
         assert np.linalg.norm(cov - oracle) / np.linalg.norm(oracle) < 1e-8

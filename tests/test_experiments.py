@@ -5,14 +5,16 @@ from jointprior.experiments.common import (interior_grid, median_ess,
                                            range_noise_std,
                                            reduced_chain_field_summary,
                                            well_points)
-from jointprior.experiments import darcy
-from jointprior.experiments.configs import CokrigeConfig, DarcyConfig, load_config
+from jointprior import inference
+from jointprior.experiments import cokrige, darcy
+from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
+                                            load_config)
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
 from jointprior.io_utils import load_matrix_csv, save_kl_basis_csv, save_mesh_csv
-from jointprior.linalg import ContractionError
+from jointprior.joint_prior import JointPrior
 from jointprior.mesh_fem import build_lattice_mesh, point_observation_operator
 
-from test_cli import TINY_DARCY
+from test_cli import TINY_COKRIGE, TINY_DARCY
 
 
 class TestObservationLayouts:
@@ -118,9 +120,21 @@ class TestMultiChain:
 
 class TestDarcyProblem:
     def test_non_finite_truth_rejected(self):
-        cfg = load_config(DarcyConfig, None, {**TINY_DARCY, "c_true": [float("nan"), 0.2]})
-        with pytest.raises(ContractionError):
-            darcy.build_problem(cfg)
+        with pytest.raises(ConfigError, match="c_true"):
+            load_config(DarcyConfig, None, {**TINY_DARCY, "c_true": [float("nan"), 0.2]})
+
+
+class TestCokrigeFixedStage:
+    def test_joint_covariance_is_never_densified(self, tmp_path, monkeypatch):
+        def densified(*args, **kwargs):
+            raise AssertionError("the cokrige study formed a dense joint covariance")
+
+        monkeypatch.setattr(JointPrior, "dense_covariance", densified)
+        monkeypatch.setattr(inference, "linear_gaussian_posterior", densified)
+        monkeypatch.setattr(cokrige, "linear_gaussian_posterior", densified, raising=False)
+        res = cokrige.run(load_config(CokrigeConfig, None, TINY_COKRIGE), tmp_path / "ck")
+        assert sorted(res["fixed_metrics"]) == ["-0.9", "0", "0.9"]
+        assert res["sign_invariance_max_gap"] < 1e-9
 
 
 class TestCsvExports:

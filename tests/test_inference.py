@@ -204,6 +204,48 @@ class TestPathwiseGibbs:
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-9, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["cholesky", "principal_sqrt"])
+    @pytest.mark.parametrize("variant", ["scalar", "piecewise", "paired_sparse", "dense"])
+    def test_moments_match_analytic_posterior(self, rng, variant, kind):
+        fam = variant_family(variant, rng, kind=kind)
+        g = rng.standard_normal((5, fam.dim))
+        noise = NoiseModel(0.3, 2, 0.6, 3)
+        d = rng.standard_normal(5)
+        values = rng.uniform(-0.9, 0.9, fam.n_free)
+        mean, w = _LinearGibbs(g, d, noise, fam).moments(values)
+        prior_cov = fam.prior(values).dense_covariance()
+        ref_mean, ref_cov = linear_gaussian_posterior(g, d, noise, fam.mean, prior_cov)
+        var = np.concatenate([np.diagonal(fam.filter_p.covariance()),
+                              np.diagonal(fam.filter_m.covariance())]) - np.sum(w * w, axis=0)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(prior_cov - w.T @ w, ref_cov, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(var, np.diagonal(ref_cov), rtol=1e-9, atol=1e-10)
+
+    def test_desk_moments_match_covariance_form(self):
+        # Gamma - Gamma G^T K^{-1} G Gamma, formed densely, inverts only the
+        # q x q matrix K; the precision form below inverts Gamma itself
+        from jointprior.experiments.cokrige import build_problem
+        from jointprior.experiments.configs import CokrigeConfig, load_config
+
+        problem = build_problem(load_config(CokrigeConfig, None, {}))
+        fam, g = problem["family"], problem["model"].matrix
+        d, noise = problem["d"], problem["noise"]
+        gibbs = _LinearGibbs(g, d, noise, fam)
+        prior_var = np.concatenate([np.diagonal(fam.filter_p.covariance()),
+                                    np.diagonal(fam.filter_m.covariance())])
+        for c in (-0.9, 0.0, 0.9):
+            gamma = fam.prior([c]).dense_covariance()
+            b = gamma @ g.T
+            k = g @ b + noise.covariance()
+            ref_mean = fam.mean + b @ np.linalg.solve(k, d - g @ fam.mean)
+            ref_cov = gamma - b @ np.linalg.solve(k, b.T)
+            mean, w = gibbs.moments([c])
+            scale = np.abs(ref_cov).max()
+            assert np.abs(mean - ref_mean).max() < 1e-10 * np.abs(ref_mean).max()
+            assert np.abs(gamma - w.T @ w - ref_cov).max() < 1e-10 * scale
+            var = prior_var - np.sum(w * w, axis=0)
+            assert np.abs(var - np.diagonal(ref_cov)).max() < 1e-10 * scale
+
     def test_desk_problem_matches_oracle(self):
         # the dense oracle inverts the nugget-1e-8 squared-exponential
         # covariance and is itself only good to about 1e-7 here

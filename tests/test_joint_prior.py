@@ -6,7 +6,7 @@ from scipy import stats
 import jointprior
 from jointprior.covariance import (PdePriorConfig, fem_precision_filter,
                                    kl_truncate, whitening_filter)
-from jointprior.joint_prior import (Contraction, build_joint_prior,
+from jointprior.joint_prior import (Contraction, JointPrior,
                                     canonical_cross,
                                     correlation_prior_logdensity,
                                     reduced_joint_covariance,
@@ -33,7 +33,7 @@ def make_prior(rng, n1=6, n2=4, kind_p="principal_sqrt", kind_m="cholesky",
         random_dense_contraction(rng, n1, n2))
     mean_p = rng.standard_normal(n1) if mean else None
     mean_m = rng.standard_normal(n2) if mean else None
-    return build_joint_prior(
+    return JointPrior(
         whitening_filter(gp, kind_p), whitening_filter(gm, kind_m), c,
         mean_p, mean_m,
     ), gp, gm
@@ -164,7 +164,7 @@ class TestBuildJointPrior:
         fp = whitening_filter(np.array([[0.01]]), "principal_sqrt")
         fm = whitening_filter(np.array([[100.0]]), "principal_sqrt")
         for c in (-0.85, 0.3, 0.99):
-            prior = build_joint_prior(fp, fm, Contraction.scalar(c, 1))
+            prior = JointPrior(fp, fm, Contraction.scalar(c, 1))
             np.testing.assert_allclose(
                 prior.dense_covariance(), [[0.01, c], [c, 100.0]], rtol=1e-12
             )
@@ -172,13 +172,13 @@ class TestBuildJointPrior:
     def test_margin_violation_rejected(self):
         fp = whitening_filter(np.eye(2), "cholesky")
         with pytest.raises(ContractionError):
-            build_joint_prior(fp, fp, Contraction.scalar(1.0 - 1e-14, 2))
+            JointPrior(fp, fp, Contraction.scalar(1.0 - 1e-14, 2))
 
     def test_shape_mismatch_rejected(self, rng):
         gp = random_spd(rng, 4)
         fp = whitening_filter(gp, "cholesky")
         with pytest.raises(ValueError, match="shape"):
-            build_joint_prior(fp, fp, Contraction.scalar(0.5, 3))
+            JointPrior(fp, fp, Contraction.scalar(0.5, 3))
 
     def test_marginal_preservation_all_variants(self, rng):
         cases = [
@@ -189,7 +189,7 @@ class TestBuildJointPrior:
         ]
         for c, n1, n2 in cases:
             gp, gm = random_spd(rng, n1), random_spd(rng, n2)
-            prior = build_joint_prior(
+            prior = JointPrior(
                 whitening_filter(gp, "cholesky"), whitening_filter(gm, "principal_sqrt"), c
             )
             cov = prior.dense_covariance()
@@ -216,7 +216,7 @@ class TestSampling:
         gp *= 1.0 / np.sqrt(np.outer(np.diagonal(gp), np.diagonal(gp)))
         gm = random_spd(rng, 10)
         gm *= 1.0 / np.sqrt(np.outer(np.diagonal(gm), np.diagonal(gm)))
-        prior = build_joint_prior(
+        prior = JointPrior(
             whitening_filter(gp, "principal_sqrt"),
             whitening_filter(gm, "cholesky"),
             Contraction.scalar(0.9, 10),
@@ -251,7 +251,7 @@ class TestSampleTranspose:
         fp = marginal_filter(kind, rng, 3)
         fm = marginal_filter(kind, rng, 3 if square else 4)
         c = variant_contraction(variant, rng, fp.dim, fm.dim)
-        prior = build_joint_prior(fp, fm, c)  # mean-free, so sample is S
+        prior = JointPrior(fp, fm, c)  # mean-free, so sample is S
         eta = rng.standard_normal((prior.n, 5))
         y = rng.standard_normal((prior.n, 5))
         np.testing.assert_allclose(np.sum(prior.sample(eta) * y),
@@ -303,7 +303,7 @@ class TestJointLogDensity:
     def test_scalar_matches_stationary_formula(self):
         fp = whitening_filter(np.eye(1), "cholesky")
         for c in (-0.7, 0.2, 0.9):
-            prior = build_joint_prior(fp, fp, Contraction.scalar(c, 1))
+            prior = JointPrior(fp, fp, Contraction.scalar(c, 1))
             v, _, _ = scalar_prior_stationary(0.0, 0.0, c)
             assert prior.log_density(np.zeros(2)) == pytest.approx(v, rel=1e-12)
             assert prior.log_density(np.zeros(2)) == pytest.approx(
@@ -320,7 +320,7 @@ class TestJointLogDensity:
         mean = rng.standard_normal(10)
 
         def oracle(s, c):
-            prior = build_joint_prior(fp, fm, c, mean[:5], mean[5:])
+            prior = JointPrior(fp, fm, c, mean[:5], mean[5:])
             cov = prior.dense_covariance()
             r = s - mean
             return -0.5 * (r @ np.linalg.solve(cov, r) + np.linalg.slogdet(cov)[1])
@@ -329,8 +329,8 @@ class TestJointLogDensity:
         c2 = Contraction.dense(random_dense_contraction(rng, 5, 5))
         s1, s2 = rng.standard_normal((2, 10))
         for ca, cb in [(c1, c1), (c1, c2)]:
-            pa = build_joint_prior(fp, fm, ca, mean[:5], mean[5:])
-            pb = build_joint_prior(fp, fm, cb, mean[:5], mean[5:])
+            pa = JointPrior(fp, fm, ca, mean[:5], mean[5:])
+            pb = JointPrior(fp, fm, cb, mean[:5], mean[5:])
             ours = pa.log_density(s1) - pb.log_density(s2)
             ref = oracle(s1, ca) - oracle(s2, cb)
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
@@ -345,14 +345,14 @@ class TestJointLogDensity:
 class TestCanonicalCross:
     def test_identity_marginals(self):
         flt = whitening_filter(np.eye(4), "principal_sqrt")
-        prior = build_joint_prior(flt, flt, Contraction.scalar(0.5, 4))
+        prior = JointPrior(flt, flt, Contraction.scalar(0.5, 4))
         _, sv = canonical_cross(prior)
         np.testing.assert_allclose(sv, np.full(4, 0.5), rtol=1e-12)
 
     def test_principal_filters_reproduce_contraction(self, rng):
         gp, gm = random_spd(rng, 6), random_spd(rng, 6)
         c = Contraction.piecewise([0, 1, 2, 0, 1, 2], [0.5, -0.3, 0.8])
-        prior = build_joint_prior(
+        prior = JointPrior(
             whitening_filter(gp, "principal_sqrt"),
             whitening_filter(gm, "principal_sqrt"), c,
         )
@@ -362,7 +362,7 @@ class TestCanonicalCross:
     def test_cholesky_filters_preserve_singular_values(self, rng):
         gp, gm = random_spd(rng, 6), random_spd(rng, 6)
         c = Contraction.piecewise([0, 1, 2, 0, 1, 2], [0.5, -0.3, 0.8])
-        prior = build_joint_prior(
+        prior = JointPrior(
             whitening_filter(gp, "cholesky"), whitening_filter(gm, "cholesky"), c,
         )
         _, sv = canonical_cross(prior)
@@ -473,8 +473,8 @@ class TestReducedJointCovariance:
         p = bp.expand(draws[:6])
         m = bm.expand(draws[6:])
         empirical = p @ m.T / draws.shape[1]
-        prior = build_joint_prior(whitening_filter(gp, "principal_sqrt"),
-                                  whitening_filter(gm, "principal_sqrt"), c)
+        prior = JointPrior(whitening_filter(gp, "principal_sqrt"),
+                           whitening_filter(gm, "principal_sqrt"), c)
         cross = prior.cross_covariance()
         projected = (bp.modes @ bp.modes.T) @ cross @ (bm.modes @ bm.modes.T)
         assert np.abs(empirical - projected).max() < 0.03
@@ -486,8 +486,8 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(seed)
         gp, gm = random_spd(rng, n1), random_spd(rng, n2)
         c = Contraction.dense(random_dense_contraction(rng, n1, n2))
-        prior = build_joint_prior(whitening_filter(gp, "cholesky"),
-                                  whitening_filter(gm, "cholesky"), c)
+        prior = JointPrior(whitening_filter(gp, "cholesky"),
+                           whitening_filter(gm, "cholesky"), c)
         whole = np.linalg.slogdet(prior.dense_covariance())[1]
         parts = (np.linalg.slogdet(gp)[1] + np.linalg.slogdet(gm)[1]
                  + c.logdet_complement())
@@ -502,9 +502,9 @@ class TestStructuralInvariants:
         c = rng.uniform(0.1, 0.95)
         fp = whitening_filter(gp, "principal_sqrt")
         fm = whitening_filter(gm, "cholesky")
-        pos = np.linalg.inv(build_joint_prior(fp, fm, Contraction.scalar(c, n))
+        pos = np.linalg.inv(JointPrior(fp, fm, Contraction.scalar(c, n))
                             .dense_covariance())
-        neg = np.linalg.inv(build_joint_prior(fp, fm, Contraction.scalar(-c, n))
+        neg = np.linalg.inv(JointPrior(fp, fm, Contraction.scalar(-c, n))
                             .dense_covariance())
         assert np.abs(pos[:n, :n] - neg[:n, :n]).max() < 1e-9 * np.abs(pos).max()
         assert np.abs(pos[n:, n:] - neg[n:, n:]).max() < 1e-9 * np.abs(pos).max()

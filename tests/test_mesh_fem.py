@@ -3,7 +3,7 @@ import pytest
 
 from jointprior.mesh_fem import (DarcySolver, FemAssemblyError, Mesh,
                                  assemble_fem_matrices, build_lattice_mesh,
-                                 point_observation_operator, solve_darcy)
+                                 point_observation_operator)
 
 
 def poisson_unit_square_oracle(x, y, terms=100):
@@ -132,7 +132,7 @@ class TestAssembly:
 class TestDarcySolve:
     def test_uniform_problem_matches_series_oracle(self):
         mesh = build_lattice_mesh(41, 41, 1.0, 1.0)
-        u = solve_darcy(mesh, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+        u = DarcySolver(mesh).solve(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
         center = np.argmin(np.linalg.norm(mesh.nodes - [0.5, 0.5], axis=1))
         oracle = poisson_unit_square_oracle(0.5, 0.5)
         assert oracle == pytest.approx(0.07367, abs=5e-6)
@@ -141,8 +141,8 @@ class TestDarcySolve:
     def test_boundary_values_exactly_zero(self):
         mesh = build_lattice_mesh(9, 7, 2.0, 1.0)
         rng = np.random.default_rng(1)
-        u = solve_darcy(mesh, rng.standard_normal(mesh.n_nodes),
-                        rng.standard_normal(mesh.n_nodes))
+        u = DarcySolver(mesh).solve(rng.standard_normal(mesh.n_nodes),
+                                    rng.standard_normal(mesh.n_nodes))
         assert np.all(u[mesh.boundary_nodes] == 0.0)
 
     def test_common_shift_cancels(self):
@@ -150,8 +150,8 @@ class TestDarcySolve:
         rng = np.random.default_rng(2)
         p = rng.standard_normal(mesh.n_nodes)
         m = rng.standard_normal(mesh.n_nodes)
-        u1 = solve_darcy(mesh, p, m)
-        u2 = solve_darcy(mesh, p + 1.7, m + 1.7)
+        u1 = DarcySolver(mesh).solve(p, m)
+        u2 = DarcySolver(mesh).solve(p + 1.7, m + 1.7)
         np.testing.assert_allclose(u1, u2, rtol=1e-10, atol=1e-14)
 
     def test_monotone_refinement(self):
@@ -159,7 +159,7 @@ class TestDarcySolve:
         errors = []
         for nx in (11, 21, 41):
             mesh = build_lattice_mesh(nx, nx, 1.0, 1.0)
-            u = solve_darcy(mesh, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+            u = DarcySolver(mesh).solve(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
             center = np.argmin(np.linalg.norm(mesh.nodes - [0.5, 0.5], axis=1))
             errors.append(abs(u[center] - oracle))
         assert errors[0] > errors[1] > errors[2]
@@ -167,8 +167,8 @@ class TestDarcySolve:
     def test_discrete_maximum_principle(self):
         mesh = build_lattice_mesh(13, 9, 2.0, 1.0)
         rng = np.random.default_rng(3)
-        u = solve_darcy(mesh, 0.5 * rng.standard_normal(mesh.n_nodes),
-                        0.5 * rng.standard_normal(mesh.n_nodes))
+        u = DarcySolver(mesh).solve(0.5 * rng.standard_normal(mesh.n_nodes),
+                                    0.5 * rng.standard_normal(mesh.n_nodes))
         assert np.all(u >= -1e-12)
 
     def test_galerkin_reduced_system_symmetric(self):
@@ -187,12 +187,13 @@ class TestDarcySolve:
         for _ in range(3):
             p = rng.standard_normal(mesh.n_nodes)
             m = rng.standard_normal(mesh.n_nodes)
-            np.testing.assert_array_equal(solver.solve(p, m), solve_darcy(mesh, p, m))
+            np.testing.assert_array_equal(solver.solve(p, m),
+                                          DarcySolver(mesh).solve(p, m))
 
     def test_shape_validation(self):
         mesh = build_lattice_mesh(4, 4, 1.0, 1.0)
         with pytest.raises(ValueError, match="nodal"):
-            solve_darcy(mesh, np.zeros(3), np.zeros(mesh.n_nodes))
+            DarcySolver(mesh).solve(np.zeros(3), np.zeros(mesh.n_nodes))
 
 
 class TestObservationOperator:
