@@ -65,6 +65,8 @@ class SamplePriorConfig:
             raise ConfigError("n_samples must be >= 1")
         if min(self.nx, self.ny, self.nx_mixed, self.ny_mixed) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
+        _check_correlations("correlation", (self.correlation,))
+        _check_correlations("mixed_correlation", (self.mixed_correlation,))
 
 
 @dataclass
@@ -84,6 +86,7 @@ class FactorCompareConfig:
             raise ConfigError("n_points must be >= 4")
         if not 0.0 < self.split < 1.0:
             raise ConfigError("split must lie in (0, 1)")
+        _check_correlations("correlation", (self.correlation,))
 
 
 @dataclass
@@ -119,6 +122,7 @@ class MonodConfig:
         object.__setattr__(self, "noise_levels", _as_tuple(self.noise_levels))
         object.__setattr__(self, "p_range", _as_tuple(self.p_range))
         object.__setattr__(self, "m_range", _as_tuple(self.m_range))
+        _check_correlations("scan_correlations", self.scan_correlations)
 
 
 @dataclass

@@ -5,7 +5,9 @@ The truth pair is drawn from the full joint prior with a different
 correlation on each half of the domain.  Inference runs in truncated-basis
 coordinates with adaptive Metropolis field updates, many cheap Metropolis
 steps on the two correlation coordinates per field update, and a
-Gauss-Newton warm start whose Laplace factor initialises the proposal.
+Gauss-Newton warm start whose Laplace factor initialises the proposal.  The
+warm start takes its Jacobians from the tangent-linear model
+(``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
 """
 
 from __future__ import annotations
@@ -256,6 +258,7 @@ def run(cfg, out_dir):
         "captured_fraction_m": basis_m.captured_fraction,
         "warm_start": None if start is None else {
             "iterations": start.iterations,
+            "halvings": start.halvings,
             "objective": start.objective,
             "converged": start.converged,
         },

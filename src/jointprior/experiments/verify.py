@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from ..covariance import whitening_filter
+from ..covariance import KernelConfig, kl_truncate, sqexp_covariance, whitening_filter
 from ..diagnostics import ess
+from ..forward_models import DarcyModel, ReducedFieldMap, ReducedModel, fd_jacobian
 from ..inference import FullJointFamily, NoiseModel, _LinearGibbs
 from ..io_utils import write_json
 from ..joint_prior import (Contraction, JointPrior, canonical_cross,
                            scalar_prior_stationary)
 from ..linalg import cholesky_lower, logdet_spd
+from ..mesh_fem import build_lattice_mesh, point_observation_operator
 from .cokrige import sign_gaps
 from .common import StageTimer, write_manifest, write_timings
 from .configs import config_dict
@@ -223,6 +225,23 @@ def check_ess(seed):
     return ok, "; ".join(detail)
 
 
+def check_darcy_jacobian(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_lattice_mesh(9, 5, 2.0, 1.0)
+    cov = sqexp_covariance(mesh.nodes, KernelConfig(0.3, 1e-8))
+    field_map = ReducedFieldMap(kl_truncate(cov, 4), kl_truncate(cov, 6),
+                                np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
+    b1 = point_observation_operator(mesh, rng.uniform([0.2, 0.2], [1.8, 0.8], (5, 2)))
+    b2 = point_observation_operator(mesh, rng.uniform([0.0, 0.0], [2.0, 1.0], (3, 2)))
+    model = ReducedModel(DarcyModel(mesh, b1.matrix, b2.matrix), field_map)
+    worst = 0.0
+    for _ in range(3):
+        x = rng.standard_normal(field_map.k)
+        oracle = fd_jacobian(model, x)
+        worst = max(worst, np.abs(model.jacobian(x) - oracle).max() / np.abs(oracle).max())
+    return worst < 1e-6, f"max relative gap to central differences = {worst:.2e}"
+
+
 CHECKS = [
     ("defect identity", check_defect_identity),
     ("determinant shortcuts", check_determinant_shortcuts),
@@ -234,6 +253,7 @@ CHECKS = [
     ("scalar log-prior saddle", check_saddle),
     ("correlation prior pushforward", check_correlation_prior),
     ("effective sample size oracles", check_ess),
+    ("tangent-linear Darcy Jacobian", check_darcy_jacobian),
 ]
 
 

@@ -1,7 +1,9 @@
-"""Parameter-to-observable maps and finite-difference Jacobians.
+"""Parameter-to-observable maps, their exact Jacobians, and the
+finite-difference Jacobian that serves as their test oracle.
 
-Models are callables on a stacked coordinate vector; linear models also
-expose their matrix so samplers can switch to exact conditional updates.
+Models are callables on a stacked coordinate vector with a ``jacobian``
+method; linear models also expose their matrix so samplers can switch to
+exact conditional updates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ class ForwardModelError(ValueError):
 # admissible region, a non-contraction, a singular factorisation).  Anything
 # else, such as a shape bug or a TypeError inside a model, propagates.
 DOMAIN_ERRORS = (ForwardModelError, ContractionError, FactorizationError, FemAssemblyError)
+
+
+def _finite(jac):
+    if not np.all(np.isfinite(jac)):
+        raise ForwardModelError("forward model Jacobian has non-finite entries")
+    return jac
 
 
 def monod_forward(p, m, substrate):
@@ -52,7 +60,9 @@ class MonodModel:
         """Analytic Jacobian columns (d mu / d p, d mu / d m)."""
         p, m = np.asarray(s, dtype=float)
         sv = np.asarray(self.substrate, dtype=float)
-        return np.column_stack([sv / (m + sv), -p * sv / (m + sv) ** 2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac = np.column_stack([sv / (m + sv), -p * sv / (m + sv) ** 2])
+        return _finite(jac)
 
 
 def cokrige_forward(p, m, b1, b2):
@@ -94,6 +104,9 @@ class CokrigeModel:
         s = np.asarray(s, dtype=float)
         return cokrige_forward(s[: self.n1], s[self.n1 :], self.b1, self.b2)
 
+    def jacobian(self, s):
+        return self.matrix
+
 
 def darcy_forward(p, m, mesh, b1, b2, solver=None):
     """Head observations B1 @ u(p, m) stacked with direct observations B2 @ p."""
@@ -122,6 +135,14 @@ class DarcyModel:
         s = np.asarray(s, dtype=float)
         n = self.n_nodes
         return darcy_forward(s[:n], s[n:], self.mesh, self.b1, self.b2, solver=self.solver)
+
+    def jacobian(self, s):
+        """(q, 2n) tangent-linear Jacobian: the head rows from one
+        factorisation and one adjoint solve, the direct rows are B2."""
+        s = np.asarray(s, dtype=float)
+        n = self.n_nodes
+        jac_p, jac_m = self.solver.jacobian(s[:n], s[n:], self.b1)
+        return _finite(np.block([[jac_p, jac_m], [self.b2, np.zeros_like(self.b2)]]))
 
 
 @dataclass(frozen=True)
@@ -157,6 +178,16 @@ class ReducedModel:
     def __call__(self, shat):
         p, m = self.field_map.expand(shat)
         return self.base(np.concatenate([p, m]))
+
+    def jacobian(self, shat):
+        """Chain rule through the expansion: each field block of the base
+        Jacobian times modes @ diag(scales)."""
+        p, m = self.field_map.expand(shat)
+        jac = self.base.jacobian(np.concatenate([p, m]))
+        n = p.size
+        bp, bm = self.field_map.basis_p, self.field_map.basis_m
+        return np.hstack([(jac[:, :n] @ bp.modes) * bp.scales,
+                          (jac[:, n:] @ bm.modes) * bm.scales])
 
 
 def fd_jacobian(model, s0, h_rel=1e-5):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .forward_models import DOMAIN_ERRORS, fd_jacobian
+from .forward_models import DOMAIN_ERRORS
 from .joint_prior import JointPrior, correlation_prior_logdensity
 from .linalg import ContractionError, cholesky_lower
 
@@ -498,17 +498,19 @@ class GaussNewtonResult:
     iterations: int
     objective: float
     converged: bool
+    halvings: int           # line-search step halvings over all iterations
     objective_trace: list | None = None
 
 
 def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
-                     h_rel=1e-5, grad_tol=1e-8, max_iter=100, max_halvings=30):
+                     grad_tol=1e-8, max_iter=100, max_halvings=30):
     """Gauss-Newton minimisation of the negative log posterior with Armijo
     backtracking, returning the MAP point and the Laplace covariance factor.
 
-    Terminates when the gradient norm falls below grad_tol * (1 + initial
-    norm) or after max_iter accepted steps; a failed line search raises
-    GaussNewtonError carrying the last iterate.
+    The model supplies its Jacobian as ``model.jacobian(x)``.  Terminates
+    when the gradient norm falls below grad_tol * (1 + initial norm) or after
+    max_iter accepted steps; a failed line search raises GaussNewtonError
+    carrying the last iterate.
     """
     prior_mean = np.asarray(prior_mean, dtype=float)
     prior_precision = np.asarray(prior_precision, dtype=float)
@@ -518,16 +520,15 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     def objective(xx):
         r = d - model(xx)
         dx = xx - prior_mean
-        return 0.5 * float((r * w) @ r) + 0.5 * float(dx @ (prior_precision @ dx))
+        return 0.5 * float((r * w) @ r) + 0.5 * float(dx @ (prior_precision @ dx)), r
 
-    fx = objective(x)
+    fx, r = objective(x)
     trace = [fx]
     grad0 = None
-    iterations = 0
+    iterations = halvings = 0
     converged = False
     for _ in range(max_iter):
-        jac = fd_jacobian(model, x, h_rel)
-        r = d - model(x)
+        jac = model.jacobian(x)
         grad = -jac.T @ (w * r) + prior_precision @ (x - prior_mean)
         gnorm = float(np.linalg.norm(grad))
         if grad0 is None:
@@ -544,22 +545,24 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
         alpha = 1.0
         for _ in range(max_halvings + 1):
             try:
-                fn = objective(x + alpha * step)
+                fn, rn = objective(x + alpha * step)
             except DOMAIN_ERRORS:
                 fn = np.inf
             if fn <= fx + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
+            halvings += 1
         else:
             raise GaussNewtonError(
                 f"line search failed after {max_halvings} halvings", last_iterate=x
             )
         x = x + alpha * step
-        fx = fn
+        fx, r = fn, rn
         trace.append(fx)
         iterations += 1
 
-    jac = fd_jacobian(model, x, h_rel)
+    if not converged:  # the last Jacobian was taken before the last step
+        jac = model.jacobian(x)
     h = (jac.T * w) @ jac + prior_precision
     rchol = cholesky_lower(0.5 * (h + h.T), "Laplace precision")
     cov = cho_solve((rchol, True), np.eye(x.size))
@@ -567,5 +570,5 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     factor = cholesky_lower(cov, "Laplace covariance")
     return GaussNewtonResult(
         point=x, covariance=cov, factor=factor, iterations=iterations,
-        objective=fx, converged=converged, objective_trace=trace,
+        objective=fx, converged=converged, objective_trace=trace, halvings=halvings,
     )

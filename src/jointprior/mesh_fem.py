@@ -155,6 +155,8 @@ class DarcySolver:
 
     Mesh geometry, the mass matrix, and the stiffness sparsity pattern are
     cached so repeated solves (MCMC) only reassemble stiffness data.
+    ``solve`` and ``jacobian`` share one stiffness assembly and one
+    factorisation path.
     """
 
     def __init__(self, mesh):
@@ -169,7 +171,15 @@ class DarcySolver:
         self.mass = assemble_fem_matrices(mesh).mass
         self.interior = mesh.interior_nodes
 
-    def solve(self, p, m):
+    def _nodal(self, data):
+        """Sparse n x n matrix from per-element 3 x 3 blocks."""
+        n = self.mesh.n_nodes
+        return sp.coo_matrix((data.ravel(), (self._rows, self._cols)), shape=(n, n)).tocsr()
+
+    def _factor_solve(self, p, m):
+        """Assemble, factorise and solve the reduced system.  Returns the
+        nodal head u, the factorisation of A_I and the element stiffness
+        matrices k_e = kappa_e / (4 A_e) bb_e."""
         mesh = self.mesh
         p = np.asarray(p, dtype=float)
         m = np.asarray(m, dtype=float)
@@ -181,17 +191,15 @@ class DarcySolver:
         # per-element permeability: exp of the vertex mean of p
         kappa = np.exp(p[mesh.triangles].mean(axis=1))
         scale = kappa / self._area2**2 * self._area
-        data = (scale[:, None, None] * self._bb).ravel()
-        stiffness = sp.coo_matrix(
-            (data, (self._rows, self._cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-        ).tocsr()
+        k_elem = scale[:, None, None] * self._bb
 
         load = self.mass @ np.exp(m)
         idx = self.interior
-        a_red = stiffness[idx][:, idx].tocsc()
+        a_red = self._nodal(k_elem)[idx][:, idx].tocsc()
         f_red = load[idx]
         try:
-            u_red = spla.splu(a_red).solve(f_red)
+            lu = spla.splu(a_red)
+            u_red = lu.solve(f_red)
         except RuntimeError as exc:
             raise FemAssemblyError(f"singular Darcy system: {exc}") from exc
         resid = np.linalg.norm(a_red @ u_red - f_red)
@@ -199,7 +207,28 @@ class DarcySolver:
             raise FemAssemblyError(f"Darcy solve residual too large: {resid:.3e}")
         u = np.zeros(mesh.n_nodes)
         u[idx] = u_red
-        return u
+        return u, lu, k_elem
+
+    def solve(self, p, m):
+        return self._factor_solve(p, m)[0]
+
+    def jacobian(self, p, m, obs):
+        """Tangent-linear derivatives of the observed head obs @ u(p, m) with
+        respect to the nodal p and m, as two (q, n) blocks.
+
+        One adjoint solve Z = A_I^-1 obs_I^T (A is symmetric) serves both:
+        d/dm = Z^T M_I diag(e^m), and d/dp = -Z^T Q_I with
+        Q[i, j] = sum over elements e holding i and j of (k_e u_e)_i / 3,
+        since kappa_e = exp(mean of p on e).
+        """
+        u, lu, k_elem = self._factor_solve(p, m)
+        idx = self.interior
+        z = lu.solve(obs[:, idx].T)
+        ku = np.einsum("eab,eb->ea", k_elem, u[self.mesh.triangles]) / 3.0
+        q = self._nodal(np.broadcast_to(ku[:, :, None], k_elem.shape))
+        jac_m = (self.mass[idx].T @ z).T * np.exp(m)
+        jac_p = -(q[idx].T @ z).T
+        return jac_p, jac_m
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from jointprior.cli import main
-from jointprior.experiments.configs import (CokrigeConfig, ConfigError,
-                                            MonodConfig, apply_scale,
+from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
+                                            FactorCompareConfig, MonodConfig,
+                                            SamplePriorConfig, apply_scale,
                                             load_config)
 
 TINY_COKRIGE = {
@@ -52,6 +53,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="mystery_knob"):
             load_config(CokrigeConfig, path, None)
 
+    @pytest.mark.parametrize("cls", [SamplePriorConfig, FactorCompareConfig, MonodConfig,
+                                     CokrigeConfig, DarcyConfig])
+    def test_default_correlations_load(self, cls):
+        load_config(cls, None, None)
+
     def test_invalid_values_rejected(self, tmp_path):
         path = write_config(tmp_path, {"samples": 10, "burn_in": 10})
         with pytest.raises(ConfigError):
@@ -82,7 +88,7 @@ class TestCliRuns:
         assert code == 0
         assert (tmp_path / "v" / "verify.json").exists()
         out = capsys.readouterr().out
-        assert "10/10 checks passed" in out
+        assert "11/11 checks passed" in out
 
     def test_sample_prior_outputs(self, tmp_path):
         code = main([
@@ -124,6 +130,10 @@ class TestCliRuns:
         ("darcy", {**TINY_DARCY, "c_true": [float("nan"), 0.2]}),
         ("darcy", {**TINY_DARCY, "c_true": [1.5, 0.2]}),
         ("cokrige", {**TINY_COKRIGE, "fixed_correlations": [0.9, 1.0]}),
+        ("sample-prior", {"correlation": 1.5}),
+        ("sample-prior", {"mixed_correlation": float("nan")}),
+        ("factor-compare", {"correlation": 1.5}),
+        ("monod", {"scan_correlations": [0.5, 1.5]}),
     ])
     def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
         path = write_config(tmp_path, payload)

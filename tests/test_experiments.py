@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from jointprior.experiments.common import (interior_grid, median_ess,
                                            range_noise_std,
                                            reduced_chain_field_summary,
                                            well_points)
-from jointprior import inference
+from jointprior import forward_models, inference
 from jointprior.experiments import cokrige, darcy
 from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
                                             load_config)
@@ -116,6 +118,19 @@ class TestMultiChain:
         monkeypatch.setattr(darcy, "gauss_newton_map", counted)
         darcy.run(load_config(DarcyConfig, None, TINY_DARCY), tmp_path / "dy")
         assert len(calls) == 1
+
+    def test_darcy_never_differentiates_numerically(self, tmp_path, monkeypatch):
+        def numerical(*args, **kwargs):
+            raise AssertionError("the darcy study took a finite-difference Jacobian")
+
+        monkeypatch.setattr(forward_models, "fd_jacobian", numerical)
+        monkeypatch.setattr(inference, "fd_jacobian", numerical, raising=False)
+        res = darcy.run(load_config(DarcyConfig, None, TINY_DARCY), tmp_path / "dy")
+        assert res["warm_start"].converged
+        warm = json.loads((tmp_path / "dy" / "metrics.json").read_text())["warm_start"]
+        assert warm == {"iterations": res["warm_start"].iterations,
+                        "halvings": res["warm_start"].halvings,
+                        "objective": res["warm_start"].objective, "converged": True}
 
 
 class TestDarcyProblem:

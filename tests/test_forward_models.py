@@ -6,6 +6,8 @@ from jointprior.forward_models import (CokrigeModel, DarcyModel, ForwardModelErr
                                        cokrige_forward, fd_jacobian,
                                        monod_forward)
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
+from jointprior.experiments import darcy
+from jointprior.experiments.configs import DarcyConfig, load_config
 from jointprior.mesh_fem import build_lattice_mesh, point_observation_operator
 
 from test_mesh_fem import poisson_unit_square_oracle
@@ -160,6 +162,56 @@ class TestFdJacobian:
         with pytest.raises(ValueError) as err:
             fd_jacobian(shape_bug, np.zeros(2))
         assert type(err.value) is ValueError
+
+
+@pytest.fixture(scope="module")
+def desk_darcy():
+    return darcy.build_problem(load_config(DarcyConfig, None, {"seed": 7}))
+
+
+def desk_points(problem, seed):
+    """A reduced point and the stacked nodal fields it expands to."""
+    x = np.random.default_rng(seed).standard_normal(problem["family"].dim)
+    return x, np.concatenate(problem["field_map"].expand(x))
+
+
+class TestTangentLinearJacobian:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_darcy_matches_central_differences(self, desk_darcy, seed):
+        x, s = desk_points(desk_darcy, seed)
+        for model, point in ((desk_darcy["model"], s), (desk_darcy["reduced_model"], x)):
+            oracle = fd_jacobian(model, point)
+            jac = model.jacobian(point)
+            assert jac.shape == oracle.shape
+            assert np.abs(jac - oracle).max() < 1e-7 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("which", ["model", "reduced_model"])
+    def test_taylor_remainder_is_second_order(self, desk_darcy, which):
+        model = desk_darcy[which]
+        x, s = desk_points(desk_darcy, 3)
+        point = s if which == "model" else x
+        v = np.random.default_rng(4).standard_normal(point.size)
+        f0, jv = model(point), model.jacobian(point) @ v
+        remainders = [np.linalg.norm(model(point + h * v) - f0 - h * jv)
+                      for h in (1e-1, 1e-2, 1e-3, 1e-4)]
+        orders = -np.diff(np.log10(remainders))
+        assert np.all(np.abs(orders - 2.0) < 0.1), orders
+
+    def test_direct_rows_are_the_selection(self, desk_darcy):
+        model = desk_darcy["model"]
+        _, s = desk_points(desk_darcy, 5)
+        q1, n = model.b1.shape
+        jac = model.jacobian(s)
+        np.testing.assert_array_equal(jac[q1:, :n], model.b2)
+        np.testing.assert_array_equal(jac[q1:, n:], 0.0)
+
+    def test_cokrige_jacobian_is_its_matrix(self, rng):
+        model = CokrigeModel(rng.standard_normal((3, 4)), rng.standard_normal((2, 3)))
+        np.testing.assert_array_equal(model.jacobian(rng.standard_normal(7)), model.matrix)
+
+    def test_non_finite_jacobian_raises(self):
+        with pytest.raises(ForwardModelError, match="non-finite"):
+            MonodModel(SUBSTRATE).jacobian(np.array([0.7, -28.0]))
 
 
 class TestReducedFieldMap:

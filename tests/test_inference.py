@@ -655,6 +655,7 @@ class TestGaussNewton:
         def flat_saturation(x):
             return np.array([np.arctan(10.0 * x[0])])
 
+        flat_saturation.jacobian = lambda x: np.array([[10.0 / (1.0 + 100.0 * x[0] ** 2)]])
         with pytest.raises(GaussNewtonError) as err:
             gauss_newton_map(
                 flat_saturation, np.array([0.0]), NoiseModel(1.0, 1),
@@ -662,3 +663,28 @@ class TestGaussNewton:
                 init=np.array([10.0]), max_halvings=4,
             )
         assert err.value.last_iterate is not None
+
+    def test_each_point_is_evaluated_once(self):
+        """A converged run takes one Jacobian per iteration plus one at the
+        MAP, shared with the Laplace factor, and one forward solve at the
+        start and at each line-search trial point."""
+        calls = {"forward": 0, "jacobian": 0}
+
+        class Saturation:
+            def __call__(self, x):
+                calls["forward"] += 1
+                return np.array([np.arctan(10.0 * x[0])])
+
+            def jacobian(self, x):
+                calls["jacobian"] += 1
+                return np.array([[10.0 / (1.0 + 100.0 * x[0] ** 2)]])
+
+        result = gauss_newton_map(
+            Saturation(), np.array([0.0]), NoiseModel(1.0, 1),
+            prior_mean=np.array([0.0]), prior_precision=np.array([[1e-2]]),
+            init=np.array([0.3]),
+        )
+        assert result.converged and abs(result.point[0]) < 1e-6
+        assert result.iterations >= 2 and result.halvings > 0
+        assert calls["jacobian"] == result.iterations + 1
+        assert calls["forward"] == 1 + result.iterations + result.halvings
