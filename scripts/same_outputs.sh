@@ -29,6 +29,7 @@ runs=(
     "darcy-2chains|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/two_chains.json"
     "monod|monod --seed 7 --samples 3000 --burn-in 1000"
     "cokrige|cokrige --seed 7 --samples 600 --burn-in 100"
+    "cokrige-2chains|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/two_chains.json"
     "sample-prior|sample-prior --seed 7"
     "factor-compare|factor-compare --seed 7"
     "verify|verify --seed 7"

@@ -12,6 +12,8 @@ factor gives the fixed-c means and variances without densifying Gamma(c).
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
 from ..diagnostics import (error_metrics, ess, summary_from_chain,
                            summary_from_gaussian)
 from ..forward_models import CokrigeModel
-from ..inference import FullJointFamily, MwgConfig, NoiseModel, _LinearGibbs, mwg_run
+from ..inference import FullJointFamily, NoiseModel, _LinearGibbs, mwg_run
 from ..io_utils import save_field_csv, save_mesh_csv, save_table_csv, write_json
 from ..joint_prior import Contraction
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
@@ -29,7 +31,7 @@ from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
                      run_chains, save_correlation_histogram_csv,
                      save_observation_csv, write_manifest, write_plot_script,
                      write_timings)
-from .configs import config_dict
+from .configs import config_dict, mwg_config
 
 PLOT = """\
 #!/usr/bin/env python3
@@ -133,20 +135,10 @@ def sign_gaps(w_pos, w_neg, n):
     return float(blocks), float(np.abs(pos_p.T @ pos_m + neg_p.T @ neg_m).max())
 
 
-def _run_single_chain(cfg_dict, chain_seed):
-    """Worker for the multi-chain pool: rebuilds the problem and samples."""
-    from .configs import CokrigeConfig, load_config
-
-    cfg = load_config(CokrigeConfig, None, cfg_dict)
-    problem = build_problem(cfg)
-    mcfg = MwgConfig(
-        total_samples=cfg.samples, burn_in=cfg.burn_in,
-        c_steps_per_s_step=cfg.c_steps, gamma_step_std=cfg.gamma_step_std,
-        seed=int(chain_seed),
-    )
-    chain = mwg_run(problem["model"], problem["family"], problem["noise"],
-                    problem["d"], mcfg)
-    return chain
+def _run_single_chain(problem, mcfg, chain_seed):
+    """One chain on the built problem; chains differ only in their seed."""
+    return mwg_run(problem["model"], problem["family"], problem["noise"],
+                   problem["d"], replace(mcfg, seed=int(chain_seed)))
 
 
 def run(cfg, out_dir):
@@ -177,7 +169,7 @@ def run(cfg, out_dir):
 
     # joint run: exact Gibbs for the fields, Metropolis for the correlation
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_chains)
-    chains = run_chains(_run_single_chain, config_dict(cfg), seeds)
+    chains = run_chains(partial(_run_single_chain, problem, mwg_config(cfg)), seeds)
     states = np.vstack([ch.states for ch in chains])
     c_samples = np.concatenate([ch.corr[:, 0] for ch in chains])
     timer.mark("mcmc")

@@ -3,6 +3,8 @@ reduced chains, multi-chain runs, shared output tables and the run manifest."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -76,16 +78,29 @@ def median_ess(states):
     return float(np.median(vals)) if vals else float("nan")
 
 
-def run_chains(worker, cfg_dict, seeds, *args):
-    """Run ``worker(cfg_dict, seed, *args)`` once per chain seed, in a
-    process pool when there are several.  Workers rebuild their problem from
-    the config dict: a problem holding a ``fem_precision_filter`` cannot be
-    pickled (the filter keeps a SuperLU factor)."""
+_chain = None  # set in each forked pool worker by its initializer
+
+
+def _set_chain(chain):
+    global _chain
+    _chain = chain
+
+
+def _call_chain(seed):
+    return _chain(seed)
+
+
+def run_chains(chain, seeds):
+    """``[chain(seed) for seed in seeds]``.  Several seeds run in a pool of
+    forked processes, at most one per CPU, that inherit ``chain`` and the
+    problem it holds through the initializer: only seeds and chains are
+    pickled (a SuperLU factor cannot be).  Results depend only on the seeds."""
     if len(seeds) == 1:
-        return [worker(cfg_dict, seeds[0], *args)]
-    with ProcessPoolExecutor(max_workers=len(seeds)) as pool:
-        futures = [pool.submit(worker, cfg_dict, seed, *args) for seed in seeds]
-        return [f.result() for f in futures]
+        return [chain(seeds[0])]
+    with ProcessPoolExecutor(min(len(seeds), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_chain, initargs=(chain,)) as pool:
+        return list(pool.map(_call_chain, seeds))
 
 
 def save_observation_csv(path, op, observed, clean):

@@ -12,6 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from ..inference import MwgConfig
 from ..linalg import CONTRACTION_MARGIN
 
 
@@ -31,6 +32,17 @@ def _check_correlations(name, values):
                 f"{name} entries must be finite with |c| < 1 - {CONTRACTION_MARGIN:g}, "
                 f"got {c!r}"
             )
+
+
+def mwg_config(cfg, seed=0):
+    """Sampler settings from a study config's chain fields.  ``validate``
+    builds one, so the sampler's own rules reject a config before any work."""
+    try:
+        return MwgConfig(total_samples=cfg.samples, burn_in=cfg.burn_in,
+                         c_steps_per_s_step=cfg.c_steps,
+                         gamma_step_std=cfg.gamma_step_std, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"chain settings: {exc}") from exc
 
 
 @dataclass
@@ -113,8 +125,7 @@ class MonodConfig:
     SCALABLE = {"grid_n": 41}
 
     def validate(self):
-        if self.burn_in >= self.samples:
-            raise ConfigError("burn_in must be smaller than samples")
+        mwg_config(self)
         if self.grid_n < 11:
             raise ConfigError("grid_n must be >= 11")
         object.__setattr__(self, "substrate", _as_tuple(self.substrate))
@@ -157,8 +168,7 @@ class CokrigeConfig:
                 "m_obs_ny": 1}
 
     def validate(self):
-        if self.burn_in >= self.samples:
-            raise ConfigError("burn_in must be smaller than samples")
+        mwg_config(self)
         if min(self.nx, self.ny) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
         if self.filter_kind not in ("principal_sqrt", "cholesky"):
@@ -203,8 +213,7 @@ class DarcyConfig:
                 "p_wells": 1, "p_per_well": 2}
 
     def validate(self):
-        if self.burn_in >= self.samples:
-            raise ConfigError("burn_in must be smaller than samples")
+        mwg_config(self)
         if min(self.nx, self.ny) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
         if self.k_p < 1 or self.k_m < 1:

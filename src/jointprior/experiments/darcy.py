@@ -8,10 +8,13 @@ steps on the two correlation coordinates per field update, and a
 Gauss-Newton warm start whose Laplace factor initialises the proposal.  The
 warm start takes its Jacobians from the tangent-linear model
 (``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
+Every chain samples from the one built problem, forked when there are several.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,7 @@ from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           kl_truncate, sqexp_covariance, whitening_filter)
 from ..diagnostics import error_metrics, ess
 from ..forward_models import DarcyModel, ReducedFieldMap, ReducedModel
-from ..inference import (MwgConfig, NoiseModel, ReducedJointFamily,
-                         gauss_newton_map, mwg_run)
+from ..inference import NoiseModel, ReducedJointFamily, gauss_newton_map, mwg_run
 from ..io_utils import (save_field_csv, save_kl_basis_csv, save_matrix_csv,
                         save_mesh_csv, save_table_csv, write_json)
 from ..joint_prior import Contraction, JointPrior
@@ -31,7 +33,7 @@ from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
                      save_correlation_histogram_csv, save_observation_csv,
                      well_points, write_manifest, write_plot_script,
                      write_timings)
-from .configs import config_dict
+from .configs import config_dict, mwg_config
 
 PLOT = """\
 #!/usr/bin/env python3
@@ -123,7 +125,7 @@ def build_problem(cfg):
     }
 
 
-def warm_start(cfg, problem):
+def warm_start(problem):
     """Gauss-Newton MAP in the reduced coordinates with an uncorrelated prior
     (identity precision), and the Laplace factor for the proposal."""
     k = problem["family"].dim
@@ -133,21 +135,13 @@ def warm_start(cfg, problem):
     )
 
 
-def _run_single_chain(cfg_dict, chain_seed, joint, init, factor):
-    """Worker for one chain: rebuilds the problem and samples from ``init``
-    with the initial proposal factor ``factor`` (None for the identity)."""
-    from .configs import DarcyConfig, load_config
-
-    cfg = load_config(DarcyConfig, None, cfg_dict)
-    problem = build_problem(cfg)
-    mcfg = MwgConfig(
-        total_samples=cfg.samples, burn_in=cfg.burn_in,
-        c_steps_per_s_step=cfg.c_steps, gamma_step_std=cfg.gamma_step_std,
-        seed=int(chain_seed),
-    )
+def _run_single_chain(problem, mcfg, init, factor, joint, chain_seed):
+    """One chain on the built problem from ``init``, with initial proposal
+    factor ``factor`` (None for the identity); only the seed varies."""
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
-        mcfg, sample_correlation=joint, init_state=init, proposal_factor=factor,
+        replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,
+        init_state=init, proposal_factor=factor,
     )
 
 
@@ -163,17 +157,16 @@ def run(cfg, out_dir):
     n = mesh.n_nodes
     timer.mark("setup")
 
-    start = warm_start(cfg, problem) if cfg.warm_start else None
+    start = warm_start(problem) if cfg.warm_start else None
     init = np.zeros(family.dim) if start is None else start.point
     factor = None if start is None else start.factor
     timer.mark("warm_start")
 
+    chain = partial(_run_single_chain, problem, mwg_config(cfg), init, factor)
     seed_pairs = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_chains)
-    chains_ind = run_chains(_run_single_chain, config_dict(cfg),
-                            seed_pairs[: cfg.n_chains], False, init, factor)
+    chains_ind = run_chains(partial(chain, False), seed_pairs[: cfg.n_chains])
     timer.mark("mcmc_independent")
-    chains_joint = run_chains(_run_single_chain, config_dict(cfg),
-                              seed_pairs[cfg.n_chains :], True, init, factor)
+    chains_joint = run_chains(partial(chain, True), seed_pairs[cfg.n_chains :])
     timer.mark("mcmc_joint")
 
     states_ind = np.vstack([ch.states for ch in chains_ind])

@@ -14,12 +14,12 @@ import numpy as np
 from ..covariance import whitening_filter
 from ..diagnostics import ess
 from ..forward_models import MonodModel
-from ..inference import FullJointFamily, MwgConfig, NoiseModel, mwg_run
+from ..inference import FullJointFamily, NoiseModel, mwg_run
 from ..io_utils import save_matrix_csv, save_table_csv
 from ..joint_prior import Contraction
 from .common import (StageTimer, save_correlation_histogram_csv, write_manifest,
                      write_plot_script, write_timings)
-from .configs import config_dict
+from .configs import config_dict, mwg_config
 
 PLOT = """\
 #!/usr/bin/env python3
@@ -122,13 +122,8 @@ def run(cfg, out_dir):
     )
     noise = NoiseModel(cfg.mcmc_noise, model.q)
     d = mu_truth + cfg.mcmc_noise * zs.get(cfg.mcmc_noise, rng.standard_normal(model.q))
-    mcfg = MwgConfig(
-        total_samples=cfg.samples, burn_in=cfg.burn_in,
-        c_steps_per_s_step=cfg.c_steps, gamma_step_std=cfg.gamma_step_std,
-        seed=cfg.seed,
-    )
     chain = mwg_run(
-        model, family, noise, d, mcfg,
+        model, family, noise, d, mwg_config(cfg, cfg.seed),
         init_state=family.mean,
         proposal_factor=np.diag([cfg.prior_std_p, cfg.prior_std_m]),
     )

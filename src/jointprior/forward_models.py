@@ -108,13 +108,6 @@ class CokrigeModel:
         return self.matrix
 
 
-def darcy_forward(p, m, mesh, b1, b2, solver=None):
-    """Head observations B1 @ u(p, m) stacked with direct observations B2 @ p."""
-    solver = solver if solver is not None else DarcySolver(mesh)
-    u = solver.solve(p, m)
-    return np.concatenate([b1 @ u, b2 @ np.asarray(p, dtype=float)])
-
-
 class DarcyModel:
     """Nonlinear groundwater model: log-permeability p and log-recharge m to
     pointwise head and permeability observations."""
@@ -132,9 +125,10 @@ class DarcyModel:
         return self.mesh.n_nodes
 
     def __call__(self, s):
+        """Head observations B1 @ u(p, m) stacked with direct observations B2 @ p."""
         s = np.asarray(s, dtype=float)
-        n = self.n_nodes
-        return darcy_forward(s[:n], s[n:], self.mesh, self.b1, self.b2, solver=self.solver)
+        p, m = s[: self.n_nodes], s[self.n_nodes :]
+        return np.concatenate([self.b1 @ self.solver.solve(p, m), self.b2 @ p])
 
     def jacobian(self, s):
         """(q, 2n) tangent-linear Jacobian: the head rows from one

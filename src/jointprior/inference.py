@@ -161,7 +161,7 @@ class ReducedJointFamily:
         shat = np.asarray(shat, dtype=float)
         phat, mhat = shat[:kp], shat[kp:]
         gram = np.eye(self.basis_m.k) - chat.T @ chat
-        r = cholesky_lower(0.5 * (gram + gram.T), "reduced Gram complement")
+        r = cholesky_lower(gram, "reduced Gram complement")
         resid = solve_triangular(r, mhat - chat.T @ phat, lower=True)
         quad = float(phat @ phat) + float(resid @ resid)
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))

@@ -134,12 +134,16 @@ class TestCliRuns:
         ("sample-prior", {"mixed_correlation": float("nan")}),
         ("factor-compare", {"correlation": 1.5}),
         ("monod", {"scan_correlations": [0.5, 1.5]}),
+        ("cokrige", {**TINY_COKRIGE, "c_steps": 0}),
+        ("darcy", {**TINY_DARCY, "gamma_step_std": 0}),
+        ("monod", {"c_steps": 0}),
     ])
     def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
         path = write_config(tmp_path, payload)
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # rejected before any computation
 
     def test_flag_misuse_exit_code(self, tmp_path):
         code = main(["sample-prior", "--samples", "10", "--out", str(tmp_path / "x")])

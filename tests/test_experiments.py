@@ -1,16 +1,20 @@
 import json
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from jointprior.experiments import common
 from jointprior.experiments.common import (interior_grid, median_ess,
                                            range_noise_std,
                                            reduced_chain_field_summary,
-                                           well_points)
+                                           run_chains, well_points)
 from jointprior import forward_models, inference
 from jointprior.experiments import cokrige, darcy
 from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
-                                            load_config)
+                                            load_config, mwg_config)
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
 from jointprior.io_utils import load_matrix_csv, save_kl_basis_csv, save_mesh_csv
 from jointprior.joint_prior import JointPrior
@@ -107,6 +111,27 @@ class TestMultiChain:
         c = np.loadtxt(tmp_path / "dy" / "c_chain.csv", delimiter=",", skiprows=1)
         assert c.shape == (300, 2)
 
+    @pytest.mark.parametrize("n_chains", [1, 2])
+    @pytest.mark.parametrize("study,cls,payload", [
+        (cokrige, CokrigeConfig, TINY_COKRIGE), (darcy, DarcyConfig, TINY_DARCY),
+    ], ids=["cokrige", "darcy"])
+    def test_problem_is_built_once(self, tmp_path, monkeypatch, study, cls, payload,
+                                   n_chains):
+        real = study.build_problem
+        built = []
+
+        def once(cfg):
+            if built:
+                raise AssertionError(f"{study.__name__} built its problem twice")
+            built.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(study, "build_problem", once)
+        cfg = load_config(cls, None, {**payload, "samples": 200, "burn_in": 50,
+                                      "n_chains": n_chains})
+        study.run(cfg, tmp_path / "out")
+        assert len(built) == 1
+
     def test_darcy_runs_the_warm_start_once(self, tmp_path, monkeypatch):
         calls = []
         real = darcy.gauss_newton_map
@@ -131,6 +156,40 @@ class TestMultiChain:
         assert warm == {"iterations": res["warm_start"].iterations,
                         "halvings": res["warm_start"].halvings,
                         "objective": res["warm_start"].objective, "converged": True}
+
+
+class TestRunChains:
+    def test_forked_chains_match_in_process_chains(self):
+        cfg = load_config(CokrigeConfig, None, {**TINY_COKRIGE, "samples": 200})
+        problem = cokrige.build_problem(cfg)
+        mcfg = mwg_config(cfg)
+
+        def chain(seed):
+            return cokrige._run_single_chain(problem, mcfg, seed)
+
+        with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+            pickle.dumps(chain)
+        seeds = [5, 17]
+        forked = run_chains(chain, seeds)
+        for got, seed in zip(forked, seeds):
+            want = chain(seed)
+            np.testing.assert_array_equal(got.states, want.states)
+            np.testing.assert_array_equal(got.corr, want.corr)
+        assert not np.array_equal(forked[0].corr, forked[1].corr)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(common, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(common.os, "cpu_count", lambda: 2)
+        pids = run_chains(lambda seed: os.getpid(), [1, 2, 3])
+        assert sizes == [2]
+        assert len(pids) == 3 and len(set(pids)) <= 2 and os.getpid() not in pids
 
 
 class TestDarcyProblem:
