@@ -7,6 +7,13 @@ and by adaptive random-walk Metropolis otherwise; the correlation
 coordinates gamma (c_i = tanh(gamma_i)) take a fixed number of random-walk
 Metropolis steps per field update.  Proposal adaptation runs during burn-in
 only, so the retained chain is Markovian.
+
+The correlation steps hold the field state fixed, so both prior families
+compute the terms that depend on the state alone once per state and make
+each correlation value cheap: the full family reuses the whitened
+marginals, and the reduced family factors the smaller of its two Gram
+complements (k_p x k_p when k_p <= k_m).  A non-finite state raises
+ValueError; a correlation value outside (-1, 1) raises ContractionError.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .forward_models import DOMAIN_ERRORS
 from .joint_prior import JointPrior, correlation_prior_logdensity
-from .linalg import ContractionError, cholesky_lower
+from .linalg import CONTRACTION_MARGIN, ContractionError, cholesky_lower, solve_lower
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,35 @@ def linear_gaussian_posterior(g, d, noise, prior_mean, prior_cov):
 # ----------------------------------------------------------------------------
 
 
+class _StateCache:
+    """The terms of the last field state a family saw, keyed by the state's
+    bytes (an in-place change of the state is a new key).  A correlation
+    step holds the state fixed, so its terms are computed once per state,
+    and a non-finite state raises ValueError there, once."""
+
+    def __init__(self, terms):
+        self._terms = terms
+        self._key = None
+        self._state = None
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        key = s.tobytes()
+        if key != self._key:
+            if not np.all(np.isfinite(s)):
+                raise ValueError("field state has non-finite entries")
+            self._key, self._state = key, self._terms(s)
+        return self._state
+
+
 class FullJointFamily:
     """Joint prior over the stacked field vector as a function of the free
-    correlation coordinates of its contraction."""
+    correlation coordinates of its contraction.
+
+    ``log_density`` equals ``prior(values).log_density(s)`` without building
+    the prior: the whitened marginals L_p (s_p - mu_p) and L_m (s_m - mu_m)
+    are computed once per field state, so a new value costs ``with_values``,
+    a defect solve and ``logdet_complement``."""
 
     def __init__(self, filter_p, filter_m, contraction, mean_p=None, mean_m=None):
         self._template = build = JointPrior(filter_p, filter_m, contraction, mean_p, mean_m)
@@ -109,6 +142,7 @@ class FullJointFamily:
         self.mean = build.mean
         self.n_free = contraction.n_free
         self.dim = build.n
+        self._whitened = _StateCache(self._whiten_marginals)
 
     def prior(self, values=None):
         """Joint prior at the given free correlation coordinates."""
@@ -118,13 +152,35 @@ class FullJointFamily:
         return JointPrior(self.filter_p, self.filter_m, c,
                           self._template.mean_p, self._template.mean_m)
 
+    def _whiten_marginals(self, s):
+        xp, xm = self._template.split(s)
+        w1 = self.filter_p.apply(xp - self._template.mean_p)
+        return w1, float(w1 @ w1), self.filter_m.apply(xm - self._template.mean_m)
+
     def log_density(self, s, values):
-        return self.prior(values).log_density(s)
+        """Joint log prior up to a constant independent of s and C; see
+        ``JointPrior.log_density``."""
+        w1, quad_p, wm = self._whitened(s)
+        c = self.contraction.with_values(values)  # a dense contraction returns itself
+        defect = self._template.defect if c is self.contraction else c.defect()
+        w2 = defect.solve(wm - c.rmatvec(w1))
+        return -0.5 * (quad_p + float(w2 @ w2) + c.logdet_complement())
 
 
 class ReducedJointFamily:
     """Joint prior over truncated-basis coordinates (identity marginals,
-    cross block V_hat^T C U_hat) as a function of the correlation values."""
+    cross block V_hat^T C U_hat) as a function of the correlation values.
+
+    The density conditions the smaller block a on the larger block b.  With
+    X(c) the a-by-b cross block and R R^T = I - X X^T,
+
+        log p = -(|b|^2 + |R^{-1} (a - X b)|^2 + log det R R^T) / 2,
+
+    exactly the joint density (the other Schur complement, and Sylvester's
+    identity for the determinant).  X(c) = sum_j w_j X_j with w = (1, c), so
+    the Gram terms X_i X_j^T are formed once, and a field state's terms (a,
+    |b|^2, each X_j b) once per state: a correlation step costs one small
+    assembly, one Cholesky of the smaller side and one triangular solve."""
 
     def __init__(self, basis_p, basis_m, contraction):
         if contraction.shape != (basis_p.n, basis_m.n):
@@ -141,31 +197,47 @@ class ReducedJointFamily:
         # the cross block is affine in the correlation values,
         # V^T C(c) U = V^T C(0) U + sum_l c_l V[rows_l]^T U[cols_l]
         v, u = basis_p.modes, basis_m.modes
-        self._fixed = v.T @ contraction.with_values(np.zeros(self.n_free)).matvec(u)
-        self._blocks = [v[rows].T @ u[cols]
-                        for rows, cols in map(contraction.pairs, range(self.n_free))]
+        self._blocks = np.stack(
+            [v.T @ contraction.with_values(np.zeros(self.n_free)).matvec(u)]
+            + [v[rows].T @ u[cols] for rows, cols in map(contraction.pairs, range(self.n_free))]
+        )
+        p, m = slice(None, basis_p.k), slice(basis_p.k, None)
+        if basis_p.k <= basis_m.k:
+            self._a, self._b, self._x = p, m, self._blocks
+        else:
+            self._a, self._b, self._x = m, p, self._blocks.transpose(0, 2, 1)
+        nw, ks, _ = self._x.shape
+        # flattened so that w @ (w @ gram) is sum_ij w_i w_j X_i X_j^T
+        self._gram = np.einsum("iak,jbk->ijab", self._x, self._x).reshape(nw, nw, ks * ks)
+        self._eye = np.eye(ks)
+        self._terms = _StateCache(self._conditional_terms)
+
+    def _conditional_terms(self, shat):
+        a, b = shat[self._a], shat[self._b]
+        return a.copy(), float(b @ b), self._x @ b
 
     def cross_block(self, values):
-        chat = self._fixed.copy()
-        for val, block in zip(np.atleast_1d(np.asarray(values, dtype=float)), self._blocks):
-            chat += val * block
-        return chat
+        return np.tensordot(self._weights(values), self._blocks, axes=1)
+
+    @staticmethod
+    def _weights(values):
+        """w = (1, c), after the rule of ``Contraction``: |c| < 1 - margin."""
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        sigma = float(np.abs(values).max()) if values.size else 0.0
+        if not sigma < 1.0 - CONTRACTION_MARGIN:  # also rejects a NaN or inf value
+            raise ContractionError(f"correlation values reached +-1: {values}",
+                                   sigma_max=sigma)
+        return np.concatenate([[1.0], values])
 
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if np.any(np.abs(values) >= 1.0):
-            raise ContractionError("correlation values reached +-1", sigma_max=float(np.abs(values).max()))
-        chat = self.cross_block(values)
-        kp = self.basis_p.k
-        shat = np.asarray(shat, dtype=float)
-        phat, mhat = shat[:kp], shat[kp:]
-        gram = np.eye(self.basis_m.k) - chat.T @ chat
+        a, bb, xb = self._terms(shat)
+        w = self._weights(values)
+        gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
         r = cholesky_lower(gram, "reduced Gram complement")
-        resid = solve_triangular(r, mhat - chat.T @ phat, lower=True)
-        quad = float(phat @ phat) + float(resid @ resid)
+        resid = solve_lower(r, a - w @ xb)
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))
-        return -0.5 * (quad + logdet)
+        return -0.5 * (bb + float(resid @ resid) + logdet)
 
 
 # ----------------------------------------------------------------------------
@@ -208,8 +280,12 @@ class MwgConfig:
             raise ValueError("c_steps_per_s_step must be >= 1")
         if not 0.0 < self.accept_target < 1.0:
             raise ValueError("acceptance target must lie in (0, 1)")
-        if self.gamma_step_std <= 0:
-            raise ValueError("gamma proposal stddev must be positive")
+        if not 0.0 < self.gamma_step_std < np.inf:  # also rejects NaN
+            raise ValueError(
+                f"gamma proposal stddev must be finite and positive, got {self.gamma_step_std}")
+        if self.tau0 is not None and not 0.0 <= self.tau0 < np.inf:
+            raise ValueError(
+                f"initial field proposal scale tau0 must be finite and >= 0, got {self.tau0}")
 
 
 @dataclass

@@ -72,6 +72,19 @@ def cholesky_lower(a, name="matrix"):
     return r
 
 
+def solve_lower(r, b):
+    """R^{-1} b for a lower-triangular R (as from ``cholesky_lower``).
+
+    A bare LAPACK call with no finiteness check: callers check their
+    inputs once, where they enter.
+    """
+    (trtrs,) = get_lapack_funcs(("trtrs",), (r, b))
+    x, info = trtrs(r, b, lower=True)
+    if info != 0:
+        raise ValueError(f"triangular solve failed: LAPACK trtrs info {info}")
+    return x
+
+
 def sym_eig(a, name="matrix"):
     """Eigendecomposition of a symmetric matrix.
 

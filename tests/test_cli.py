@@ -137,6 +137,9 @@ class TestCliRuns:
         ("cokrige", {**TINY_COKRIGE, "c_steps": 0}),
         ("darcy", {**TINY_DARCY, "gamma_step_std": 0}),
         ("monod", {"c_steps": 0}),
+        ("cokrige", {**TINY_COKRIGE, "gamma_step_std": float("nan")}),
+        ("darcy", {**TINY_DARCY, "gamma_step_std": float("inf")}),
+        ("monod", {"gamma_step_std": float("-inf")}),
     ])
     def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
         path = write_config(tmp_path, payload)

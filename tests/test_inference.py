@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from jointprior.covariance import fem_precision_filter, PdePriorConfig, whitening_filter
-from jointprior.forward_models import CokrigeModel, ForwardModelError, MonodModel
+from jointprior.forward_models import (DOMAIN_ERRORS, CokrigeModel, ForwardModelError,
+                                       MonodModel)
 from jointprior.inference import (AdaptiveProposal, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
                                   ReducedJointFamily, _LinearGibbs,
@@ -15,6 +16,7 @@ from jointprior.inference import (AdaptiveProposal, FullJointFamily,
 from jointprior.joint_prior import (Contraction, correlation_prior_logdensity,
                                     reduced_joint_covariance)
 from jointprior.covariance import kl_truncate
+from jointprior.linalg import ContractionError, cholesky_lower
 from jointprior.mesh_fem import build_lattice_mesh
 
 from conftest import random_dense_contraction, random_spd
@@ -616,6 +618,125 @@ class TestReducedFamily:
         assert chain.kind == "adaptive"
         assert chain.states.shape == (40, 5) and chain.corr.shape == (40, 0)
         assert chain.s_accepted > 0 and chain.gamma_steps == 0
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_log_density_with_smaller_p_block_matches_dense_covariance(self, rng, variant):
+        # k_p < k_m, the shape of the darcy study: the density conditions p on m
+        labels = [0, 0, 1, 1, 0, 1, 0]
+        n2 = 7 if variant in ("scalar", "piecewise") else 6
+        bp, bm = kl_truncate(random_spd(rng, 7), 2), kl_truncate(random_spd(rng, n2), 5)
+        fam = ReducedJointFamily(bp, bm, zero_contraction(variant, rng, labels, n2))
+        sh = rng.standard_normal(fam.dim)
+        n = fam.n_free
+        for values in (np.resize([0.4, -0.7], n), np.zeros(n), np.full(n, 0.95)):
+            ours = fam.log_density(sh, values)
+            assert ours == pytest.approx(reduced_oracle(fam, sh, values), rel=1e-9, abs=1e-9)
+
+    def test_chain_matches_m_side_formula(self, rng):
+        # the m-side formula (p ~ N(0, I), m | p ~ N(C^T p, I - C^T C))
+        # factors the larger Gram complement; the chain must not notice
+        bp, bm = kl_truncate(random_spd(rng, 7), 3), kl_truncate(random_spd(rng, 7), 5)
+        contraction = Contraction.piecewise([0, 0, 1, 1, 0, 1, 0], [0.0, 0.0])
+        a = rng.standard_normal((4, 8)) / np.sqrt(8)
+        model = lambda s: np.tanh(a @ s)
+        noise = NoiseModel(0.2, 4)
+        d = model(rng.standard_normal(8)) + noise.sample(rng)
+        cfg = MwgConfig(total_samples=300, burn_in=100, c_steps_per_s_step=5, seed=4)
+        chains = [mwg_run(model, cls(bp, bm, contraction), noise, d, cfg,
+                          init_state=np.zeros(8))
+                  for cls in (ReducedJointFamily, MSideReducedFamily)]
+        ours, oracle = chains
+        assert ours.s_accepted == oracle.s_accepted > 0
+        assert ours.gamma_accepted == oracle.gamma_accepted > 0
+        np.testing.assert_allclose(ours.states, oracle.states, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(ours.corr, oracle.corr, rtol=1e-10, atol=1e-10)
+
+
+def reduced_oracle(fam, sh, values):
+    cov = reduced_joint_covariance(fam.basis_p, fam.basis_m,
+                                   fam.contraction.with_values(values))
+    return -0.5 * (sh @ np.linalg.solve(cov, sh) + np.linalg.slogdet(cov)[1])
+
+
+class MSideReducedFamily(ReducedJointFamily):
+    def log_density(self, shat, values):
+        chat = self.cross_block(values)
+        phat, mhat = shat[: self.basis_p.k], shat[self.basis_p.k :]
+        r = cholesky_lower(np.eye(self.basis_m.k) - chat.T @ chat)
+        resid = solve_triangular(r, mhat - chat.T @ phat, lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(r)))
+        return -0.5 * (phat @ phat + resid @ resid + logdet)
+
+
+def density_case(kind, rng):
+    """A family with free correlation coordinates and its density oracle."""
+    contraction = Contraction.piecewise([0, 1, 0, 1, 0, 1], [0.0, 0.0])
+    if kind == "full":
+        fam = FullJointFamily(whitening_filter(random_spd(rng, 6), "cholesky"),
+                              whitening_filter(random_spd(rng, 6), "cholesky"),
+                              contraction, rng.standard_normal(6), rng.standard_normal(6))
+        return fam, lambda s, values: fam.prior(values).log_density(s)
+    bp, bm = kl_truncate(random_spd(rng, 6), 2), kl_truncate(random_spd(rng, 6), 4)
+    fam = ReducedJointFamily(bp, bm, contraction)
+    return fam, lambda s, values: reduced_oracle(fam, s, values)
+
+
+class TestFamilyStateCache:
+    """Both families keep the terms of the last field state they saw."""
+
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_full_density_equals_prior_density(self, rng, variant):
+        fam = variant_family(variant, rng)
+        s = rng.standard_normal(fam.dim)
+        n = fam.n_free
+        for values in (np.resize([0.4, -0.7, 0.2], n), np.zeros(n), np.full(n, -0.95)):
+            assert fam.log_density(s, values) == pytest.approx(
+                fam.prior(values).log_density(s), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_alternating_states_are_never_stale(self, rng, kind):
+        fam, oracle = density_case(kind, rng)
+        s1, s2 = rng.standard_normal((2, fam.dim))
+        v1, v2 = np.array([0.3, -0.6]), np.array([-0.8, 0.1])
+        for _ in range(3):
+            for s in (s1, s2):
+                for v in (v1, v2):
+                    assert fam.log_density(s, v) == pytest.approx(oracle(s, v), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_state_changed_in_place_is_a_new_state(self, rng, kind):
+        fam, oracle = density_case(kind, rng)
+        s1, s2 = rng.standard_normal((2, fam.dim))
+        v = np.array([0.5, -0.4])
+        s = s1.copy()
+        fam.log_density(s, v)
+        s[:] = s2
+        assert fam.log_density(s, v) == pytest.approx(oracle(s2, v), rel=1e-9)
+        s[0] += 1.0
+        assert fam.log_density(s, v) == pytest.approx(oracle(s.copy(), v), rel=1e-9)
+        # an equal copy of an earlier state, after that state changed in place
+        kept = s.copy()
+        s[:] = s1
+        assert fam.log_density(kept, v) == pytest.approx(oracle(kept, v), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_non_finite_state_raises_from_correlation_step(self, rng, kind):
+        fam, _ = density_case(kind, rng)
+        gamma = np.zeros(fam.n_free)
+        for bad in (np.nan, np.inf):
+            x = np.zeros(fam.dim)
+            x[1] = bad
+            with pytest.raises(ValueError, match="non-finite") as info:
+                metropolis_update_correlation(rng, gamma, 0.0, 0.0, x, fam, 1.0)
+            assert not isinstance(info.value, DOMAIN_ERRORS)
+
+    @pytest.mark.parametrize("kind", ["full", "reduced"])
+    def test_invalid_correlation_values_raise_contraction_error(self, rng, kind):
+        fam, _ = density_case(kind, rng)
+        s = rng.standard_normal(fam.dim)
+        for bad in (np.nan, np.inf, -1.0, 1.0):
+            with pytest.raises(ContractionError):
+                fam.log_density(s, np.array([0.2, bad]))
 
 
 class TestGaussNewton:
