@@ -3,24 +3,21 @@
 #
 # Usage: scripts/same_outputs.sh REF
 #
-# Runs every CLI study at a fixed seed, once on a temporary git worktree of
-# REF and once on the working tree, then compares each output file except
-# timings.json byte for byte.  Prints the number of identical files and each
+# Runs every CLI study at a fixed seed, once on a temporary copy of REF
+# (extracted with git archive, so nothing under .git changes) and once on
+# the working tree, then compares each output file except timings.json byte
+# for byte.  Prints the number of identical files and each
 # file that differs or exists on one side only.  Exit status: 0 when every
 # file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
-# choose where the worktree and the outputs go; both are removed on exit.
+# choose where the copy and the outputs go; both are removed on exit.
 set -euo pipefail
 
 ref=${1:?usage: scripts/same_outputs.sh REF}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-    git -C "$root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/ref" "$ref"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '{"n_chains": 2}\n' > "$tmp/two_chains.json"
 
 # output directory | subcommand and options

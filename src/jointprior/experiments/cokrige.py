@@ -128,7 +128,14 @@ def sign_gaps(w_pos, w_neg, n):
     Gamma(c) and Gamma(-c) share their diagonal blocks exactly and have
     opposite cross blocks, so the gaps are those of W^T W, at O(n^2 q).
     Returns (largest gap of the p and m blocks, largest entry of the sum of
-    the p-m blocks)."""
+    the p-m blocks).
+
+    Both gaps are 0 by construction: with G block-diagonal, K(-c) = D K(c) D
+    holds bitwise for D = diag(I, -I), so the two factors, and the blocks of
+    W^T W, are exact sign flips of each other.  The gaps can therefore catch
+    a broken sign symmetry but not a wrong posterior; the fixed-c moments
+    are checked by ``TestPathwiseGibbs::test_desk_moments_match_covariance_form``
+    and ``test_moments_match_analytic_posterior`` in ``tests/test_inference.py``."""
     pos_p, pos_m, neg_p, neg_m = w_pos[:, :n], w_pos[:, n:], w_neg[:, :n], w_neg[:, n:]
     blocks = max(np.abs(pos_p.T @ pos_p - neg_p.T @ neg_p).max(),
                  np.abs(pos_m.T @ pos_m - neg_m.T @ neg_m).max())

@@ -9,7 +9,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from ..covariance import KernelConfig, kl_truncate, sqexp_covariance, whitening_filter
 from ..diagnostics import ess
@@ -191,6 +190,8 @@ def check_saddle(seed):
 
 
 def check_correlation_prior(seed):
+    from scipy import stats  # here, not at module level: it doubles the CLI's start-up
+
     rng = np.random.default_rng(seed)
     gamma = np.arctanh(rng.uniform(-1.0, 1.0, 200000))  # inverse-CDF draws
     ks = stats.kstest(np.tanh(gamma), stats.uniform(loc=-1, scale=2).cdf).statistic

@@ -35,13 +35,16 @@ class ContractionError(ValueError):
 
 
 def check_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
-    """Return ``a`` as a float array after checking squareness and symmetry."""
+    """Return ``a`` as a float array after checking squareness, finiteness
+    and symmetry."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         return a
     scale = float(np.abs(a).max())
+    if not scale < np.inf:  # max|A| is NaN or inf
+        raise ValueError(f"{name} has non-finite entries")
     skew = float(np.abs(a - a.T).max())
     if skew > rtol * max(scale, 1.0e-300):
         raise ValueError(

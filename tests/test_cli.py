@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jointprior
 from jointprior.cli import main
 from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
                                             FactorCompareConfig, MonodConfig,
@@ -80,6 +85,15 @@ class TestConfigLoading:
         cfg = load_config(CokrigeConfig, None, None)
         apply_scale(cfg, 0.01)
         assert cfg.nx >= 4 and cfg.ny >= 3
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone costs about as much start-up as the rest of the CLI.
+    src = Path(jointprior.__file__).resolve().parents[1]
+    code = "import sys, jointprior.cli; print('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout.strip() == "False"
 
 
 class TestCliRuns:

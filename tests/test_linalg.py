@@ -33,6 +33,17 @@ class TestCholesky:
         with pytest.raises(ValueError, match="not symmetric"):
             cholesky_lower(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    @pytest.mark.parametrize("a", [
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [0.0, 1.0]],  # inf skew against an inf bound
+    ])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(ValueError, match="K has non-finite entries") as err:
+            cholesky_lower(np.array(a), name="K")
+        assert not isinstance(err.value, FactorizationError)
+
     @given(st.integers(2, 30), st.integers(0, 10**6))
     def test_reconstruction_property(self, n, seed):
         a = random_spd(np.random.default_rng(seed), n)
