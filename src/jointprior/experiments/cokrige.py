@@ -20,14 +20,13 @@ import numpy as np
 
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           sqexp_covariance, whitening_filter)
-from ..diagnostics import (error_metrics, ess, summary_from_chain,
-                           summary_from_gaussian)
+from ..diagnostics import error_metrics, summary_from_chain, summary_from_gaussian
 from ..forward_models import CokrigeModel
 from ..inference import FullJointFamily, NoiseModel, _LinearGibbs, mwg_run
 from ..io_utils import save_field_csv, save_mesh_csv, save_table_csv, write_json
 from ..joint_prior import Contraction
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
-from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
+from .common import (StageTimer, chain_ess, interior_grid, median_ess, range_noise_std,
                      run_chains, save_correlation_histogram_csv,
                      save_observation_csv, write_manifest, write_plot_script,
                      write_timings)
@@ -182,7 +181,7 @@ def run(cfg, out_dir):
     timer.mark("mcmc")
 
     joint = summary_from_chain(states, n)
-    ess_c = float(sum(ess(ch.corr[:, 0]) for ch in chains))
+    ess_c = float(sum(chain_ess(ch.corr[:, 0]) for ch in chains))
     ess_p = median_ess(chains[0].states[:, :n])
     ess_m = median_ess(chains[0].states[:, n:])
     acceptance = chains[0].acceptance_rates()

@@ -66,15 +66,17 @@ def reduced_chain_field_summary(states, basis_p, basis_m, mean_p, mean_m,
                             np.maximum(var[n1:], 0.0))
 
 
+def chain_ess(x):
+    """Effective sample size of one chain coordinate; NaN when the
+    coordinate never moved (a constant sequence has no autocorrelation)."""
+    x = np.asarray(x, dtype=float)
+    return float("nan") if x.std() == 0.0 else ess(x)
+
+
 def median_ess(states):
-    """Median effective sample size over the columns of a chain block."""
-    states = np.asarray(states, dtype=float)
-    vals = []
-    for j in range(states.shape[1]):
-        col = states[:, j]
-        if col.std() == 0.0:
-            continue
-        vals.append(ess(col))
+    """Median effective sample size over the columns of a chain block that
+    moved; NaN when none did."""
+    vals = [v for v in map(chain_ess, np.asarray(states, dtype=float).T) if not np.isnan(v)]
     return float(np.median(vals)) if vals else float("nan")
 
 

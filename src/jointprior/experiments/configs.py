@@ -40,6 +40,7 @@ def mwg_config(cfg, seed=0):
     try:
         return MwgConfig(total_samples=cfg.samples, burn_in=cfg.burn_in,
                          c_steps_per_s_step=cfg.c_steps,
+                         block_steps=getattr(cfg, "block_steps", 0),
                          gamma_step_std=cfg.gamma_step_std, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"chain settings: {exc}") from exc
@@ -204,7 +205,8 @@ class DarcyConfig:
     noise_pct_p: float = 2.0
     samples: int = 30000
     burn_in: int = 10000
-    c_steps: int = 100
+    c_steps: int = 10                # centred correlation steps per iteration
+    block_steps: int = 2             # one-block (c, s) moves per iteration
     gamma_step_std: float = 1.0
     warm_start: bool = True
     n_chains: int = 1
@@ -214,6 +216,9 @@ class DarcyConfig:
 
     def validate(self):
         mwg_config(self)
+        if self.block_steps > 0 and not self.warm_start:
+            raise ConfigError("block_steps > 0 needs warm_start: the block moves "
+                              "linearise the model at the warm start")
         if min(self.nx, self.ny) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
         if self.k_p < 1 or self.k_m < 1:

@@ -3,11 +3,14 @@ from head observations and direct permeability measurements.
 
 The truth pair is drawn from the full joint prior with a different
 correlation on each half of the domain.  Inference runs in truncated-basis
-coordinates with adaptive Metropolis field updates, many cheap Metropolis
-steps on the two correlation coordinates per field update, and a
-Gauss-Newton warm start whose Laplace factor initialises the proposal.  The
-warm start takes its Jacobians from the tangent-linear model
-(``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
+coordinates from a Gauss-Newton warm start, whose Laplace factor initialises
+the adaptive Metropolis field proposal.  The warm start takes its Jacobians
+from the tangent-linear model (``ReducedModel.jacobian``): one
+factorisation and one adjoint solve each.  Each iteration of the joint chain
+takes one field step, ``block_steps`` one-block moves of the correlation and
+the field together, whose field proposal is the Laplace conditional about
+the warm start (its Jacobian and forward value, so no extra solve), and
+``c_steps`` cheap Metropolis steps on the two correlation coordinates.
 Every chain samples from the one built problem, forked when there are several.
 """
 
@@ -21,14 +24,14 @@ import numpy as np
 
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           kl_truncate, sqexp_covariance, whitening_filter)
-from ..diagnostics import error_metrics, ess
+from ..diagnostics import error_metrics
 from ..forward_models import DarcyModel, ReducedFieldMap, ReducedModel
 from ..inference import NoiseModel, ReducedJointFamily, gauss_newton_map, mwg_run
 from ..io_utils import (save_field_csv, save_kl_basis_csv, save_matrix_csv,
                         save_mesh_csv, save_table_csv, write_json)
 from ..joint_prior import Contraction, JointPrior
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
-from .common import (StageTimer, interior_grid, median_ess, range_noise_std,
+from .common import (StageTimer, chain_ess, interior_grid, median_ess, range_noise_std,
                      reduced_chain_field_summary, run_chains,
                      save_correlation_histogram_csv, save_observation_csv,
                      well_points, write_manifest, write_plot_script,
@@ -135,13 +138,17 @@ def warm_start(problem):
     )
 
 
-def _run_single_chain(problem, mcfg, init, factor, joint, chain_seed):
-    """One chain on the built problem from ``init``, with initial proposal
-    factor ``factor`` (None for the identity); only the seed varies."""
+def _run_single_chain(problem, mcfg, start, joint, chain_seed):
+    """One chain on the built problem; only the seed varies.  It starts at
+    the warm start ``start`` (a ``GaussNewtonResult``), whose Laplace factor
+    seeds the field proposal and whose linearisation the block moves use,
+    or, with ``start`` None, at zero with an identity proposal factor."""
+    init = np.zeros(problem["family"].dim) if start is None else start.point
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,
-        init_state=init, proposal_factor=factor,
+        init_state=init, proposal_factor=None if start is None else start.factor,
+        reference=start,
     )
 
 
@@ -158,11 +165,9 @@ def run(cfg, out_dir):
     timer.mark("setup")
 
     start = warm_start(problem) if cfg.warm_start else None
-    init = np.zeros(family.dim) if start is None else start.point
-    factor = None if start is None else start.factor
     timer.mark("warm_start")
 
-    chain = partial(_run_single_chain, problem, mwg_config(cfg), init, factor)
+    chain = partial(_run_single_chain, problem, mwg_config(cfg), start)
     seed_pairs = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_chains)
     chains_ind = run_chains(partial(chain, False), seed_pairs[: cfg.n_chains])
     timer.mark("mcmc_independent")
@@ -178,15 +183,15 @@ def run(cfg, out_dir):
     summary_joint = reduced_chain_field_summary(
         states_joint, basis_p, basis_m, np.zeros(n), np.zeros(n))
 
-    ess_c1 = float(sum(ess(ch.corr[:, 0]) for ch in chains_joint))
-    ess_c2 = float(sum(ess(ch.corr[:, 1]) for ch in chains_joint))
+    ess_c1 = float(sum(chain_ess(ch.corr[:, 0]) for ch in chains_joint))
+    ess_c2 = float(sum(chain_ess(ch.corr[:, 1]) for ch in chains_joint))
     metrics_joint = error_metrics(
         problem["truth_p"], problem["truth_m"], summary_joint,
         problem["prior_trace_p"], problem["prior_trace_m"], independent=summary_ind,
         ess_values={
             "c1": ess_c1, "c2": ess_c2,
-            "p_first_mode": ess(chains_joint[0].states[:, 0]),
-            "m_first_mode": ess(chains_joint[0].states[:, kp]),
+            "p_first_mode": chain_ess(chains_joint[0].states[:, 0]),
+            "m_first_mode": chain_ess(chains_joint[0].states[:, kp]),
             "p_median": median_ess(chains_joint[0].states[:, :kp]),
             "m_median": median_ess(chains_joint[0].states[:, kp:]),
         },
@@ -196,8 +201,8 @@ def run(cfg, out_dir):
         problem["truth_p"], problem["truth_m"], summary_ind,
         problem["prior_trace_p"], problem["prior_trace_m"],
         ess_values={
-            "p_first_mode": ess(chains_ind[0].states[:, 0]),
-            "m_first_mode": ess(chains_ind[0].states[:, kp]),
+            "p_first_mode": chain_ess(chains_ind[0].states[:, 0]),
+            "m_first_mode": chain_ess(chains_ind[0].states[:, kp]),
             "p_median": median_ess(chains_ind[0].states[:, :kp]),
             "m_median": median_ess(chains_ind[0].states[:, kp:]),
         },

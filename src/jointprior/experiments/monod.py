@@ -12,12 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from ..covariance import whitening_filter
-from ..diagnostics import ess
 from ..forward_models import MonodModel
 from ..inference import FullJointFamily, NoiseModel, mwg_run
 from ..io_utils import save_matrix_csv, save_table_csv
 from ..joint_prior import Contraction
-from .common import (StageTimer, save_correlation_histogram_csv, write_manifest,
+from .common import (StageTimer, chain_ess, save_correlation_histogram_csv, write_manifest,
                      write_plot_script, write_timings)
 from .configs import config_dict, mwg_config
 
@@ -150,7 +149,7 @@ def run(cfg, out_dir):
         "best_scan_correlation": {f"{k:g}": v for k, v in best.items()},
         "positive_correlation_mass": pos_mass,
         "acceptance": chain.acceptance_rates(),
-        "ess_c": ess(c_samples),
+        "ess_c": chain_ess(c_samples),
     })
     write_timings(out_dir, timer.total())
     return {

@@ -8,6 +8,12 @@ coordinates gamma (c_i = tanh(gamma_i)) take a fixed number of random-walk
 Metropolis steps per field update.  Proposal adaptation runs during burn-in
 only, so the retained chain is Markovian.
 
+For nonlinear models the sampler can also move (gamma, s) together: gamma'
+by a random walk and s' from the Laplace conditional N(mu(c'), H(c')^{-1})
+of the model linearised at a reference point, with a Metropolis-Hastings
+correction (Knorr-Held & Rue 2002; Rue & Held 2005, ch. 4).  H(c) = J^T W J
++ P(c) uses the reduced family's precision, and is factorised once per c.
+
 The correlation steps hold the field state fixed, so both prior families
 compute the terms that depend on the state alone once per state and make
 each correlation value cheap: the full family reuses the whitened
@@ -229,15 +235,33 @@ class ReducedJointFamily:
                                    sigma_max=sigma)
         return np.concatenate([[1.0], values])
 
+    def _gram_factor(self, w):
+        """R with R R^T = I - X X^T, the smaller Gram complement at weights w."""
+        gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
+        return cholesky_lower(gram, "reduced Gram complement")
+
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
         a, bb, xb = self._terms(shat)
         w = self._weights(values)
-        gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
-        r = cholesky_lower(gram, "reduced Gram complement")
+        r = self._gram_factor(w)
         resid = solve_lower(r, a - w @ xb)
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))
         return -0.5 * (bb + float(resid @ resid) + logdet)
+
+    def precision(self, values):
+        """Inverse of the reduced joint covariance by block inversion through
+        the same Gram complement S = I - X X^T = R R^T: with Y = R^{-1} X,
+        P_aa = S^{-1}, P_ab = -R^{-T} Y and P_bb = I + Y^T Y."""
+        w = self._weights(values)
+        rinv = solve_lower(self._gram_factor(w), self._eye)
+        y = rinv @ np.tensordot(w, self._x, axes=1)
+        out = np.empty((self.dim, self.dim))
+        out[self._a, self._a] = rinv.T @ rinv
+        out[self._a, self._b] = -rinv.T @ y
+        out[self._b, self._a] = out[self._a, self._b].T
+        out[self._b, self._b] = y.T @ y + np.eye(y.shape[1])
+        return out
 
 
 # ----------------------------------------------------------------------------
@@ -253,12 +277,14 @@ class MwgConfig:
     ln tau += batch^(-adapt_decay) * (batch acceptance - accept_target),
     and the proposal factor is refreshed from the accepted history every
     cov_refresh iterations with a small ridge.  Adaptation happens during
-    burn-in only.
+    burn-in only.  ``block_steps`` one-block (gamma, s) moves per iteration
+    need a nonlinear model and a reference linearisation (see ``mwg_run``).
     """
 
     total_samples: int
     burn_in: int
     c_steps_per_s_step: int = 1
+    block_steps: int = 0
     gamma_step_std: float = 1.0
     accept_target: float = 0.23
     adapt_decay: float = 0.6
@@ -278,6 +304,8 @@ class MwgConfig:
             )
         if self.c_steps_per_s_step < 1:
             raise ValueError("c_steps_per_s_step must be >= 1")
+        if self.block_steps < 0:
+            raise ValueError(f"block_steps must be >= 0, got {self.block_steps}")
         if not 0.0 < self.accept_target < 1.0:
             raise ValueError("acceptance target must lie in (0, 1)")
         if not 0.0 < self.gamma_step_std < np.inf:  # also rejects NaN
@@ -300,8 +328,10 @@ class Chain:
     kind: str              # "gibbs" or "adaptive"
     s_steps: int = 0
     s_accepted: int = 0
-    gamma_steps: int = 0
+    gamma_steps: int = 0     # centred correlation steps
     gamma_accepted: int = 0
+    block_steps: int = 0     # one-block (gamma, s) moves
+    block_accepted: int = 0
     tau_trace: np.ndarray | None = None  # (records, 2): iteration, tau
 
     @property
@@ -317,7 +347,12 @@ class Chain:
         return self.gamma_accepted / self.gamma_steps if self.gamma_steps else float("nan")
 
     def acceptance_rates(self):
-        return {"s": self.s_acceptance, "gamma": self.gamma_acceptance}
+        """Field, centred-gamma and, for a chain that took block moves, block
+        acceptance."""
+        rates = {"s": self.s_acceptance, "gamma": self.gamma_acceptance}
+        if self.block_steps:
+            rates["block"] = self.block_accepted / self.block_steps
+        return rates
 
 
 class AdaptiveProposal:
@@ -405,6 +440,78 @@ def metropolis_update_correlation(rng, gamma, prior_logdens, corr_prior, x, fami
     return gamma, prior_logdens, corr_prior, False
 
 
+def metropolis_block_update(rng, gamma, x, current, log_parts, conditional, step_std):
+    """One Metropolis-Hastings move of (gamma, s) together: gamma' = gamma +
+    step_std z and s' ~ q(. | c') from ``conditional``, accepted with
+    pi(s', gamma') q(s | c) / (pi(s, gamma) q(s' | c')).
+
+    ``current`` holds the (log likelihood, log joint prior, log correlation
+    prior) at (x, gamma); ``log_parts(s, values)`` gives the first two at a
+    new point.  Only a DOMAIN_ERRORS failure counts as a rejection.  Returns
+    (gamma, x, current, accepted).
+    """
+    prop = gamma + step_std * rng.standard_normal(gamma.shape)
+    values = np.tanh(prop)
+    try:
+        x_new = conditional.draw(rng, values)
+        new = (*log_parts(x_new, values), correlation_prior_logdensity(prop))
+        log_ratio = (sum(new) - sum(current) + conditional.logpdf(x, np.tanh(gamma))
+                     - conditional.logpdf(x_new, values))
+    except DOMAIN_ERRORS:
+        return gamma, x, current, False
+    if np.log(rng.random()) < log_ratio:
+        return prop, x_new, new, True
+    return gamma, x, current, False
+
+
+class _LaplaceConditional:
+    """Gaussian proposal for the field given the correlation, from the model
+    linearised at a reference point x0, f(s) ~ f0 + J (s - x0):
+
+        q(s | c) = N(mu(c), H(c)^{-1}),   H(c) = J^T W J + P(c),
+        mu(c) = H(c)^{-1} J^T W (d - f0 + J x0),
+
+    with W the noise precision and P(c) the family's prior precision (zero
+    prior mean, as for the reduced coordinates).  J^T W J and the right-hand
+    side are formed once; H(c) is factorised once per c, and the two most
+    recent values of c stay cached (the current and the proposed one of a
+    block move).  For a linear model with J its matrix, q is the exact
+    conditional.  ``reference`` carries ``point``, ``jacobian`` and
+    ``forward``, as a ``GaussNewtonResult`` does."""
+
+    def __init__(self, reference, d, noise, family):
+        j = np.asarray(reference.jacobian, dtype=float)
+        jw = j.T / noise.var_vector
+        jwj = jw @ j
+        self._jwj = 0.5 * (jwj + jwj.T)
+        self._rhs = jw @ (d - reference.forward + j @ reference.point)
+        self.family = family
+        self._cache = {}
+
+    def _factor(self, values):
+        """(R, mu(c), log det R) with H(c) = R R^T."""
+        key = np.asarray(values, dtype=float).tobytes()
+        state = self._cache.pop(key, None)
+        if state is None:
+            r = cholesky_lower(self._jwj + self.family.precision(values),
+                               "Laplace conditional precision")
+            state = (r, cho_solve((r, True), self._rhs), float(np.sum(np.log(np.diagonal(r)))))
+        self._cache[key] = state
+        if len(self._cache) > 2:
+            del self._cache[next(iter(self._cache))]  # the least recently used
+        return state
+
+    def draw(self, rng, values):
+        r, mean, _ = self._factor(values)
+        return mean + solve_triangular(r, rng.standard_normal(mean.size), lower=True, trans="T")
+
+    def logpdf(self, s, values):
+        """log q(s | c) up to a constant independent of s and c."""
+        r, mean, logdet_r = self._factor(values)
+        z = r.T @ (s - mean)
+        return logdet_r - 0.5 * float(z @ z)
+
+
 class _LinearGibbs:
     """Exact posterior of a linear model d = G s + e at fixed correlation,
     through the q x q data-space covariance K(c) = G B(c) + Sigma, where
@@ -469,15 +576,19 @@ class _LinearGibbs:
 
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
-            init_state=None, init_gamma=None, proposal_factor=None):
+            init_state=None, init_gamma=None, proposal_factor=None, reference=None):
     """Metropolis-within-Gibbs over (s, gamma); fully reproducible from cfg.seed.
 
     Linear models (model.is_linear with a ``matrix``) get exact Gibbs field
     updates; otherwise the field block uses adaptive random-walk Metropolis
     started from ``init_state`` (required), optionally with an initial
-    proposal factor (e.g. a Laplace factor from the warm start).  When
-    ``sample_correlation`` is false the correlation stays at its initial
-    value and only the field block is sampled.
+    proposal factor (e.g. a Laplace factor from the warm start).  Each
+    iteration then takes ``cfg.block_steps`` one-block (gamma, s) moves,
+    whose field proposal is the Laplace conditional about ``reference`` (a
+    ``GaussNewtonResult``; nonlinear models and families with a
+    ``precision`` only), and ``cfg.c_steps_per_s_step`` centred gamma steps.
+    When ``sample_correlation`` is false the correlation stays at its
+    initial value and only the field block is sampled.
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -489,6 +600,11 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     track_gamma = sample_correlation and n_free > 0
 
     linear = bool(getattr(model, "is_linear", False))
+    blocks = cfg.block_steps if track_gamma else 0
+    if blocks:
+        if linear or reference is None:
+            raise ValueError("block moves need a nonlinear model and a reference linearisation")
+        conditional = _LaplaceConditional(reference, d, noise, family)
     if linear:
         gibbs = _LinearGibbs(model.matrix, d, noise, family)
         x = gibbs.draw(rng, values)
@@ -500,9 +616,11 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         # keeps the (log likelihood, log prior) of its last evaluation
         last = [None, None]
 
+        def log_parts(s, vals):
+            return gaussian_loglik(d, model(s), noise), family.log_density(s, vals)
+
         def log_target(s):
-            last[0] = gaussian_loglik(d, model(s), noise)
-            last[1] = family.log_density(s, values)
+            last[:] = log_parts(s, values)
             return last[0] + last[1]
 
         x = np.asarray(init_state, dtype=float).copy()
@@ -513,7 +631,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
-    s_steps = s_accepted = gamma_steps = gamma_accepted = 0
+    s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = 0
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
 
     for k in range(cfg.total_samples):
@@ -534,6 +652,12 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             s_accepted += int(accepted)
 
         if track_gamma:
+            for _ in range(blocks):
+                gamma, x, (cur_ll, cur_pd, cur_cp), acc = metropolis_block_update(
+                    rng, gamma, x, (cur_ll, cur_pd, cur_cp), log_parts, conditional,
+                    cfg.gamma_step_std
+                )
+                block_accepted += int(acc)
             for _ in range(cfg.c_steps_per_s_step):
                 gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
                     rng, gamma, cur_pd, cur_cp, x, family, cfg.gamma_step_std
@@ -551,6 +675,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         burn_in=cfg.burn_in, seed=cfg.seed, kind="gibbs" if linear else "adaptive",
         s_steps=s_steps, s_accepted=s_accepted,
         gamma_steps=gamma_steps, gamma_accepted=gamma_accepted,
+        block_steps=blocks * cfg.total_samples, block_accepted=block_accepted,
         tau_trace=None if linear else proposal.trace_array(),
     )
 
@@ -571,6 +696,8 @@ class GaussNewtonResult:
     point: np.ndarray
     covariance: np.ndarray  # Laplace (Gauss-Newton) posterior covariance
     factor: np.ndarray      # lower factor L with L L^T = covariance
+    jacobian: np.ndarray    # model Jacobian at point
+    forward: np.ndarray     # model(point)
     iterations: int
     objective: float
     converged: bool
@@ -581,7 +708,9 @@ class GaussNewtonResult:
 def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
                      grad_tol=1e-8, max_iter=100, max_halvings=30):
     """Gauss-Newton minimisation of the negative log posterior with Armijo
-    backtracking, returning the MAP point and the Laplace covariance factor.
+    backtracking, returning the MAP point and the Laplace covariance factor,
+    with the Jacobian and the forward value at the point (a reference for
+    ``mwg_run``'s block moves at no extra solve).
 
     The model supplies its Jacobian as ``model.jacobian(x)``.  Terminates
     when the gradient norm falls below grad_tol * (1 + initial norm) or after
@@ -594,18 +723,19 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     w = 1.0 / noise.var_vector
 
     def objective(xx):
-        r = d - model(xx)
+        f = model(xx)
+        r = d - f
         dx = xx - prior_mean
-        return 0.5 * float((r * w) @ r) + 0.5 * float(dx @ (prior_precision @ dx)), r
+        return 0.5 * float((r * w) @ r) + 0.5 * float(dx @ (prior_precision @ dx)), f
 
-    fx, r = objective(x)
+    fx, f = objective(x)
     trace = [fx]
     grad0 = None
     iterations = halvings = 0
     converged = False
     for _ in range(max_iter):
         jac = model.jacobian(x)
-        grad = -jac.T @ (w * r) + prior_precision @ (x - prior_mean)
+        grad = -jac.T @ (w * (d - f)) + prior_precision @ (x - prior_mean)
         gnorm = float(np.linalg.norm(grad))
         if grad0 is None:
             grad0 = gnorm
@@ -621,7 +751,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
         alpha = 1.0
         for _ in range(max_halvings + 1):
             try:
-                fn, rn = objective(x + alpha * step)
+                fn, f_new = objective(x + alpha * step)
             except DOMAIN_ERRORS:
                 fn = np.inf
             if fn <= fx + 1e-4 * alpha * slope:
@@ -633,7 +763,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
                 f"line search failed after {max_halvings} halvings", last_iterate=x
             )
         x = x + alpha * step
-        fx, r = fn, rn
+        fx, f = fn, f_new
         trace.append(fx)
         iterations += 1
 
@@ -645,6 +775,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     cov = 0.5 * (cov + cov.T)
     factor = cholesky_lower(cov, "Laplace covariance")
     return GaussNewtonResult(
-        point=x, covariance=cov, factor=factor, iterations=iterations,
-        objective=fx, converged=converged, objective_trace=trace, halvings=halvings,
+        point=x, covariance=cov, factor=factor, jacobian=jac, forward=f,
+        iterations=iterations, objective=fx, converged=converged,
+        objective_trace=trace, halvings=halvings,
     )

@@ -154,6 +154,8 @@ class TestCliRuns:
         ("cokrige", {**TINY_COKRIGE, "gamma_step_std": float("nan")}),
         ("darcy", {**TINY_DARCY, "gamma_step_std": float("inf")}),
         ("monod", {"gamma_step_std": float("-inf")}),
+        ("darcy", {**TINY_DARCY, "block_steps": -1}),
+        ("darcy", {**TINY_DARCY, "warm_start": False}),
     ])
     def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
         path = write_config(tmp_path, payload)
@@ -161,6 +163,26 @@ class TestCliRuns:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()  # rejected before any computation
+
+    def test_darcy_without_warm_start_runs_without_block_moves(self, tmp_path):
+        cfg = write_config(tmp_path, {**TINY_DARCY, "samples": 40, "burn_in": 10,
+                                      "warm_start": False, "block_steps": 0})
+        assert main(["darcy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        metrics = json.loads((tmp_path / "x" / "metrics.json").read_text())
+        assert metrics["warm_start"] is None
+        assert set(metrics["joint"]["acceptance"]) == {"s", "gamma"}
+
+    @pytest.mark.parametrize("subcommand,payload", [
+        ("darcy", TINY_DARCY), ("cokrige", TINY_COKRIGE),
+    ])
+    def test_constant_chain_reports_nan_ess(self, tmp_path, subcommand, payload):
+        # one retained sample: every chain coordinate is constant
+        cfg = write_config(tmp_path, payload)
+        code = main([subcommand, "--config", str(cfg), "--samples", "2", "--burn-in", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
+        ess = json.loads((tmp_path / "x" / "metrics.json").read_text())["joint"]["ess"]
+        assert ess and all(np.isnan(v) for v in ess.values())
 
     def test_flag_misuse_exit_code(self, tmp_path):
         code = main(["sample-prior", "--samples", "10", "--out", str(tmp_path / "x")])
@@ -186,6 +208,8 @@ class TestCliRuns:
         assert code == 0
         metrics = json.loads((tmp_path / "dy" / "metrics.json").read_text())
         assert set(metrics) >= {"joint", "independent", "c_posterior_medians"}
+        assert 0.0 < metrics["joint"]["acceptance"]["block"] < 1.0
+        assert "block" not in metrics["independent"]["acceptance"]
         chain = np.loadtxt(tmp_path / "dy" / "chain_reduced.csv", delimiter=",",
                            skiprows=1)
         assert chain.shape == (240, 4 + 6 + 2)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,7 +10,8 @@ from jointprior.forward_models import (DOMAIN_ERRORS, CokrigeModel, ForwardModel
                                        MonodModel)
 from jointprior.inference import (AdaptiveProposal, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
-                                  ReducedJointFamily, _LinearGibbs,
+                                  ReducedJointFamily, _LaplaceConditional,
+                                  _LinearGibbs,
                                   adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik,
                                   linear_gaussian_posterior,
@@ -809,3 +812,165 @@ class TestGaussNewton:
         assert result.iterations >= 2 and result.halvings > 0
         assert calls["jacobian"] == result.iterations + 1
         assert calls["forward"] == 1 + result.iterations + result.halvings
+
+    def test_result_keeps_jacobian_and_forward_at_point(self):
+        model = MonodModel(np.array([28.0, 55.0, 83.0]))
+        d = model(np.array([0.9, 80.0]))
+        result = gauss_newton_map(model, d, NoiseModel(0.05, 3),
+                                  np.array([0.4, 40.0]), np.diag([100.0, 0.01]))
+        assert result.converged
+        np.testing.assert_array_equal(result.forward, model(result.point))
+        np.testing.assert_array_equal(result.jacobian, model.jacobian(result.point))
+
+
+class FlaggedLinear:
+    """A linear map that the sampler treats as nonlinear."""
+
+    is_linear = False
+
+    def __init__(self, g):
+        self.g = g
+
+    def __call__(self, s):
+        return self.g @ s
+
+
+def block_problem(rng):
+    """Reduced family (k_p = 2, k_m = 3) with a scalar contraction, a flagged
+    linear map, data from c = 0.8, and the exact linearisation of the map at
+    a random point."""
+    bp, bm = kl_truncate(random_spd(rng, 6), 2), kl_truncate(random_spd(rng, 6), 3)
+    fam = ReducedJointFamily(bp, bm, Contraction.scalar(0.0, 6))
+    g = rng.standard_normal((4, 5))
+    noise = NoiseModel(0.3, 4)
+    truth = cholesky_lower(reduced_cov(fam, 0.8)) @ rng.standard_normal(5)
+    d = g @ truth + noise.sample(rng)
+    point = rng.standard_normal(5)
+    reference = SimpleNamespace(point=point, jacobian=g, forward=g @ point)
+    return fam, FlaggedLinear(g), noise, d, reference
+
+
+def reduced_cov(fam, c):
+    return reduced_joint_covariance(fam.basis_p, fam.basis_m,
+                                    fam.contraction.with_values([c]))
+
+
+class TestBlockMoves:
+    """One-block (gamma, s) moves from the Laplace conditional.  For a linear
+    map with its exact Jacobian as the reference, q is the exact conditional
+    s | c, d, so the chain must reproduce the exact posterior."""
+
+    @pytest.mark.parametrize("kp,km", [(2, 5), (4, 3)])
+    @pytest.mark.parametrize("variant", CONSTRUCTORS)
+    def test_precision_is_inverse_covariance(self, rng, variant, kp, km):
+        labels = [0, 0, 1, 1, 0, 1, 0]
+        n2 = 7 if variant in ("scalar", "piecewise") else 6
+        bp, bm = kl_truncate(random_spd(rng, 7), kp), kl_truncate(random_spd(rng, n2), km)
+        fam = ReducedJointFamily(bp, bm, zero_contraction(variant, rng, labels, n2))
+        n = fam.n_free
+        for values in (np.resize([0.4, -0.7], n), np.zeros(n), np.full(n, 0.95)):
+            cov = reduced_joint_covariance(bp, bm, fam.contraction.with_values(values))
+            np.testing.assert_allclose(fam.precision(values) @ cov, np.eye(kp + km),
+                                       atol=1e-9)
+
+    def test_conditional_is_exact_for_linear_model(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        q = _LaplaceConditional(reference, d, noise, fam)
+        for c in (0.6, -0.3):
+            mean, cov = linear_gaussian_posterior(model.g, d, noise, fam.mean,
+                                                  reduced_cov(fam, c))
+            draws = np.array([q.draw(rng, [c]) for _ in range(20000)])
+            np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.03)
+            assert np.abs(np.cov(draws, rowvar=False) - cov).max() < 0.03
+            # the exact Gaussian log density, with its c-dependent normaliser,
+            # less the dropped constant n log(2 pi) / 2
+            for s in draws[:3]:
+                exact = -0.5 * ((s - mean) @ np.linalg.solve(cov, s - mean)
+                                + np.linalg.slogdet(cov)[1])
+                assert q.logpdf(s, [c]) == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+    def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        g = model.g
+        cs = np.linspace(-0.999, 0.999, 1999)
+        logev, means, covs = np.empty(cs.size), [], []
+        for i, c in enumerate(cs):
+            cov = reduced_cov(fam, c)
+            cf = cho_factor(g @ cov @ g.T + noise.covariance(), lower=True)
+            logev[i] = -0.5 * (d @ cho_solve(cf, d) + 2 * np.sum(np.log(np.diagonal(cf[0]))))
+            mean_c, cov_c = linear_gaussian_posterior(g, d, noise, fam.mean, cov)
+            means.append(mean_c)
+            covs.append(cov_c)
+        post = np.exp(logev - logev.max())  # the tanh coordinate prior is uniform in c
+        weights = post / post.sum()
+        cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
+        cdf /= cdf[-1]
+        means = np.array(means)
+        mean = weights @ means
+        cov = np.einsum("i,ijk->jk", weights, np.array(covs)) \
+            + np.einsum("i,ij,ik->jk", weights, means - mean, means - mean)
+
+        cfg = MwgConfig(total_samples=30000, burn_in=1000, block_steps=2, seed=5)
+        chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                        reference=reference)
+        assert chain.block_steps == 60000
+        assert 0.3 < chain.acceptance_rates()["block"] < 1.0
+        samples = np.sort(chain.corr[:, 0])
+        quantiles = np.interp(samples, cs, cdf)
+        ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
+        assert ks < 0.02
+        np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.03)
+        assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.03
+
+    def test_block_moves_are_reproducible_and_counted_apart(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        cfg = MwgConfig(total_samples=300, burn_in=100, block_steps=3, seed=2)
+        a, b = (mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                        reference=reference) for _ in range(2))
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.corr, b.corr)
+        assert a.block_steps == 900 and 0 < a.block_accepted == b.block_accepted
+        assert a.gamma_steps == 300
+        assert set(a.acceptance_rates()) == {"s", "gamma", "block"}
+        fixed = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                        reference=reference, sample_correlation=False)
+        assert fixed.block_steps == 0 and set(fixed.acceptance_rates()) == {"s", "gamma"}
+
+    def test_type_error_in_conditional_propagates(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+
+        class Broken(ReducedJointFamily):
+            def precision(self, values):
+                raise TypeError("unsupported operand type(s)")
+
+        broken = Broken(fam.basis_p, fam.basis_m, fam.contraction)
+        cfg = MwgConfig(total_samples=20, burn_in=5, block_steps=1, seed=1)
+        with pytest.raises(TypeError, match="unsupported"):
+            mwg_run(model, broken, noise, d, cfg, init_state=reference.point,
+                    reference=reference)
+
+    def test_forward_model_error_is_counted_rejection(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+
+        class Failing(ReducedJointFamily):
+            def precision(self, values):
+                raise ForwardModelError("no conditional here")
+
+        failing = Failing(fam.basis_p, fam.basis_m, fam.contraction)
+        cfg = MwgConfig(total_samples=30, burn_in=5, block_steps=2, seed=1)
+        chain = mwg_run(model, failing, noise, d, cfg, init_state=reference.point,
+                        reference=reference)
+        assert chain.block_steps == 60 and chain.block_accepted == 0
+        assert chain.acceptance_rates()["block"] == 0.0
+        assert chain.gamma_accepted > 0
+
+    def test_block_moves_need_a_reference_and_a_nonlinear_model(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        cfg = MwgConfig(total_samples=20, burn_in=5, block_steps=1)
+        with pytest.raises(ValueError, match="reference"):
+            mwg_run(model, fam, noise, d, cfg, init_state=reference.point)
+        linear = CokrigeModel(model.g[:, :2], model.g[:, 2:])
+        with pytest.raises(ValueError, match="nonlinear"):
+            mwg_run(linear, fam, noise, d, cfg, reference=reference)
+        with pytest.raises(ValueError, match="block_steps"):
+            MwgConfig(total_samples=20, burn_in=5, block_steps=-1)
