@@ -3,10 +3,11 @@
 #
 # Usage: scripts/same_outputs.sh REF
 #
-# Runs every CLI study at a fixed seed, once on a temporary copy of REF
-# (extracted with git archive, so nothing under .git changes) and once on
-# the working tree, then compares each output file except timings.json byte
-# for byte.  Prints the number of identical files and each
+# Runs every CLI study at a fixed seed (darcy also with block moves off, the
+# kernel of scripts/paper_scale_configs/darcy_full.json), once on a temporary
+# copy of REF (extracted with git archive, so nothing under .git changes) and
+# once on the working tree, then compares each output file except
+# timings.json byte for byte.  Prints the number of identical files and each
 # file that differs or exists on one side only.  Exit status: 0 when every
 # file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
 # choose where the copy and the outputs go; both are removed on exit.
@@ -19,11 +20,13 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '{"n_chains": 2}\n' > "$tmp/two_chains.json"
+printf '{"block_steps": 0, "c_steps": 100}\n' > "$tmp/centred.json"
 
 # output directory | subcommand and options
 runs=(
     "darcy|darcy --seed 7 --samples 300 --burn-in 100"
     "darcy-2chains|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/two_chains.json"
+    "darcy-centred|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/centred.json"
     "monod|monod --seed 7 --samples 3000 --burn-in 1000"
     "cokrige|cokrige --seed 7 --samples 600 --burn-in 100"
     "cokrige-2chains|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/two_chains.json"

@@ -86,7 +86,7 @@ def build_problem(cfg):
     n = mesh.n_nodes
 
     cov_p = sqexp_covariance(mesh.nodes, KernelConfig(cfg.kernel_length, cfg.nugget))
-    filter_p = whitening_filter(cov_p, cfg.filter_kind)
+    filter_p = whitening_filter(cov_p, "principal_sqrt")
     filter_m = fem_precision_filter(
         mesh, PdePriorConfig(cfg.pde_a1, cfg.pde_a2, cfg.pde_a3)
     )

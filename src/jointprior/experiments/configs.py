@@ -1,7 +1,8 @@
 """Experiment configuration dataclasses and JSON loading.
 
 Configs are flat key/value structures; a JSON config file may set any subset
-of the fields and unknown keys are rejected before any computation starts.
+of the fields.  Unknown keys and values of the wrong type are rejected before
+any computation starts.
 Defaults are desk-scale versions of the reference studies; paper-scale
 variants ship as JSON files under scripts/paper_scale_configs/.
 """
@@ -24,6 +25,20 @@ def _as_tuple(x):
     return tuple(x) if isinstance(x, (list, tuple)) else (x,)
 
 
+def _check_types(cls, data):
+    """Each value must have the type of its field's default: an int field
+    takes an int, a float field an int or a float, and neither a bool or a
+    string.  Tuple fields go through ``_as_tuple`` in ``validate``."""
+    for f in fields(cls):
+        if f.name not in data or isinstance(f.default, tuple):
+            continue
+        value, kind = data[f.name], type(f.default)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
 def _check_correlations(name, values):
     """Each entry must pass Contraction's own rule, |c| < 1 - margin."""
     for c in values:
@@ -40,8 +55,7 @@ def mwg_config(cfg, seed=0):
     try:
         return MwgConfig(total_samples=cfg.samples, burn_in=cfg.burn_in,
                          c_steps_per_s_step=cfg.c_steps,
-                         block_steps=getattr(cfg, "block_steps", 0),
-                         gamma_step_std=cfg.gamma_step_std, seed=seed)
+                         block_steps=getattr(cfg, "block_steps", 0), seed=seed)
     except ValueError as exc:
         raise ConfigError(f"chain settings: {exc}") from exc
 
@@ -121,7 +135,6 @@ class MonodConfig:
     samples: int = 30000
     burn_in: int = 5000
     c_steps: int = 1
-    gamma_step_std: float = 1.0
 
     SCALABLE = {"grid_n": 41}
 
@@ -149,7 +162,6 @@ class CokrigeConfig:
     pde_a1: float = 1.5              # elliptic marginal for m
     pde_a2: float = 30.0
     pde_a3: float = 7.5
-    filter_kind: str = "principal_sqrt"
     c_true: float = -0.9
     fixed_correlations: tuple = (-0.9, 0.0, 0.9)
     p_obs_nx: int = 6                # grid of p observations in the right half
@@ -161,7 +173,6 @@ class CokrigeConfig:
     samples: int = 30000
     burn_in: int = 3000
     c_steps: int = 5
-    gamma_step_std: float = 1.0
     n_chains: int = 1
     tracked_nodes: int = 6
 
@@ -172,8 +183,6 @@ class CokrigeConfig:
         mwg_config(self)
         if min(self.nx, self.ny) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
-        if self.filter_kind not in ("principal_sqrt", "cholesky"):
-            raise ConfigError(f"unknown filter_kind {self.filter_kind!r}")
         if self.n_chains < 1:
             raise ConfigError("n_chains must be >= 1")
         object.__setattr__(self, "fixed_correlations", _as_tuple(self.fixed_correlations))
@@ -207,8 +216,6 @@ class DarcyConfig:
     burn_in: int = 10000
     c_steps: int = 10                # centred correlation steps per iteration
     block_steps: int = 2             # one-block (c, s) moves per iteration
-    gamma_step_std: float = 1.0
-    warm_start: bool = True
     n_chains: int = 1
 
     SCALABLE = {"nx": 4, "ny": 3, "k_p": 4, "k_m": 6, "u_obs_nx": 2, "u_obs_ny": 2,
@@ -216,9 +223,6 @@ class DarcyConfig:
 
     def validate(self):
         mwg_config(self)
-        if self.block_steps > 0 and not self.warm_start:
-            raise ConfigError("block_steps > 0 needs warm_start: the block moves "
-                              "linearise the model at the warm start")
         if min(self.nx, self.ny) < 2:
             raise ConfigError("lattice dimensions must be >= 2")
         if self.k_p < 1 or self.k_m < 1:
@@ -260,6 +264,7 @@ def load_config(cls, path=None, overrides=None):
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     data.update(overrides or {})
+    _check_types(cls, data)
     try:
         cfg = cls(**{k: v for k, v in data.items() if k in allowed})
     except TypeError as exc:

@@ -3,14 +3,15 @@ from head observations and direct permeability measurements.
 
 The truth pair is drawn from the full joint prior with a different
 correlation on each half of the domain.  Inference runs in truncated-basis
-coordinates from a Gauss-Newton warm start, whose Laplace factor initialises
-the adaptive Metropolis field proposal.  The warm start takes its Jacobians
-from the tangent-linear model (``ReducedModel.jacobian``): one
-factorisation and one adjoint solve each.  Each iteration of the joint chain
-takes one field step, ``block_steps`` one-block moves of the correlation and
-the field together, whose field proposal is the Laplace conditional about
-the warm start (its Jacobian and forward value, so no extra solve), and
-``c_steps`` cheap Metropolis steps on the two correlation coordinates.
+coordinates.  Every chain, independent and joint, starts at a Gauss-Newton
+warm start, whose Laplace factor initialises the adaptive Metropolis field
+proposal.  The warm start takes its Jacobians from the tangent-linear model
+(``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
+Each iteration of the joint chain takes one field step, ``block_steps``
+one-block moves of the correlation and the field together, whose field
+proposal is the Laplace conditional about the warm start (its Jacobian and
+forward value, so no extra solve), and ``c_steps`` cheap Metropolis steps on
+the two correlation coordinates.
 Every chain samples from the one built problem, forked when there are several.
 """
 
@@ -141,14 +142,11 @@ def warm_start(problem):
 def _run_single_chain(problem, mcfg, start, joint, chain_seed):
     """One chain on the built problem; only the seed varies.  It starts at
     the warm start ``start`` (a ``GaussNewtonResult``), whose Laplace factor
-    seeds the field proposal and whose linearisation the block moves use,
-    or, with ``start`` None, at zero with an identity proposal factor."""
-    init = np.zeros(problem["family"].dim) if start is None else start.point
+    seeds the field proposal and whose linearisation the block moves use."""
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,
-        init_state=init, proposal_factor=None if start is None else start.factor,
-        reference=start,
+        init_state=start.point, proposal_factor=start.factor, reference=start,
     )
 
 
@@ -164,7 +162,7 @@ def run(cfg, out_dir):
     n = mesh.n_nodes
     timer.mark("setup")
 
-    start = warm_start(problem) if cfg.warm_start else None
+    start = warm_start(problem)
     timer.mark("warm_start")
 
     chain = partial(_run_single_chain, problem, mwg_config(cfg), start)
@@ -254,7 +252,7 @@ def run(cfg, out_dir):
         "c_true": list(cfg.c_true),
         "captured_fraction_p": basis_p.captured_fraction,
         "captured_fraction_m": basis_m.captured_fraction,
-        "warm_start": None if start is None else {
+        "warm_start": {
             "iterations": start.iterations,
             "halvings": start.halvings,
             "objective": start.objective,

@@ -5,8 +5,9 @@ The sampler alternates block updates: the field block s is updated by an
 exact Gibbs draw by pathwise conditioning when the forward model is linear
 and by adaptive random-walk Metropolis otherwise; the correlation
 coordinates gamma (c_i = tanh(gamma_i)) take a fixed number of random-walk
-Metropolis steps per field update.  Proposal adaptation runs during burn-in
-only, so the retained chain is Markovian.
+Metropolis steps per field update.  The random-walk rules (step sizes,
+acceptance target, adaptation schedule) are module constants; proposal
+adaptation runs during burn-in only, so the retained chain is Markovian.
 
 For nonlinear models the sampler can also move (gamma, s) together: gamma'
 by a random walk and s' from the Laplace conditional N(mu(c'), H(c')^{-1})
@@ -269,29 +270,36 @@ class ReducedJointFamily:
 # ----------------------------------------------------------------------------
 
 
+# Fixed random-walk rules.  The gamma walk takes Gaussian steps of standard
+# deviation GAMMA_STEP_STD.  The field proposal scale tau starts at the
+# optimal-scaling value START_SCALE / sqrt(dim) and, every ADAPT_BATCH
+# iterations, follows ln tau += batch^(-ADAPT_DECAY) * (batch acceptance -
+# ACCEPT_TARGET) (Roberts, Gelman & Gilks 1997); the proposal factor is
+# refreshed from the accepted history every COV_REFRESH iterations, with a
+# ridge of COV_RIDGE.
+GAMMA_STEP_STD = 1.0
+START_SCALE = 2.38
+ACCEPT_TARGET = 0.23
+ADAPT_DECAY = 0.6
+ADAPT_BATCH = 50
+COV_REFRESH = 1000
+COV_RIDGE = 1e-8
+
+
 @dataclass
 class MwgConfig:
-    """Settings of the Metropolis-within-Gibbs run.
+    """Lengths, move counts and seed of a Metropolis-within-Gibbs run.
 
-    The field proposal scale tau follows a diminishing-adaptation rule,
-    ln tau += batch^(-adapt_decay) * (batch acceptance - accept_target),
-    and the proposal factor is refreshed from the accepted history every
-    cov_refresh iterations with a small ridge.  Adaptation happens during
-    burn-in only.  ``block_steps`` one-block (gamma, s) moves per iteration
-    need a nonlinear model and a reference linearisation (see ``mwg_run``).
+    Each iteration takes one field update, ``block_steps`` one-block
+    (gamma, s) moves (nonlinear models with a reference linearisation only;
+    see ``mwg_run``) and ``c_steps_per_s_step`` centred gamma steps.
+    Proposal adaptation happens during burn-in only.
     """
 
     total_samples: int
     burn_in: int
     c_steps_per_s_step: int = 1
     block_steps: int = 0
-    gamma_step_std: float = 1.0
-    accept_target: float = 0.23
-    adapt_decay: float = 0.6
-    adapt_batch: int = 50
-    cov_refresh: int = 1000
-    cov_ridge: float = 1e-8
-    tau0: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -306,14 +314,6 @@ class MwgConfig:
             raise ValueError("c_steps_per_s_step must be >= 1")
         if self.block_steps < 0:
             raise ValueError(f"block_steps must be >= 0, got {self.block_steps}")
-        if not 0.0 < self.accept_target < 1.0:
-            raise ValueError("acceptance target must lie in (0, 1)")
-        if not 0.0 < self.gamma_step_std < np.inf:  # also rejects NaN
-            raise ValueError(
-                f"gamma proposal stddev must be finite and positive, got {self.gamma_step_std}")
-        if self.tau0 is not None and not 0.0 <= self.tau0 < np.inf:
-            raise ValueError(
-                f"initial field proposal scale tau0 must be finite and >= 0, got {self.tau0}")
 
 
 @dataclass
@@ -357,12 +357,12 @@ class Chain:
 
 class AdaptiveProposal:
     """Random-walk proposal tau * A @ z with diminishing adaptation of tau and
-    periodic refresh of A from the accepted history."""
+    periodic refresh of A from the accepted history, after the fixed rules
+    above; A starts at ``factor0`` (the identity by default)."""
 
-    def __init__(self, dim, cfg: MwgConfig, factor0=None):
+    def __init__(self, dim, factor0=None):
         self.dim = dim
-        self.cfg = cfg
-        self.tau = cfg.tau0 if cfg.tau0 is not None else 2.38 / np.sqrt(dim)
+        self.tau = START_SCALE / np.sqrt(dim)
         self.factor = np.eye(dim) if factor0 is None else np.asarray(factor0, dtype=float)
         self.accepted_states = []
         self._batch_accepts = 0
@@ -380,20 +380,19 @@ class AdaptiveProposal:
             return
         self._batch_accepts += int(accepted)
         self._batch_count += 1
-        cfg = self.cfg
-        if self._batch_count >= cfg.adapt_batch:
+        if self._batch_count >= ADAPT_BATCH:
             self._batch_index += 1
             rate = self._batch_accepts / self._batch_count
             self.tau = float(np.exp(
                 np.log(self.tau)
-                + self._batch_index ** (-cfg.adapt_decay) * (rate - cfg.accept_target)
+                + self._batch_index ** (-ADAPT_DECAY) * (rate - ACCEPT_TARGET)
             ))
             self._batch_accepts = 0
             self._batch_count = 0
             self.trace.append((iteration + 1, self.tau))
-        if (iteration + 1) % cfg.cov_refresh == 0 and len(self.accepted_states) >= self.dim:
+        if (iteration + 1) % COV_REFRESH == 0 and len(self.accepted_states) >= self.dim:
             cov = np.cov(np.asarray(self.accepted_states), rowvar=False)
-            cov = np.atleast_2d(cov) + cfg.cov_ridge * np.eye(self.dim)
+            cov = np.atleast_2d(cov) + COV_RIDGE * np.eye(self.dim)
             self.factor = cholesky_lower(cov, "proposal covariance")
 
     def trace_array(self):
@@ -627,7 +626,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         if not np.isfinite(log_target(x)):
             raise ValueError("target log density is not finite at the initial state")
         cur_ll, cur_pd = last
-        proposal = AdaptiveProposal(family.dim, cfg, proposal_factor)
+        proposal = AdaptiveProposal(family.dim, proposal_factor)
 
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
@@ -655,12 +654,12 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             for _ in range(blocks):
                 gamma, x, (cur_ll, cur_pd, cur_cp), acc = metropolis_block_update(
                     rng, gamma, x, (cur_ll, cur_pd, cur_cp), log_parts, conditional,
-                    cfg.gamma_step_std
+                    GAMMA_STEP_STD
                 )
                 block_accepted += int(acc)
             for _ in range(cfg.c_steps_per_s_step):
                 gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
-                    rng, gamma, cur_pd, cur_cp, x, family, cfg.gamma_step_std
+                    rng, gamma, cur_pd, cur_cp, x, family, GAMMA_STEP_STD
                 )
                 gamma_steps += 1
                 gamma_accepted += int(acc)

@@ -1,12 +1,14 @@
 """CSV / JSON output helpers shared by the experiment drivers.
 
 All writers are deterministic: fixed float formatting, sorted JSON keys, no
-timestamps, so reruns with the same seed produce byte-identical files.
+timestamps, so reruns with the same seed produce byte-identical files.  JSON
+output is strict (RFC 8259): a non-finite float is written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,21 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 
 
+def _finite_or_null(x):
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def write_json(path, payload):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

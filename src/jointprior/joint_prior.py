@@ -316,7 +316,7 @@ class JointPrior:
         w2 = self.defect.solve(self.filter_m.apply(xm) - self.contraction.rmatvec(w1))
         return np.concatenate([w1, w2])
 
-    def log_density(self, s, include_logdet=True):
+    def log_density(self, s):
         """Joint log prior density up to a constant independent of s and C.
 
         Returns -(|L (s - s*)|^2 + log det(I - C C^T)) / 2; the quadratic
@@ -325,10 +325,7 @@ class JointPrior:
         are dropped.
         """
         w = self.whiten(s)
-        quad = float(w @ w)
-        if include_logdet:
-            return -0.5 * (quad + self.contraction.logdet_complement())
-        return -0.5 * quad
+        return -0.5 * (float(w @ w) + self.contraction.logdet_complement())
 
     def cross_covariance(self):
         """Dense off-diagonal block L_p^{-1} C L_m^{-T}."""

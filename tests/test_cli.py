@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import jointprior
-from jointprior.cli import main
+from jointprior.cli import SUBCOMMANDS, main
 from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
                                             FactorCompareConfig, MonodConfig,
                                             SamplePriorConfig, apply_scale,
@@ -22,7 +22,7 @@ TINY_COKRIGE = {
 TINY_DARCY = {
     "nx": 9, "ny": 5, "k_p": 4, "k_m": 6, "samples": 300, "burn_in": 60,
     "c_steps": 3, "u_obs_nx": 3, "u_obs_ny": 2, "p_wells": 2,
-    "p_per_well": 2, "warm_start": True,
+    "p_per_well": 2,
 }
 
 
@@ -67,6 +67,15 @@ class TestConfigLoading:
         path = write_config(tmp_path, {"samples": 10, "burn_in": 10})
         with pytest.raises(ConfigError):
             load_config(CokrigeConfig, path, None)
+
+    def test_paper_scale_configs_load(self):
+        # <subcommand>_full.json: a stale key fails here, not in a long run
+        root = Path(__file__).resolve().parents[1] / "scripts" / "paper_scale_configs"
+        paths = sorted(root.glob("*.json"))
+        assert {p.stem for p in paths} >= {"sample_prior_full", "cokrige_full", "darcy_full"}
+        for path in paths:
+            _, cls = SUBCOMMANDS[path.stem.removesuffix("_full").replace("_", "-")]
+            load_config(cls, path, None)
 
     def test_overrides_win_over_file(self, tmp_path):
         path = write_config(tmp_path, {"seed": 3})
@@ -140,49 +149,70 @@ class TestCliRuns:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
-    @pytest.mark.parametrize("subcommand,payload", [
-        ("darcy", {**TINY_DARCY, "c_true": [float("nan"), 0.2]}),
-        ("darcy", {**TINY_DARCY, "c_true": [1.5, 0.2]}),
-        ("cokrige", {**TINY_COKRIGE, "fixed_correlations": [0.9, 1.0]}),
-        ("sample-prior", {"correlation": 1.5}),
-        ("sample-prior", {"mixed_correlation": float("nan")}),
-        ("factor-compare", {"correlation": 1.5}),
-        ("monod", {"scan_correlations": [0.5, 1.5]}),
-        ("cokrige", {**TINY_COKRIGE, "c_steps": 0}),
-        ("darcy", {**TINY_DARCY, "gamma_step_std": 0}),
-        ("monod", {"c_steps": 0}),
-        ("cokrige", {**TINY_COKRIGE, "gamma_step_std": float("nan")}),
-        ("darcy", {**TINY_DARCY, "gamma_step_std": float("inf")}),
-        ("monod", {"gamma_step_std": float("-inf")}),
-        ("darcy", {**TINY_DARCY, "block_steps": -1}),
-        ("darcy", {**TINY_DARCY, "warm_start": False}),
-    ])
-    def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload):
+    # id -> (subcommand, payload, the offending field, which the error message
+    # must name so that no other fault passes the case).  A "payload<N>" id
+    # stays fixed when other cases are added or removed.
+    INVALID = {
+        "darcy-payload0": ("darcy", {**TINY_DARCY, "c_true": [float("nan"), 0.2]}, "c_true"),
+        "darcy-payload1": ("darcy", {**TINY_DARCY, "c_true": [1.5, 0.2]}, "c_true"),
+        "cokrige-payload2": ("cokrige", {**TINY_COKRIGE, "fixed_correlations": [0.9, 1.0]},
+                             "fixed_correlations"),
+        "sample-prior-payload3": ("sample-prior", {"correlation": 1.5}, "correlation"),
+        "sample-prior-payload4": ("sample-prior", {"mixed_correlation": float("nan")},
+                                  "mixed_correlation"),
+        "factor-compare-payload5": ("factor-compare", {"correlation": 1.5}, "correlation"),
+        "monod-payload6": ("monod", {"scan_correlations": [0.5, 1.5]}, "scan_correlations"),
+        "cokrige-payload7": ("cokrige", {**TINY_COKRIGE, "c_steps": 0}, "c_steps"),
+        "monod-payload9": ("monod", {"c_steps": 0}, "c_steps"),
+        "darcy-payload13": ("darcy", {**TINY_DARCY, "block_steps": -1}, "block_steps"),
+        # values of the wrong type
+        "cokrige-float-count": ("cokrige", {**TINY_COKRIGE, "samples": 400.5}, "samples"),
+        "cokrige-float-size": ("cokrige", {**TINY_COKRIGE, "nx": 6.0}, "nx"),
+        "darcy-bool-count": ("darcy", {**TINY_DARCY, "block_steps": True}, "block_steps"),
+        "monod-string-count": ("monod", {"grid_n": "41"}, "grid_n"),
+        "sample-prior-string-float": ("sample-prior", {"kernel_length": "0.2"},
+                                      "kernel_length"),
+        "cokrige-bool-float": ("cokrige", {**TINY_COKRIGE, "noise_pct_p": True},
+                               "noise_pct_p"),
+    }
+
+    @pytest.mark.parametrize("subcommand,payload,field", list(INVALID.values()),
+                             ids=list(INVALID))
+    def test_invalid_correlation_exit_code(self, tmp_path, capsys, subcommand, payload,
+                                           field):
         path = write_config(tmp_path, payload)
         code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+        assert "unknown config keys" not in err
         assert not (tmp_path / "x").exists()  # rejected before any computation
-
-    def test_darcy_without_warm_start_runs_without_block_moves(self, tmp_path):
-        cfg = write_config(tmp_path, {**TINY_DARCY, "samples": 40, "burn_in": 10,
-                                      "warm_start": False, "block_steps": 0})
-        assert main(["darcy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
-        metrics = json.loads((tmp_path / "x" / "metrics.json").read_text())
-        assert metrics["warm_start"] is None
-        assert set(metrics["joint"]["acceptance"]) == {"s", "gamma"}
 
     @pytest.mark.parametrize("subcommand,payload", [
         ("darcy", TINY_DARCY), ("cokrige", TINY_COKRIGE),
     ])
     def test_constant_chain_reports_nan_ess(self, tmp_path, subcommand, payload):
-        # one retained sample: every chain coordinate is constant
+        # one retained sample: every chain coordinate is constant, and its
+        # NaN ESS is written as null
         cfg = write_config(tmp_path, payload)
         code = main([subcommand, "--config", str(cfg), "--samples", "2", "--burn-in", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 0
         ess = json.loads((tmp_path / "x" / "metrics.json").read_text())["joint"]["ess"]
-        assert ess and all(np.isnan(v) for v in ess.values())
+        assert ess and all(v is None for v in ess.values())
+
+    def test_darcy_metrics_are_strict_json(self, tmp_path):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        cfg = write_config(tmp_path, TINY_DARCY)
+        code = main(["darcy", "--config", str(cfg), "--samples", "2", "--burn-in", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
+        text = (tmp_path / "x" / "metrics.json").read_text()
+        metrics = json.loads(text, parse_constant=refuse)
+        # the independent chain takes no correlation steps: its rate is NaN
+        assert metrics["independent"]["acceptance"]["gamma"] is None
 
     def test_flag_misuse_exit_code(self, tmp_path):
         code = main(["sample-prior", "--samples", "10", "--out", str(tmp_path / "x")])

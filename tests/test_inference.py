@@ -335,8 +335,8 @@ class TestCorrelationUpdate:
 
 class TestAdaptiveMetropolis:
     def test_zero_proposal_always_accepted(self, rng):
-        cfg = MwgConfig(total_samples=10, burn_in=1, tau0=0.0)
-        proposal = AdaptiveProposal(3, cfg)
+        proposal = AdaptiveProposal(3)
+        proposal.tau = 0.0
         target = lambda x: -0.5 * float(x @ x)
         x = np.ones(3)
         for _ in range(5):
@@ -346,8 +346,7 @@ class TestAdaptiveMetropolis:
 
     def test_standard_normal_calibration(self, rng):
         dim = 10
-        cfg = MwgConfig(total_samples=2, burn_in=1, accept_target=0.23)
-        proposal = AdaptiveProposal(dim, cfg)
+        proposal = AdaptiveProposal(dim)
         target = lambda x: -0.5 * float(x @ x)
         x = np.zeros(dim)
         logd = target(x)
@@ -365,8 +364,7 @@ class TestAdaptiveMetropolis:
     def test_chain_mean_converges(self, rng):
         dim = 4
         mu = np.array([1.0, -2.0, 0.5, 3.0])
-        cfg = MwgConfig(total_samples=2, burn_in=1)
-        proposal = AdaptiveProposal(dim, cfg)
+        proposal = AdaptiveProposal(dim)
         target = lambda x: -0.5 * float((x - mu) @ (x - mu))
         x = np.zeros(dim)
         logd = target(x)
@@ -381,8 +379,8 @@ class TestAdaptiveMetropolis:
         np.testing.assert_allclose(total / count, mu, atol=0.05)
 
     def test_non_finite_proposal_rejected_and_counted(self, rng):
-        cfg = MwgConfig(total_samples=2, burn_in=1, tau0=1.0)
-        proposal = AdaptiveProposal(1, cfg)
+        proposal = AdaptiveProposal(1)
+        proposal.tau = 1.0
 
         def target(x):
             if abs(x[0]) > 0.0:
@@ -405,7 +403,7 @@ class TestLoudFailures:
         raise ValueError("operands could not be broadcast together")
 
     def test_value_error_propagates_from_field_step(self, rng):
-        proposal = AdaptiveProposal(2, MwgConfig(total_samples=2, burn_in=1))
+        proposal = AdaptiveProposal(2)
         with pytest.raises(ValueError, match="broadcast"):
             adaptive_metropolis_update_s(rng, np.zeros(2), 0.0, self.shape_bug, proposal)
 
@@ -438,7 +436,7 @@ class TestLoudFailures:
         def failing(x):
             raise ForwardModelError("non-finite heads")
 
-        proposal = AdaptiveProposal(2, MwgConfig(total_samples=2, burn_in=1))
+        proposal = AdaptiveProposal(2)
         x, logd, accepted = adaptive_metropolis_update_s(
             rng, np.ones(2), -1.0, failing, proposal)
         assert not accepted and logd == -1.0

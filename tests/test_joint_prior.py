@@ -335,12 +335,6 @@ class TestJointLogDensity:
             ref = oracle(s1, ca) - oracle(s2, cb)
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
-    def test_logdet_flag_drops_contraction_term(self, rng):
-        prior, _, _ = make_prior(rng)
-        s = rng.standard_normal(prior.n)
-        gap = prior.log_density(s) - prior.log_density(s, include_logdet=False)
-        assert gap == pytest.approx(-0.5 * prior.contraction.logdet_complement(), rel=1e-12)
-
 
 class TestCanonicalCross:
     def test_identity_marginals(self):
