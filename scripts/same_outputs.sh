@@ -8,7 +8,9 @@
 # copy of REF (extracted with git archive, so nothing under .git changes) and
 # once on the working tree, then compares each output file except
 # timings.json byte for byte.  Prints the number of identical files and each
-# file that differs or exists on one side only.  Exit status: 0 when every
+# file that differs or exists on one side only; beside a CSV file that differs
+# it prints the largest absolute and relative difference of its numbers
+# (relative to the larger magnitude of each pair).  Exit status: 0 when every
 # file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
 # choose where the copy and the outputs go; both are removed on exit.
 set -euo pipefail
@@ -50,6 +52,42 @@ run_studies() {  # source tree, output directory
     done
 }
 
+csv_gap() {  # largest absolute and relative gap between two CSV files' numbers
+    python3 - "$1" "$2" <<'PY'
+import math
+import sys
+
+
+def numbers(path):
+    out = []
+    with open(path) as handle:
+        for line in handle:
+            for token in line.strip().split(","):
+                try:
+                    out.append(float(token))
+                except ValueError:  # header text
+                    pass
+    return out
+
+
+a, b = numbers(sys.argv[1]), numbers(sys.argv[2])
+if len(a) != len(b):
+    print(f"{len(a)} against {len(b)} numbers")
+    sys.exit()
+gap_abs = gap_rel = 0.0
+for x, y in zip(a, b):
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        continue
+    if math.isnan(x) or math.isnan(y):
+        gap_abs = gap_rel = math.inf
+        continue
+    gap = abs(x - y)
+    gap_abs = max(gap_abs, gap)
+    gap_rel = max(gap_rel, gap / max(abs(x), abs(y)))
+print(f"max abs {gap_abs:.3g}, max rel {gap_rel:.3g}")
+PY
+}
+
 run_studies "$tmp/ref" "$tmp/out-ref"
 run_studies "$root" "$tmp/out-new"
 
@@ -60,7 +98,11 @@ while IFS= read -r file; do
         same=$((same + 1))
     else
         differ=$((differ + 1))
-        echo "differs: $file"
+        if [[ $file == *.csv && -f $tmp/out-ref/$file && -f $tmp/out-new/$file ]]; then
+            echo "differs: $file ($(csv_gap "$tmp/out-ref/$file" "$tmp/out-new/$file"))"
+        else
+            echo "differs: $file"
+        fi
     fi
 done < <(cd "$tmp" && find out-ref out-new -type f ! -name timings.json \
              | cut -d/ -f2- | sort -u)

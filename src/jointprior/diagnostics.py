@@ -3,15 +3,26 @@ accuracy / uncertainty metrics used to compare joint and independent runs."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
 
 
 class ZeroVarianceError(ValueError):
     pass
+
+
+def _next_fast_len(n):
+    """Smallest 11-smooth integer >= n, the FFT length scipy.fft.next_fast_len
+    picks; numpy.fft is used so that scipy.fft stays off the import path."""
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
 
 
 def autocorrelation(x, max_lag):
@@ -24,9 +35,9 @@ def autocorrelation(x, max_lag):
     var = float(xc @ xc) / m
     if var == 0.0:
         raise ZeroVarianceError("constant sequence has no autocorrelation")
-    nfft = next_fast_len(2 * m)
-    f = rfft(xc, nfft)
-    acov = irfft(f * np.conj(f), nfft)[: max_lag + 1] / m
+    nfft = _next_fast_len(2 * m)
+    f = np.fft.rfft(xc, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[: max_lag + 1] / m
     return acov / acov[0]
 
 
@@ -105,9 +116,6 @@ class MetricsReport:
         out["d_p"] = None if self.d_p is None else list(map(float, self.d_p))
         out["d_m"] = None if self.d_m is None else list(map(float, self.d_m))
         return out
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def relative_error(truth, estimate):

@@ -10,6 +10,7 @@ variants ship as JSON files under scripts/paper_scale_configs/.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -21,14 +22,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_tuple(x):
-    return tuple(x) if isinstance(x, (list, tuple)) else (x,)
-
-
 def _check_types(cls, data):
     """Each value must have the type of its field's default: an int field
     takes an int, a float field an int or a float, and neither a bool or a
-    string.  Tuple fields go through ``_as_tuple`` in ``validate``."""
+    string.  Tuple fields go through ``_number_tuple`` in ``validate``."""
     for f in fields(cls):
         if f.name not in data or isinstance(f.default, tuple):
             continue
@@ -37,6 +34,20 @@ def _check_types(cls, data):
         if isinstance(value, bool) or not isinstance(value, accepted):
             what = "an integer" if kind is int else "a number"
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+def _number_tuple(cfg, name, length=None):
+    """Store field ``name`` as a tuple (a scalar becomes a 1-tuple) after
+    checking that each entry is a finite number, not a bool or a string, and
+    that there are ``length`` entries when a length is given."""
+    value = getattr(cfg, name)
+    values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"{name} entries must be finite numbers, got {v!r}")
+    if length is not None and len(values) != length:
+        raise ConfigError(f"{name} must hold {length} numbers, got {len(values)}")
+    setattr(cfg, name, values)
 
 
 def _check_correlations(name, values):
@@ -142,11 +153,10 @@ class MonodConfig:
         mwg_config(self)
         if self.grid_n < 11:
             raise ConfigError("grid_n must be >= 11")
-        object.__setattr__(self, "substrate", _as_tuple(self.substrate))
-        object.__setattr__(self, "scan_correlations", _as_tuple(self.scan_correlations))
-        object.__setattr__(self, "noise_levels", _as_tuple(self.noise_levels))
-        object.__setattr__(self, "p_range", _as_tuple(self.p_range))
-        object.__setattr__(self, "m_range", _as_tuple(self.m_range))
+        for name in ("substrate", "scan_correlations", "noise_levels"):
+            _number_tuple(self, name)
+        _number_tuple(self, "p_range", 2)
+        _number_tuple(self, "m_range", 2)
         _check_correlations("scan_correlations", self.scan_correlations)
 
 
@@ -185,7 +195,7 @@ class CokrigeConfig:
             raise ConfigError("lattice dimensions must be >= 2")
         if self.n_chains < 1:
             raise ConfigError("n_chains must be >= 1")
-        object.__setattr__(self, "fixed_correlations", _as_tuple(self.fixed_correlations))
+        _number_tuple(self, "fixed_correlations")
         _check_correlations("c_true", (self.c_true,))
         _check_correlations("fixed_correlations", self.fixed_correlations)
 
@@ -229,9 +239,7 @@ class DarcyConfig:
             raise ConfigError("truncation orders must be >= 1")
         if self.n_chains < 1:
             raise ConfigError("n_chains must be >= 1")
-        object.__setattr__(self, "c_true", _as_tuple(self.c_true))
-        if len(self.c_true) != 2:
-            raise ConfigError("c_true must hold two per-subdomain correlations")
+        _number_tuple(self, "c_true", 2)
         _check_correlations("c_true", self.c_true)
 
 

@@ -7,6 +7,12 @@ giving 2 (nx-1) (ny-1) triangles.  Element matrices use the exact closed
 forms for linear elements: constant gradients for the stiffness matrix,
 A/12 (1 + delta_ij) for the mass matrix, and h/6 (1 + delta_ij) for the
 boundary edge mass.
+
+The Darcy solver factors its reduced stiffness matrix, which is symmetric
+positive definite, as a band: a scatter fixed per lattice sums the element
+matrices into LAPACK lower-band storage, and ``dpbtrf``/``dpbtrs`` (banded
+Cholesky; Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999) factor
+and solve it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  unused here; perfbench/tracing.py wraps spla.splu
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 
 class FemAssemblyError(ValueError):
@@ -153,10 +161,12 @@ def assemble_fem_matrices(mesh, theta=None, coeff=None):
 class DarcySolver:
     """Galerkin solver for -div(exp(p) grad u) = exp(m), u = 0 on the boundary.
 
-    Mesh geometry, the mass matrix, and the stiffness sparsity pattern are
-    cached so repeated solves (MCMC) only reassemble stiffness data.
-    ``solve`` and ``jacobian`` share one stiffness assembly and one
-    factorisation path.
+    The interior unknowns are numbered along the shorter lattice side, so the
+    reduced stiffness matrix A_I has half-bandwidth min(nx, ny) - 1.  Mesh
+    geometry, the interior mass rows and the scatter of element stiffness
+    entries into the lower band of A_I are fixed per mesh, so a solve sums
+    the band, factors it by banded Cholesky and solves.  ``solve`` and
+    ``jacobian`` share one band assembly and one factorisation path.
     """
 
     def __init__(self, mesh):
@@ -169,7 +179,23 @@ class DarcySolver:
         self._cols = np.broadcast_to(tri[:, None, :], (m, 3, 3)).ravel()
         self._bb = self._b[:, :, None] * self._b[:, None, :] + self._c[:, :, None] * self._c[:, None, :]
         self.mass = assemble_fem_matrices(mesh).mass
-        self.interior = mesh.interior_nodes
+
+        interior = mesh.interior_nodes
+        if mesh.nx > mesh.ny:  # number along y, the shorter side
+            interior = interior[np.lexsort((interior // mesh.nx, interior % mesh.nx))]
+        self.interior = interior
+        self._mass_i = self.mass[interior]
+        n_i = interior.size
+        pos = np.full(mesh.n_nodes, -1)
+        pos[interior] = np.arange(n_i)
+        # element entries k_e[a, b] that land in the lower band of A_I, as flat
+        # indices into k_elem, and their flat slots (i - j) n_I + j in the
+        # (kd + 1, n_I) lower-band storage
+        i, j = pos[self._rows], pos[self._cols]
+        lower = (j >= 0) & (i >= j)
+        self._src = np.nonzero(lower)[0]
+        self._kd = int((i - j)[lower].max(initial=0))
+        self._slot = (i - j)[lower] * n_i + j[lower]
 
     def _nodal(self, data):
         """Sparse n x n matrix from per-element 3 x 3 blocks."""
@@ -178,8 +204,9 @@ class DarcySolver:
 
     def _factor_solve(self, p, m):
         """Assemble, factorise and solve the reduced system.  Returns the
-        nodal head u, the factorisation of A_I and the element stiffness
-        matrices k_e = kappa_e / (4 A_e) bb_e."""
+        nodal head u, the banded Cholesky factor of A_I (None when the mesh
+        has no interior node) and the element stiffness matrices
+        k_e = kappa_e / (4 A_e) bb_e."""
         mesh = self.mesh
         p = np.asarray(p, dtype=float)
         m = np.asarray(m, dtype=float)
@@ -192,22 +219,25 @@ class DarcySolver:
         kappa = np.exp(p[mesh.triangles].mean(axis=1))
         scale = kappa / self._area2**2 * self._area
         k_elem = scale[:, None, None] * self._bb
-
-        load = self.mass @ np.exp(m)
-        idx = self.interior
-        a_red = self._nodal(k_elem)[idx][:, idx].tocsc()
-        f_red = load[idx]
-        try:
-            lu = spla.splu(a_red)
-            u_red = lu.solve(f_red)
-        except RuntimeError as exc:
-            raise FemAssemblyError(f"singular Darcy system: {exc}") from exc
-        resid = np.linalg.norm(a_red @ u_red - f_red)
-        if resid > 1e-10 * max(np.linalg.norm(f_red), 1e-300):
-            raise FemAssemblyError(f"Darcy solve residual too large: {resid:.3e}")
         u = np.zeros(mesh.n_nodes)
-        u[idx] = u_red
-        return u, lu, k_elem
+        n_i = self.interior.size
+        if n_i == 0:
+            return u, None, k_elem
+
+        band = np.bincount(self._slot, weights=k_elem.ravel()[self._src],
+                           minlength=(self._kd + 1) * n_i).reshape(self._kd + 1, n_i)
+        if not np.all(np.isfinite(band)):
+            raise FemAssemblyError("non-finite Darcy stiffness: exp(p) overflowed or p holds NaN")
+        chol, info = dpbtrf(band, lower=1)
+        if info > 0:
+            raise FemAssemblyError(f"Darcy system not positive definite (leading minor {info})")
+        f_red = self._mass_i @ np.exp(m)
+        u_red = dpbtrs(chol, f_red[:, None], lower=1)[0][:, 0]
+        resid = np.linalg.norm(dsbmv(self._kd, 1.0, band, u_red, lower=1) - f_red)
+        if not resid <= 1e-10 * max(np.linalg.norm(f_red), 1e-300):  # also catches NaN
+            raise FemAssemblyError(f"Darcy solve residual too large: {resid:.3e}")
+        u[self.interior] = u_red
+        return u, chol, k_elem
 
     def solve(self, p, m):
         return self._factor_solve(p, m)[0]
@@ -221,12 +251,14 @@ class DarcySolver:
         Q[i, j] = sum over elements e holding i and j of (k_e u_e)_i / 3,
         since kappa_e = exp(mean of p on e).
         """
-        u, lu, k_elem = self._factor_solve(p, m)
+        u, chol, k_elem = self._factor_solve(p, m)
         idx = self.interior
-        z = lu.solve(obs[:, idx].T)
+        z = obs[:, idx].T
+        if z.size:
+            z = dpbtrs(chol, z, lower=1)[0]
         ku = np.einsum("eab,eb->ea", k_elem, u[self.mesh.triangles]) / 3.0
         q = self._nodal(np.broadcast_to(ku[:, :, None], k_elem.shape))
-        jac_m = (self.mass[idx].T @ z).T * np.exp(m)
+        jac_m = (self._mass_i.T @ z).T * np.exp(m)
         jac_p = -(q[idx].T @ z).T
         return jac_p, jac_m
 

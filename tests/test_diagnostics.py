@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -7,6 +9,7 @@ from jointprior.diagnostics import (PosteriorSummary,
                                     correlation_histogram, error_metrics, ess,
                                     relative_error, summary_from_chain,
                                     summary_from_gaussian)
+from jointprior.io_utils import write_json
 
 from conftest import random_spd
 
@@ -107,15 +110,21 @@ class TestMetrics:
         assert summary.trace_p / analytic.trace_p == pytest.approx(1.0, abs=0.03)
         assert summary.trace_m / analytic.trace_m == pytest.approx(1.0, abs=0.03)
 
-    def test_report_serialises(self, rng):
+    def test_report_serialises(self, tmp_path):
         summary = PosteriorSummary(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
         report = error_metrics(np.ones(2), np.ones(2), summary, 4.0, 4.0,
-                               independent=summary, ess_values={"c": 100.0},
+                               independent=summary,
+                               ess_values={"c": 100.0, "flat": float("nan")},
                                acceptance={"s": 1.0})
-        payload = report.to_dict()
-        assert payload["ess"]["c"] == 100.0
-        assert isinstance(payload["d_p"], list)
-        assert "e_p" in report.to_json()
+        text = write_json(tmp_path / "metrics.json", report.to_dict()).read_text()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["ess"] == {"c": 100.0, "flat": None}
+        assert payload["d_p"] == [0.0, 0.0]
+        assert "e_p" in payload
 
 
 class TestCorrelationHistogram:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jointprior.forward_models import fd_jacobian
 from jointprior.mesh_fem import (DarcySolver, FemAssemblyError, Mesh,
                                  assemble_fem_matrices, build_lattice_mesh,
                                  point_observation_operator)
@@ -189,6 +190,61 @@ class TestDarcySolve:
             m = rng.standard_normal(mesh.n_nodes)
             np.testing.assert_array_equal(solver.solve(p, m),
                                           DarcySolver(mesh).solve(p, m))
+
+    # nx > ny numbers the unknowns along y, nx <= ny along x
+    @pytest.mark.parametrize("nx,ny", [(11, 6), (6, 11), (7, 7)])
+    def test_matches_dense_reduced_solve(self, nx, ny):
+        mesh = build_lattice_mesh(nx, ny, 2.0, 1.0)
+        rng = np.random.default_rng(nx * ny)
+        p = rng.standard_normal(mesh.n_nodes)
+        m = rng.standard_normal(mesh.n_nodes)
+        kappa = np.exp(p[mesh.triangles].mean(axis=1))
+        fem = assemble_fem_matrices(mesh, coeff=kappa)
+        idx = mesh.interior_nodes
+        a_red = fem.stiffness.toarray()[np.ix_(idx, idx)]
+        expected = np.zeros(mesh.n_nodes)
+        expected[idx] = np.linalg.solve(a_red, (fem.mass @ np.exp(m))[idx])
+        solver = DarcySolver(mesh)
+        assert solver._kd == min(nx, ny) - 1  # half-bandwidth of A_I
+        u = solver.solve(p, m)
+        assert np.abs(u - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("nx,ny", [(2, 6), (6, 2), (2, 2)])
+    def test_no_interior_gives_zero_head(self, nx, ny):
+        mesh = build_lattice_mesh(nx, ny, 1.0, 1.0)
+        rng = np.random.default_rng(8)
+        solver = DarcySolver(mesh)
+        p = rng.standard_normal(mesh.n_nodes)
+        m = rng.standard_normal(mesh.n_nodes)
+        np.testing.assert_array_equal(solver.solve(p, m), 0.0)
+        jac_p, jac_m = solver.jacobian(p, m, np.eye(mesh.n_nodes)[:3])
+        np.testing.assert_array_equal(jac_p, 0.0)
+        np.testing.assert_array_equal(jac_m, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e4])  # NaN, and exp overflows
+    def test_non_finite_fields_raise(self, bad):
+        mesh = build_lattice_mesh(7, 5, 2.0, 1.0)
+        solver = DarcySolver(mesh)
+        zero = np.zeros(mesh.n_nodes)
+        field = zero.copy()
+        field[10] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FemAssemblyError, match="non-finite"):
+                solver.solve(field, zero)
+            with pytest.raises(FemAssemblyError, match="residual"):  # a non-finite load
+                solver.solve(zero, field)
+
+    @pytest.mark.parametrize("nx,ny", [(8, 5), (5, 8)])
+    def test_jacobian_matches_central_differences(self, nx, ny):
+        mesh = build_lattice_mesh(nx, ny, 2.0, 1.0)
+        rng = np.random.default_rng(9)
+        solver = DarcySolver(mesh)
+        n = mesh.n_nodes
+        obs = point_observation_operator(mesh, rng.uniform([0, 0], [2, 1], size=(4, 2))).matrix
+        s = 0.5 * rng.standard_normal(2 * n)
+        oracle = fd_jacobian(lambda x: obs @ solver.solve(x[:n], x[n:]), s)
+        jac = np.hstack(solver.jacobian(s[:n], s[n:], obs))
+        assert np.abs(jac - oracle).max() < 1e-7 * np.abs(oracle).max()
 
     def test_shape_validation(self):
         mesh = build_lattice_mesh(4, 4, 1.0, 1.0)
