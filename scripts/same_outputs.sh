@@ -8,9 +8,12 @@
 # copy of REF (extracted with git archive, so nothing under .git changes) and
 # once on the working tree, then compares each output file except
 # timings.json byte for byte.  Prints the number of identical files and each
-# file that differs or exists on one side only; beside a CSV file that differs
-# it prints the largest absolute and relative difference of its numbers
-# (relative to the larger magnitude of each pair).  Exit status: 0 when every
+# file that differs or exists on one side only.  Beside a CSV or JSON file that
+# differs it prints the largest absolute and relative difference of its numbers
+# (relative to the larger magnitude of each pair; a JSON file's numbers are
+# paired path by path), and for a JSON file the first three paths whose
+# strings or structure differ, such as checks[0].detail or a list's length
+# (outputs (length 4 against 14)).  Exit status: 0 when every
 # file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
 # choose where the copy and the outputs go; both are removed on exit.
 set -euo pipefail
@@ -52,13 +55,14 @@ run_studies() {  # source tree, output directory
     done
 }
 
-csv_gap() {  # largest absolute and relative gap between two CSV files' numbers
+file_gap() {  # largest gaps between two CSV or JSON files' numbers
     python3 - "$1" "$2" <<'PY'
+import json
 import math
 import sys
 
 
-def numbers(path):
+def csv_numbers(path):
     out = []
     with open(path) as handle:
         for line in handle:
@@ -70,12 +74,45 @@ def numbers(path):
     return out
 
 
-a, b = numbers(sys.argv[1]), numbers(sys.argv[2])
-if len(a) != len(b):
-    print(f"{len(a)} against {len(b)} numbers")
-    sys.exit()
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def walk(a, b, path, pairs, differ):
+    """Collect the number pairs at equal paths of two parsed JSON values, and
+    the paths whose strings or structure differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            differ.append(f"{path or '.'} (keys {sorted(a.keys() ^ b.keys())} on one side)")
+        for key in a:
+            if key in b:
+                walk(a[key], b[key], f"{path}.{key}" if path else key, pairs, differ)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            differ.append(f"{path} (length {len(a)} against {len(b)})")
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{i}]", pairs, differ)
+    elif is_number(a) and is_number(b):
+        pairs.append((a, b))
+    elif a != b:
+        differ.append(path or ".")
+
+
+ref, new = sys.argv[1], sys.argv[2]
+differ = []
+if ref.endswith(".json"):
+    pairs = []
+    with open(ref) as fa, open(new) as fb:
+        walk(json.load(fa), json.load(fb), "", pairs, differ)
+else:
+    a, b = csv_numbers(ref), csv_numbers(new)
+    if len(a) != len(b):
+        print(f"{len(a)} against {len(b)} numbers")
+        sys.exit()
+    pairs = list(zip(a, b))
 gap_abs = gap_rel = 0.0
-for x, y in zip(a, b):
+for x, y in pairs:
     if x == y or (math.isnan(x) and math.isnan(y)):
         continue
     if math.isnan(x) or math.isnan(y):
@@ -84,7 +121,10 @@ for x, y in zip(a, b):
     gap = abs(x - y)
     gap_abs = max(gap_abs, gap)
     gap_rel = max(gap_rel, gap / max(abs(x), abs(y)))
-print(f"max abs {gap_abs:.3g}, max rel {gap_rel:.3g}")
+text = f"max abs {gap_abs:.3g}, max rel {gap_rel:.3g}"
+if differ:
+    text += "; differs at " + ", ".join(differ[:3])
+print(text)
 PY
 }
 
@@ -98,8 +138,9 @@ while IFS= read -r file; do
         same=$((same + 1))
     else
         differ=$((differ + 1))
-        if [[ $file == *.csv && -f $tmp/out-ref/$file && -f $tmp/out-new/$file ]]; then
-            echo "differs: $file ($(csv_gap "$tmp/out-ref/$file" "$tmp/out-new/$file"))"
+        if [[ ($file == *.csv || $file == *.json) && -f $tmp/out-ref/$file
+              && -f $tmp/out-new/$file ]]; then
+            echo "differs: $file ($(file_gap "$tmp/out-ref/$file" "$tmp/out-new/$file"))"
         else
             echo "differs: $file"
         fi

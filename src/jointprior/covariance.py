@@ -9,6 +9,8 @@ Three factors are built:
 * elliptic            L given directly as an SPD sparse operator, cov = L^{-2}
                       (``fem_precision_filter``)
 
+``joint_prior.Contraction.defect`` builds one more, of I - C^T C.
+
 The third hosts elliptic-operator priors cov = (a1 K + a2 M + a3 B)^{-2}
 assembled from finite-element matrices; the covariance is never formed
 densely unless explicitly requested.
@@ -24,6 +26,7 @@ from scipy.linalg import solve_triangular
 
 from . import linalg
 from .linalg import FactorizationError
+from .mesh_fem import assemble_fem_matrices
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,12 @@ class WhiteningFilter:
     x -> L^{-1} x and their transposes (which default to the maps, for a
     symmetric L); x may be (n,) or (n, k).  Immutable after construction."""
 
-    def __init__(self, dim, apply, solve, logdet_cov, *, apply_t=None, solve_t=None,
-                 cov=None):
+    def __init__(self, dim, apply, solve, *, apply_t=None, solve_t=None, cov=None):
         self.dim = dim
         self._apply = apply
         self._apply_t = apply if apply_t is None else apply_t
         self._solve = solve
         self._solve_t = solve if solve_t is None else solve_t
-        self._logdet_cov = logdet_cov
         self._cov = cov
 
     def apply(self, x):
@@ -117,10 +118,6 @@ class WhiteningFilter:
             self._cov = 0.5 * (cov + cov.T)
         return self._cov.copy()
 
-    def logdet_cov(self):
-        """log det of the covariance."""
-        return self._logdet_cov
-
 
 def whitening_filter(cov, kind):
     """Build a whitening filter for a dense SPD covariance.
@@ -135,7 +132,6 @@ def whitening_filter(cov, kind):
         r = linalg.cholesky_lower(cov, "covariance")
         return WhiteningFilter(
             n, lambda x: solve_triangular(r, x, lower=True), lambda x: r @ x,
-            2.0 * float(np.sum(np.log(np.diagonal(r)))),
             apply_t=lambda x: solve_triangular(r, x, lower=True, trans="T"),
             solve_t=lambda x: r.T @ x, cov=cov.copy(),
         )
@@ -149,8 +145,7 @@ def whitening_filter(cov, kind):
         inv_root = (v / np.sqrt(w)) @ v.T
         root = 0.5 * (root + root.T)
         inv_root = 0.5 * (inv_root + inv_root.T)
-        return WhiteningFilter(n, lambda x: inv_root @ x, lambda x: root @ x,
-                               float(np.sum(np.log(w))), cov=cov.copy())
+        return WhiteningFilter(n, lambda x: inv_root @ x, lambda x: root @ x, cov=cov.copy())
     raise ValueError(f"unknown whitening filter kind: {kind!r}")
 
 
@@ -160,8 +155,6 @@ def fem_precision_filter(mesh, cfg: PdePriorConfig):
     The operator L = a1*K + a2*M + a3*B is symmetric positive definite for
     admissible coefficients, hence it is its own principal precision root.
     """
-    from .mesh_fem import assemble_fem_matrices  # deferred: avoids cycle at import time
-
     fem = assemble_fem_matrices(mesh, theta=cfg.theta)
     l = (cfg.a1 * fem.stiffness + cfg.a2 * fem.mass + cfg.a3 * fem.boundary_mass).tocsc()
     l = 0.5 * (l + l.T)
@@ -169,12 +162,10 @@ def fem_precision_filter(mesh, cfg: PdePriorConfig):
         lu = spla.splu(l.tocsc())
     except RuntimeError as exc:  # splu: exactly singular
         raise FactorizationError(f"elliptic operator is singular: {exc}") from exc
-    u_diag = lu.U.diagonal()
-    if np.any(u_diag <= 0):
+    if np.any(lu.U.diagonal() <= 0):
         raise FactorizationError("elliptic operator is not positive definite")
     return WhiteningFilter(l.shape[0], lambda x: l @ x,
-                           lambda x: lu.solve(np.asarray(x, dtype=float)),
-                           -2.0 * float(np.sum(np.log(u_diag))))
+                           lambda x: lu.solve(np.asarray(x, dtype=float)))
 
 
 def sqexp_covariance(points, cfg: KernelConfig):

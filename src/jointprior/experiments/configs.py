@@ -14,6 +14,9 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
+from ..covariance import KernelConfig, PdePriorConfig
 from ..inference import MwgConfig
 from ..linalg import CONTRACTION_MARGIN
 
@@ -60,6 +63,29 @@ def _check_correlations(name, values):
             )
 
 
+def _check_at_least(cfg, minimum, *names):
+    """Each named integer field must be >= minimum."""
+    for name in names:
+        if getattr(cfg, name) < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {getattr(cfg, name)!r}")
+
+
+def _check_positive(cfg, *names):
+    """Each named field, or each entry of a tuple field, must be > 0."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not all(v > 0 for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be > 0, got {value!r}")
+
+
+def _check_built(names, cls, *args):
+    """``cls(*args)``, built from the fields ``names``, must pass its own checks."""
+    try:
+        cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{names}: {exc}") from exc
+
+
 def mwg_config(cfg, seed=0):
     """Sampler settings from a study config's chain fields.  ``validate``
     builds one, so the sampler's own rules reject a config before any work."""
@@ -99,10 +125,17 @@ class SamplePriorConfig:
     SCALABLE = {"nx": 4, "ny": 3, "nx_mixed": 6, "ny_mixed": 4}
 
     def validate(self):
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        if min(self.nx, self.ny, self.nx_mixed, self.ny_mixed) < 2:
-            raise ConfigError("lattice dimensions must be >= 2")
+        _check_at_least(self, 0, "seed")
+        _check_at_least(self, 1, "n_samples")
+        _check_at_least(self, 2, "nx", "ny", "nx_mixed", "ny_mixed")
+        _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
+        _check_built("mixed_kernel_length, nugget", KernelConfig, self.mixed_kernel_length,
+                     self.nugget)
+        _check_built("pde_a1, pde_a2, pde_a3", PdePriorConfig, self.pde_a1, self.pde_a2,
+                     self.pde_a3)
+        _check_built("mixed_pde_a1, mixed_pde_a2, mixed_pde_a3, mixed_theta_y", PdePriorConfig,
+                     self.mixed_pde_a1, self.mixed_pde_a2, self.mixed_pde_a3,
+                     np.diag([1.0, self.mixed_theta_y]))
         _check_correlations("correlation", (self.correlation,))
         _check_correlations("mixed_correlation", (self.mixed_correlation,))
 
@@ -120,8 +153,10 @@ class FactorCompareConfig:
     SCALABLE = {"n_points": 10}
 
     def validate(self):
-        if self.n_points < 4:
-            raise ConfigError("n_points must be >= 4")
+        _check_at_least(self, 0, "seed")
+        _check_at_least(self, 1, "n_samples")
+        _check_at_least(self, 4, "n_points")
+        _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
         if not 0.0 < self.split < 1.0:
             raise ConfigError("split must lie in (0, 1)")
         _check_correlations("correlation", (self.correlation,))
@@ -151,13 +186,14 @@ class MonodConfig:
 
     def validate(self):
         mwg_config(self)
-        if self.grid_n < 11:
-            raise ConfigError("grid_n must be >= 11")
+        _check_at_least(self, 0, "seed")
+        _check_at_least(self, 11, "grid_n")
         for name in ("substrate", "scan_correlations", "noise_levels"):
             _number_tuple(self, name)
         _number_tuple(self, "p_range", 2)
         _number_tuple(self, "m_range", 2)
         _check_correlations("scan_correlations", self.scan_correlations)
+        _check_positive(self, "noise_levels", "mcmc_noise", "prior_std_p", "prior_std_m")
 
 
 @dataclass
@@ -191,10 +227,13 @@ class CokrigeConfig:
 
     def validate(self):
         mwg_config(self)
-        if min(self.nx, self.ny) < 2:
-            raise ConfigError("lattice dimensions must be >= 2")
-        if self.n_chains < 1:
-            raise ConfigError("n_chains must be >= 1")
+        _check_at_least(self, 0, "seed", "tracked_nodes")
+        _check_at_least(self, 1, "p_obs_nx", "p_obs_ny", "m_obs_nx", "m_obs_ny", "n_chains")
+        _check_at_least(self, 2, "nx", "ny")
+        _check_positive(self, "noise_pct_p", "noise_pct_m")
+        _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
+        _check_built("pde_a1, pde_a2, pde_a3", PdePriorConfig, self.pde_a1, self.pde_a2,
+                     self.pde_a3)
         _number_tuple(self, "fixed_correlations")
         _check_correlations("c_true", (self.c_true,))
         _check_correlations("fixed_correlations", self.fixed_correlations)
@@ -233,12 +272,14 @@ class DarcyConfig:
 
     def validate(self):
         mwg_config(self)
-        if min(self.nx, self.ny) < 2:
-            raise ConfigError("lattice dimensions must be >= 2")
-        if self.k_p < 1 or self.k_m < 1:
-            raise ConfigError("truncation orders must be >= 1")
-        if self.n_chains < 1:
-            raise ConfigError("n_chains must be >= 1")
+        _check_at_least(self, 0, "seed")
+        _check_at_least(self, 1, "k_p", "k_m", "u_obs_nx", "u_obs_ny", "p_wells",
+                        "p_per_well", "n_chains")
+        _check_at_least(self, 2, "nx", "ny")
+        _check_positive(self, "noise_pct_u", "noise_pct_p")
+        _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
+        _check_built("pde_a1, pde_a2, pde_a3", PdePriorConfig, self.pde_a1, self.pde_a2,
+                     self.pde_a3)
         _number_tuple(self, "c_true", 2)
         _check_correlations("c_true", self.c_true)
 
@@ -250,7 +291,7 @@ class VerifyConfig:
     SCALABLE = {}
 
     def validate(self):
-        pass
+        _check_at_least(self, 0, "seed")
 
 
 def load_config(cls, path=None, overrides=None):

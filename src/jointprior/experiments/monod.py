@@ -94,13 +94,15 @@ def run(cfg, out_dir):
     zs = {delta: rng.standard_normal(model.q) for delta in cfg.noise_levels}
 
     scan_rows = []
+    grid_files = []
     for delta in cfg.noise_levels:
         d = mu_truth + delta * zs[delta]
         for c in cfg.scan_correlations:
             ps, ms, grid, at_truth = _scan_grid(cfg, model, d, delta, c)
             scan_rows.append((delta, c, at_truth))
+            grid_files.append(f"density_grid_noise{delta:g}_c{c:g}.csv")
             save_matrix_csv(
-                out_dir / f"density_grid_noise{delta:g}_c{c:g}.csv", grid,
+                out_dir / grid_files[-1], grid,
                 comment=f"log density over p in {list(cfg.p_range)} x m in {list(cfg.m_range)}",
             )
     save_table_csv(
@@ -145,7 +147,8 @@ def run(cfg, out_dir):
 
     write_plot_script(out_dir, PLOT)
     write_manifest(out_dir, "monod", config_dict(cfg), extras={
-        "outputs": ["density_at_truth.csv", "c_histogram.csv", "chain.csv", "plot.py"],
+        "outputs": grid_files + ["density_at_truth.csv", "c_histogram.csv", "chain.csv",
+                                 "plot.py"],
         "best_scan_correlation": {f"{k:g}": v for k, v in best.items()},
         "positive_correlation_mass": pos_mass,
         "acceptance": chain.acceptance_rates(),

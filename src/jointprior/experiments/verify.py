@@ -51,8 +51,8 @@ def check_defect_identity(seed):
         n1, n2 = rng.integers(2, 9, 2)
         for kind in ("scalar", "piecewise", "paired_sparse", "dense"):
             con = _random_contraction(rng, kind, int(n1), int(n2))
-            c, d = con.as_matrix(), con.defect().dense()
-            gap = np.abs(d @ d.T + c.T @ c - np.eye(c.shape[1])).max()
+            c = con.as_matrix()
+            gap = np.abs(con.defect().covariance() + c.T @ c - np.eye(c.shape[1])).max()
             worst = max(worst, gap)
     return worst < 1e-12, f"max |D D^T + C^T C - I| = {worst:.2e}"
 

@@ -139,7 +139,7 @@ class FullJointFamily:
     ``log_density`` equals ``prior(values).log_density(s)`` without building
     the prior: the whitened marginals L_p (s_p - mu_p) and L_m (s_m - mu_m)
     are computed once per field state, so a new value costs ``with_values``,
-    a defect solve and ``logdet_complement``."""
+    a defect apply and ``logdet_complement``."""
 
     def __init__(self, filter_p, filter_m, contraction, mean_p=None, mean_m=None):
         self._template = build = JointPrior(filter_p, filter_m, contraction, mean_p, mean_m)
@@ -170,7 +170,7 @@ class FullJointFamily:
         w1, quad_p, wm = self._whitened(s)
         c = self.contraction.with_values(values)  # a dense contraction returns itself
         defect = self._template.defect if c is self.contraction else c.defect()
-        w2 = defect.solve(wm - c.rmatvec(w1))
+        w2 = defect.apply(wm - c.rmatvec(w1))
         return -0.5 * (quad_p + float(w2 @ w2) + c.logdet_complement())
 
 

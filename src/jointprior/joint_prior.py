@@ -14,7 +14,10 @@ defect operator D (D D^T = I - C^T C),
     draw    s = [[L_p^{-1},      0        ],   whiten  L = [[L_p,               0          ],
                  [L_m^{-1} C^T,  L_m^{-1} D]]               [-D^{-1} C^T L_p,   D^{-1} L_m]]
 
-satisfy cov(draw(eta)) = Gamma and Gamma = (L^T L)^{-1}.
+satisfy cov(draw(eta)) = Gamma and Gamma = (L^T L)^{-1}.  D^{-1} is itself a
+whitening filter, of I - C^T C (``Contraction.defect``), so all three factors
+are ``WhiteningFilter``s: every colouring step is a ``solve`` and every
+whitening step an ``apply``.
 """
 
 from __future__ import annotations
@@ -22,42 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .covariance import whitening_filter
+from .covariance import WhiteningFilter, whitening_filter
 from .linalg import CONTRACTION_MARGIN, ContractionError, scale_rows
-
-
-class Defect(object):
-    """Defect operator D with D @ D.T == I - C.T @ C.
-
-    Diagonal for index pairings; for a dense contraction the symmetric root of
-    the Gram complement, stored by its eigendecomposition.
-    """
-
-    def __init__(self, diag=None, eig=None):
-        self._diag = diag
-        self._eig = eig  # (w, q) of I - C^T C
-
-    @property
-    def dim(self):
-        return self._diag.shape[0] if self._diag is not None else self._eig[1].shape[0]
-
-    def apply(self, x):
-        if self._diag is not None:
-            return scale_rows(self._diag, x)
-        w, q = self._eig
-        return q @ scale_rows(np.sqrt(w), q.T @ x)
-
-    def solve(self, x):
-        if self._diag is not None:
-            return scale_rows(1.0 / self._diag, x)
-        w, q = self._eig
-        return q @ scale_rows(1.0 / np.sqrt(w), q.T @ x)
-
-    def dense(self):
-        if self._diag is not None:
-            return np.diag(self._diag)
-        w, q = self._eig
-        return (q * np.sqrt(w)) @ q.T
 
 
 class Contraction:
@@ -210,14 +179,15 @@ class Contraction:
     # -- defect and determinants ---------------------------------------------
 
     def defect(self):
-        """Defect operator D with D @ D.T == I - C.T @ C (symmetric choice)."""
+        """Whitening filter of I - C^T C: ``solve`` applies the defect operator
+        D (D D^T = I - C^T C, symmetric), ``apply`` its inverse."""
         if self._matrix is not None:
             gram = np.eye(self.shape[1]) - self._matrix.T @ self._matrix
-            w, q = linalg.sym_eig(0.5 * (gram + gram.T), "defect Gram matrix")
-            return Defect(eig=(w, q))
+            return whitening_filter(0.5 * (gram + gram.T), "principal_sqrt")
         d = np.ones(self.shape[1])
         d[self._pairs[1]] = np.sqrt(1.0 - self._entries**2)
-        return Defect(diag=d)
+        return WhiteningFilter(d.size, lambda x: scale_rows(1.0 / d, x),
+                               lambda x: scale_rows(d, x))
 
     def logdet_complement(self):
         """log det(I - C C^T) = log det(I - C^T C).
@@ -292,20 +262,20 @@ class JointPrior:
         eta1, eta2 = eta[: self.n1], eta[self.n1 :]
         p = _add_mean(self.filter_p.solve(eta1), self.mean_p)
         m = _add_mean(
-            self.filter_m.solve(self.contraction.rmatvec(eta1) + self.defect.apply(eta2)),
+            self.filter_m.solve(self.contraction.rmatvec(eta1) + self.defect.solve(eta2)),
             self.mean_m,
         )
         return np.concatenate([p, m])
 
     def sample_t(self, y):
         """Transpose of the mean-free colouring map, S^T = [[L_p^{-T}, C L_m^{-T}],
-        [0, D L_m^{-T}]] (D is symmetric), applied to y of shape (n,) or (n, k)."""
+        [0, D^T L_m^{-T}]], applied to y of shape (n,) or (n, k)."""
         y = np.asarray(y, dtype=float)
         if y.shape[0] != self.n:
             raise ValueError(f"y must have leading dimension {self.n}, got {y.shape}")
         t = self.filter_m.solve_t(y[self.n1 :])
         top = self.filter_p.solve_t(y[: self.n1]) + self.contraction.matvec(t)
-        return np.concatenate([top, self.defect.apply(t)])
+        return np.concatenate([top, self.defect.solve_t(t)])
 
     def whiten(self, s):
         """Exact inverse of ``sample``: recovers eta from a joint state."""
@@ -313,7 +283,7 @@ class JointPrior:
         xp = _add_mean(s[: self.n1], -self.mean_p)
         xm = _add_mean(s[self.n1 :], -self.mean_m)
         w1 = self.filter_p.apply(xp)
-        w2 = self.defect.solve(self.filter_m.apply(xm) - self.contraction.rmatvec(w1))
+        w2 = self.defect.apply(self.filter_m.apply(xm) - self.contraction.rmatvec(w1))
         return np.concatenate([w1, w2])
 
     def log_density(self, s):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,39 @@ TINY_DARCY = {
     "p_per_well": 2,
 }
 
+TINY_MONOD = {"samples": 500, "burn_in": 100, "grid_n": 41}
+
+# subcommand -> config of a run of a few seconds
+TINY = {
+    "sample-prior": {"nx": 6, "ny": 4, "nx_mixed": 6, "ny_mixed": 4, "n_samples": 1},
+    "factor-compare": {"n_points": 20},
+    "monod": TINY_MONOD,
+    "cokrige": TINY_COKRIGE,
+    "darcy": TINY_DARCY,
+    "verify": {},
+}
+
 
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """Output directory of a subcommand's TINY run, made once per module."""
+    runs = {}
+
+    def run(subcommand):
+        if subcommand not in runs:
+            root = tmp_path_factory.mktemp(subcommand)
+            cfg = write_config(root, TINY[subcommand])
+            assert main([subcommand, "--config", str(cfg), "--out", str(root / "out")]) == 0
+            runs[subcommand] = root / "out"
+        return runs[subcommand]
+
+    return run
 
 
 def assert_rerun_byte_identical(tmp_path, subcommand, payload):
@@ -183,6 +212,20 @@ class TestCliRuns:
         "monod-short-range": ("monod", {"p_range": [1.2]}, "p_range"),
         "monod-long-range": ("monod", {"m_range": [2.0, 122.0, 5.0]}, "m_range"),
         "darcy-short-tuple": ("darcy", {**TINY_DARCY, "c_true": [0.5]}, "c_true"),
+        # values out of range that used to fail only after work had started
+        "sample-prior-negative-seed": ("sample-prior", {"seed": -1}, "seed"),
+        "cokrige-negative-tracked": ("cokrige", {**TINY_COKRIGE, "tracked_nodes": -2},
+                                     "tracked_nodes"),
+        "cokrige-empty-obs-grid": ("cokrige", {**TINY_COKRIGE, "m_obs_ny": 0}, "m_obs_ny"),
+        "darcy-empty-obs-grid": ("darcy", {**TINY_DARCY, "u_obs_nx": 0}, "u_obs_nx"),
+        "darcy-no-wells": ("darcy", {**TINY_DARCY, "p_wells": 0}, "p_wells"),
+        "darcy-zero-noise": ("darcy", {**TINY_DARCY, "noise_pct_u": 0}, "noise_pct_u"),
+        "darcy-zero-kernel-length": ("darcy", {**TINY_DARCY, "kernel_length": 0},
+                                     "kernel_length"),
+        "monod-zero-prior-std": ("monod", {**TINY_MONOD, "prior_std_p": 0}, "prior_std_p"),
+        "monod-zero-mcmc-noise": ("monod", {**TINY_MONOD, "mcmc_noise": 0}, "mcmc_noise"),
+        "monod-zero-noise-level": ("monod", {**TINY_MONOD, "noise_levels": [0.0, 0.03]},
+                                   "noise_levels"),
     }
 
     @pytest.mark.parametrize("subcommand,payload,field", list(INVALID.values()),
@@ -233,11 +276,27 @@ class TestCliRuns:
     def test_darcy_rerun_is_byte_identical(self, tmp_path):
         assert_rerun_byte_identical(tmp_path, "darcy", TINY_DARCY)
 
-    def test_monod_scaled_smoke(self, tmp_path):
-        cfg = write_config(tmp_path, {"samples": 500, "burn_in": 100, "grid_n": 41})
-        code = main(["monod", "--config", str(cfg), "--out", str(tmp_path / "mo")])
-        assert code == 0
-        table = np.loadtxt(tmp_path / "mo" / "density_at_truth.csv",
+    @pytest.mark.parametrize("subcommand", list(TINY))
+    def test_manifest_lists_every_output(self, tiny_run, subcommand):
+        out_dir = tiny_run(subcommand)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        written = {p.name for p in out_dir.iterdir()} - {"manifest.json", "timings.json"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+
+    @pytest.mark.parametrize("subcommand", [s for s in TINY if s != "verify"])
+    def test_plot_script_reads_listed_outputs(self, tiny_run, subcommand):
+        """The written plot.py compiles, and every file it loads is a listed
+        output.  matplotlib is not a dependency, so the script is compiled
+        but not run."""
+        out_dir = tiny_run(subcommand)
+        text = (out_dir / "plot.py").read_text()
+        compile(text, "plot.py", "exec")
+        loaded = re.findall(r"np\.loadtxt\(\s*\"([^\"]+)\"", text)
+        outputs = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+        assert loaded and set(loaded) <= set(outputs)
+
+    def test_monod_scaled_smoke(self, tiny_run):
+        table = np.loadtxt(tiny_run("monod") / "density_at_truth.csv",
                            delimiter=",", skiprows=1)
         assert table.shape == (10, 3)
 

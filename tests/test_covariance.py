@@ -71,12 +71,6 @@ class TestWhiteningFilter:
         np.testing.assert_allclose(flt.solve(flt.apply(x)), x, atol=1e-10)
         np.testing.assert_allclose(flt.apply_t(flt.solve_t(x)), x, atol=1e-10)
 
-    def test_logdet(self, rng):
-        cov = random_spd(rng, 5)
-        oracle = np.linalg.slogdet(cov)[1]
-        for kind in ("cholesky", "principal_sqrt"):
-            assert whitening_filter(cov, kind).logdet_cov() == pytest.approx(oracle, rel=1e-10)
-
     def test_sampling_covariance_converges(self, rng):
         # colouring white noise through L^{-1} reproduces the covariance
         cov = random_spd(rng, 12)
@@ -115,12 +109,6 @@ class TestFemPrecisionFilter:
         oracle = np.linalg.inv(dense_l @ dense_l)
         cov = flt.covariance()
         assert np.linalg.norm(cov - oracle) / np.linalg.norm(oracle) < 1e-8
-
-    def test_logdet(self):
-        mesh = build_lattice_mesh(7, 5, 1.0, 1.0)
-        flt = fem_precision_filter(mesh, PdePriorConfig(1.0, 2.0, 0.5))
-        oracle = np.linalg.slogdet(flt.covariance())[1]
-        assert flt.logdet_cov() == pytest.approx(oracle, rel=1e-9)
 
 
 class TestKlTruncate:

@@ -134,8 +134,9 @@ class TestContraction:
         ):
             d = c.defect()
             m = c.as_matrix()
-            gram = d.dense() @ d.dense().T
-            np.testing.assert_allclose(gram, np.eye(m.shape[1]) - m.T @ m, atol=1e-12)
+            dense = d.solve(np.eye(m.shape[1]))
+            np.testing.assert_allclose(dense @ dense.T, np.eye(m.shape[1]) - m.T @ m,
+                                       atol=1e-12)
             x = rng.standard_normal(m.shape[1])
             np.testing.assert_allclose(d.solve(d.apply(x)), x, atol=1e-9)
 
