@@ -4,10 +4,12 @@ regions, with the homogeneous correlation either fixed or inferred.
 The truth pair is drawn from the joint prior at a prescribed correlation;
 p is observed on a grid in the right half of the domain, m on a grid in the
 top half, both with range-relative noise.  Both forward maps are linear, so
-the fixed-correlation posteriors are exact Gaussian updates and the sampler
-uses exact Gibbs field draws with Metropolis steps only for the correlation.
-Both come from one data-space algebra (``_LinearGibbs``), whose q x q
-factor gives the fixed-c means and variances without densifying Gamma(c).
+the fixed-correlation posteriors are exact Gaussian updates.  The sampler
+integrates the fields out: each iteration takes ``c_steps`` Metropolis steps
+on p(c | d), through the evidence of the data, then one exact Gibbs field
+draw at the resulting c.  All come from one data-space algebra
+(``_LinearGibbs``), whose q x q factor gives the evidence and the fixed-c
+means and variances without densifying Gamma(c).
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ def run(cfg, out_dir):
     independent = fixed[0.0]
     timer.mark("fixed_c_posteriors")
 
-    # joint run: exact Gibbs for the fields, Metropolis for the correlation
+    # joint run: collapsed steps for the correlation, exact Gibbs draws for the fields
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_chains)
     chains = run_chains(partial(_run_single_chain, problem, mwg_config(cfg)), seeds)
     states = np.vstack([ch.states for ch in chains])

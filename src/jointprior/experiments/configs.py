@@ -78,6 +78,23 @@ def _check_positive(cfg, *names):
             raise ConfigError(f"{name} must be > 0, got {value!r}")
 
 
+def _check_increasing(cfg, *names):
+    """Each named (lo, hi) tuple field must have lo < hi."""
+    for name in names:
+        lo, hi = getattr(cfg, name)
+        if not lo < hi:
+            raise ConfigError(f"{name} must run from low to high, got {[lo, hi]}")
+
+
+def _check_distinct_names(cfg, *names):
+    """Entries of each named tuple field name output files by ``:g``, so
+    no two may print alike."""
+    for name in names:
+        printed = [f"{v:g}" for v in getattr(cfg, name)]
+        if len(set(printed)) != len(printed):
+            raise ConfigError(f"{name} entries must be distinct as printed, got {printed}")
+
+
 def _check_built(names, cls, *args):
     """``cls(*args)``, built from the fields ``names``, must pass its own checks."""
     try:
@@ -128,6 +145,7 @@ class SamplePriorConfig:
         _check_at_least(self, 0, "seed")
         _check_at_least(self, 1, "n_samples")
         _check_at_least(self, 2, "nx", "ny", "nx_mixed", "ny_mixed")
+        _check_positive(self, "lx", "ly")
         _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
         _check_built("mixed_kernel_length, nugget", KernelConfig, self.mixed_kernel_length,
                      self.nugget)
@@ -192,7 +210,9 @@ class MonodConfig:
             _number_tuple(self, name)
         _number_tuple(self, "p_range", 2)
         _number_tuple(self, "m_range", 2)
+        _check_increasing(self, "p_range", "m_range")
         _check_correlations("scan_correlations", self.scan_correlations)
+        _check_distinct_names(self, "scan_correlations", "noise_levels")
         _check_positive(self, "noise_levels", "mcmc_noise", "prior_std_p", "prior_std_m")
 
 
@@ -218,7 +238,7 @@ class CokrigeConfig:
     noise_pct_m: float = 1.0
     samples: int = 30000
     burn_in: int = 3000
-    c_steps: int = 5
+    c_steps: int = 2                 # collapsed correlation steps per field draw
     n_chains: int = 1
     tracked_nodes: int = 6
 
@@ -230,7 +250,7 @@ class CokrigeConfig:
         _check_at_least(self, 0, "seed", "tracked_nodes")
         _check_at_least(self, 1, "p_obs_nx", "p_obs_ny", "m_obs_nx", "m_obs_ny", "n_chains")
         _check_at_least(self, 2, "nx", "ny")
-        _check_positive(self, "noise_pct_p", "noise_pct_m")
+        _check_positive(self, "lx", "ly", "noise_pct_p", "noise_pct_m")
         _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
         _check_built("pde_a1, pde_a2, pde_a3", PdePriorConfig, self.pde_a1, self.pde_a2,
                      self.pde_a3)
@@ -276,7 +296,7 @@ class DarcyConfig:
         _check_at_least(self, 1, "k_p", "k_m", "u_obs_nx", "u_obs_ny", "p_wells",
                         "p_per_well", "n_chains")
         _check_at_least(self, 2, "nx", "ny")
-        _check_positive(self, "noise_pct_u", "noise_pct_p")
+        _check_positive(self, "lx", "ly", "noise_pct_u", "noise_pct_p")
         _check_built("kernel_length, nugget", KernelConfig, self.kernel_length, self.nugget)
         _check_built("pde_a1, pde_a2, pde_a3", PdePriorConfig, self.pde_a1, self.pde_a2,
                      self.pde_a3)

@@ -9,9 +9,10 @@ proposal.  The warm start takes its Jacobians from the tangent-linear model
 (``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
 Each iteration of the joint chain takes one field step, ``block_steps``
 one-block moves of the correlation and the field together, whose field
-proposal is the Laplace conditional about the warm start (its Jacobian and
-forward value, so no extra solve), and ``c_steps`` cheap Metropolis steps on
-the two correlation coordinates.
+proposal is the exact conditional of the model linearised at the warm start
+(its Jacobian and forward value, so no extra solve), drawn and corrected
+through the q x q data-space evidence, and ``c_steps`` cheap Metropolis
+steps on the two correlation coordinates at the fixed field.
 Every chain samples from the one built problem, forked when there are several.
 """
 

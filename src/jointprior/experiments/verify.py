@@ -19,9 +19,9 @@ from ..joint_prior import (Contraction, JointPrior, canonical_cross,
                            scalar_prior_stationary)
 from ..linalg import cholesky_lower, logdet_spd
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
-from .cokrige import sign_gaps
+from .cokrige import build_problem, sign_gaps
 from .common import StageTimer, write_manifest, write_timings
-from .configs import config_dict
+from .configs import CokrigeConfig, config_dict, load_config
 
 
 def _random_spd(rng, n, jitter=0.5):
@@ -243,6 +243,28 @@ def check_darcy_jacobian(seed):
     return worst < 1e-6, f"max relative gap to central differences = {worst:.2e}"
 
 
+def check_collapsed_evidence(seed):
+    """The target of the collapsed correlation steps on the desk co-kriging
+    problem, log Z(c) - log Z(0), against the dense Gaussian density of the
+    data, log N(r0; 0, G Gamma(c) G^T + Sigma)."""
+    problem = build_problem(load_config(CokrigeConfig, None, {"seed": seed}))
+    fam, d, noise = problem["family"], problem["d"], problem["noise"]
+    g = problem["model"].matrix
+    gibbs = _LinearGibbs(g, d, noise, fam)
+    r0 = d - g @ fam.mean
+
+    def dense(c):
+        k = g @ fam.prior([c]).dense_covariance() @ g.T + noise.covariance()
+        return -0.5 * (r0 @ np.linalg.solve(k, r0) + np.linalg.slogdet(k)[1])
+
+    worst, dense0, ours0 = 0.0, dense(0.0), gibbs.log_evidence([0.0])
+    for c in (-0.9, -0.5, 0.5, 0.9):
+        ref = dense(c) - dense0
+        ours = gibbs.log_evidence([c]) - ours0
+        worst = max(worst, abs(ours - ref) / abs(ref))
+    return worst < 1e-9, f"max relative gap of log Z(c) - log Z(0) = {worst:.2e}"
+
+
 CHECKS = [
     ("defect identity", check_defect_identity),
     ("determinant shortcuts", check_determinant_shortcuts),
@@ -255,6 +277,7 @@ CHECKS = [
     ("correlation prior pushforward", check_correlation_prior),
     ("effective sample size oracles", check_ess),
     ("tangent-linear Darcy Jacobian", check_darcy_jacobian),
+    ("collapsed-step evidence", check_collapsed_evidence),
 ]
 
 

@@ -1,31 +1,33 @@
 """Likelihoods, exact linear-Gaussian posteriors, the adaptive
 Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 
-The sampler alternates block updates: the field block s is updated by an
-exact Gibbs draw by pathwise conditioning when the forward model is linear
-and by adaptive random-walk Metropolis otherwise; the correlation
-coordinates gamma (c_i = tanh(gamma_i)) take a fixed number of random-walk
-Metropolis steps per field update.  The random-walk rules (step sizes,
-acceptance target, adaptation schedule) are module constants; proposal
-adaptation runs during burn-in only, so the retained chain is Markovian.
+The correlation coordinates gamma (c_i = tanh(gamma_i)) move by random-walk
+Metropolis; the random-walk rules (step sizes, acceptance target, adaptation
+schedule) are module constants, and proposal adaptation runs during burn-in
+only, so the retained chain is Markovian.
 
-For nonlinear models the sampler can also move (gamma, s) together: gamma'
-by a random walk and s' from the Laplace conditional N(mu(c'), H(c')^{-1})
-of the model linearised at a reference point, with a Metropolis-Hastings
-correction (Knorr-Held & Rue 2002; Rue & Held 2005, ch. 4).  H(c) = J^T W J
-+ P(c) uses the reduced family's precision, and is factorised once per c.
-
-The correlation steps hold the field state fixed, so both prior families
-compute the terms that depend on the state alone once per state and make
-each correlation value cheap: the full family reuses the whitened
-marginals, and the reduced family factors the smaller of its two Gram
-complements (k_p x k_p when k_p <= k_m).  A non-finite state raises
-ValueError; a correlation value outside (-1, 1) raises ContractionError.
+Both studies move c through the evidence of a linear or linearised model,
+log Z(c) = -(r0^T K(c)^{-1} r0 + log det K(c)) / 2, with K(c) the q x q
+data-space covariance, affine in c and factorised once per c (``_Evidence``).
+For a linear model the field is integrated out: gamma takes collapsed steps
+on p(c | d) (Liu, Wong & Kong 1994; van Dyk & Park 2008), then the field
+gets one exact Gibbs draw by pathwise conditioning.  For a nonlinear model
+the field takes adaptive random-walk Metropolis steps, and (gamma, s) can
+also move together: gamma' by a random walk and s' from the exact
+conditional of the model linearised at a reference point, with a
+Metropolis-Hastings correction that needs only log Z(c) (Knorr-Held & Rue
+2002; Rue & Held 2005, ch. 4).  Centred gamma steps at a fixed field state
+use the prior families, which compute the terms that depend on the state
+once per state: the full family reuses the whitened marginals, and the
+reduced family factors the smaller of its two Gram complements (k_p x k_p
+when k_p <= k_m).  A non-finite state raises ValueError; a correlation
+value outside (-1, 1) raises ContractionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -132,6 +134,30 @@ class _StateCache:
         return self._state
 
 
+def _weights(values):
+    """w = (1, c), after the rule of ``Contraction``: |c| < 1 - margin."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    sigma = float(np.abs(values).max()) if values.size else 0.0
+    if not sigma < 1.0 - CONTRACTION_MARGIN:  # also rejects a NaN or inf value
+        raise ContractionError(f"correlation values reached +-1: {values}",
+                               sigma_max=sigma)
+    return np.concatenate([[1.0], values])
+
+
+def _cached(cache, values, build):
+    """``build(values)``, kept in ``cache`` under the values' bytes for the
+    two most recently used values of c: a Metropolis step that looks up the
+    current c before the proposed one builds only the proposal's."""
+    key = np.asarray(values, dtype=float).tobytes()
+    state = cache.pop(key, None)
+    if state is None:
+        state = build(values)
+    cache[key] = state
+    if len(cache) > 2:
+        del cache[next(iter(cache))]  # the least recently used
+    return state
+
+
 class FullJointFamily:
     """Joint prior over the stacked field vector as a function of the free
     correlation coordinates of its contraction.
@@ -217,6 +243,7 @@ class ReducedJointFamily:
         # flattened so that w @ (w @ gram) is sum_ij w_i w_j X_i X_j^T
         self._gram = np.einsum("iak,jbk->ijab", self._x, self._x).reshape(nw, nw, ks * ks)
         self._eye = np.eye(ks)
+        self._grams = {}
         self._terms = _StateCache(self._conditional_terms)
 
     def _conditional_terms(self, shat):
@@ -224,45 +251,33 @@ class ReducedJointFamily:
         return a.copy(), float(b @ b), self._x @ b
 
     def cross_block(self, values):
-        return np.tensordot(self._weights(values), self._blocks, axes=1)
+        return np.tensordot(_weights(values), self._blocks, axes=1)
 
-    @staticmethod
-    def _weights(values):
-        """w = (1, c), after the rule of ``Contraction``: |c| < 1 - margin."""
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        sigma = float(np.abs(values).max()) if values.size else 0.0
-        if not sigma < 1.0 - CONTRACTION_MARGIN:  # also rejects a NaN or inf value
-            raise ContractionError(f"correlation values reached +-1: {values}",
-                                   sigma_max=sigma)
-        return np.concatenate([[1.0], values])
-
-    def _gram_factor(self, w):
-        """R with R R^T = I - X X^T, the smaller Gram complement at weights w."""
-        gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
-        return cholesky_lower(gram, "reduced Gram complement")
+    def _gram_factor(self, values):
+        """(w, R, log det R R^T) with R R^T = I - X X^T, the smaller Gram
+        complement at c; kept for the two most recent values of c."""
+        def build(values):
+            w = _weights(values)
+            gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
+            r = cholesky_lower(gram, "reduced Gram complement")
+            return w, r, 2.0 * float(np.sum(np.log(np.diagonal(r))))
+        return _cached(self._grams, values, build)
 
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
         a, bb, xb = self._terms(shat)
-        w = self._weights(values)
-        r = self._gram_factor(w)
+        w, r, logdet = self._gram_factor(values)
         resid = solve_lower(r, a - w @ xb)
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(r))))
         return -0.5 * (bb + float(resid @ resid) + logdet)
 
-    def precision(self, values):
-        """Inverse of the reduced joint covariance by block inversion through
-        the same Gram complement S = I - X X^T = R R^T: with Y = R^{-1} X,
-        P_aa = S^{-1}, P_ab = -R^{-T} Y and P_bb = I + Y^T Y."""
-        w = self._weights(values)
-        rinv = solve_lower(self._gram_factor(w), self._eye)
-        y = rinv @ np.tensordot(w, self._x, axes=1)
-        out = np.empty((self.dim, self.dim))
-        out[self._a, self._a] = rinv.T @ rinv
-        out[self._a, self._b] = -rinv.T @ y
-        out[self._b, self._a] = out[self._a, self._b].T
-        out[self._b, self._b] = y.T @ y + np.eye(y.shape[1])
-        return out
+    def draw(self, rng, values):
+        """A draw from the reduced joint prior at c: b = z_b, a = X b + R z_a."""
+        w, r, _ = self._gram_factor(values)
+        z = rng.standard_normal(self.dim)
+        s = np.empty(self.dim)
+        s[self._b] = b = z[self._b]
+        s[self._a] = w @ (self._x @ b) + r @ z[self._a]
+        return s
 
 
 # ----------------------------------------------------------------------------
@@ -292,7 +307,8 @@ class MwgConfig:
 
     Each iteration takes one field update, ``block_steps`` one-block
     (gamma, s) moves (nonlinear models with a reference linearisation only;
-    see ``mwg_run``) and ``c_steps_per_s_step`` centred gamma steps.
+    see ``mwg_run``) and ``c_steps_per_s_step`` gamma steps (collapsed for
+    linear models, centred otherwise).
     Proposal adaptation happens during burn-in only.
     """
 
@@ -328,7 +344,7 @@ class Chain:
     kind: str              # "gibbs" or "adaptive"
     s_steps: int = 0
     s_accepted: int = 0
-    gamma_steps: int = 0     # centred correlation steps
+    gamma_steps: int = 0     # collapsed or centred correlation steps
     gamma_accepted: int = 0
     block_steps: int = 0     # one-block (gamma, s) moves
     block_accepted: int = 0
@@ -347,7 +363,7 @@ class Chain:
         return self.gamma_accepted / self.gamma_steps if self.gamma_steps else float("nan")
 
     def acceptance_rates(self):
-        """Field, centred-gamma and, for a chain that took block moves, block
+        """Field, gamma-step and, for a chain that took block moves, block
         acceptance."""
         rates = {"s": self.s_acceptance, "gamma": self.gamma_acceptance}
         if self.block_steps:
@@ -418,107 +434,134 @@ def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
     return x, cur_logdens, accepted
 
 
-def metropolis_update_correlation(rng, gamma, prior_logdens, corr_prior, x, family,
-                                  step_std):
+def metropolis_update_correlation(rng, gamma, cur_logdens, corr_prior, log_target, step_std):
     """One Gaussian random-walk Metropolis step on the correlation coordinates.
 
-    The target combines the state-dependent joint prior density (quadratic
-    form plus contraction log-determinant) with the tanh-induced coordinate
-    prior; the symmetric proposal cancels.  Returns
-    (gamma, prior_logdens, corr_prior, accepted).
+    ``log_target(values)`` is the c-dependent part of the target at
+    c = tanh(gamma): the joint prior density at a fixed field state (a
+    centred step) or the log evidence with the field integrated out (a
+    collapsed step).  The tanh-induced coordinate prior is added here and
+    the symmetric proposal cancels.  Returns
+    (gamma, log target, corr_prior, accepted).
     """
     prop = gamma + step_std * rng.standard_normal(gamma.shape)
     try:
-        prop_pd = family.log_density(x, np.tanh(prop))
+        prop_pd = log_target(np.tanh(prop))
     except DOMAIN_ERRORS:
-        return gamma, prior_logdens, corr_prior, False
+        return gamma, cur_logdens, corr_prior, False
     prop_cp = correlation_prior_logdensity(prop)
-    log_ratio = (prop_pd + prop_cp) - (prior_logdens + corr_prior)
+    log_ratio = (prop_pd + prop_cp) - (cur_logdens + corr_prior)
     if np.log(rng.random()) < log_ratio:
         return prop, prop_pd, prop_cp, True
-    return gamma, prior_logdens, corr_prior, False
+    return gamma, cur_logdens, corr_prior, False
 
 
-def metropolis_block_update(rng, gamma, x, current, log_parts, conditional, step_std):
+def metropolis_block_update(rng, gamma, x, current, loglik, conditional, step_std):
     """One Metropolis-Hastings move of (gamma, s) together: gamma' = gamma +
-    step_std z and s' ~ q(. | c') from ``conditional``, accepted with
-    pi(s', gamma') q(s | c) / (pi(s, gamma) q(s' | c')).
-
-    ``current`` holds the (log likelihood, log joint prior, log correlation
-    prior) at (x, gamma); ``log_parts(s, values)`` gives the first two at a
-    new point.  Only a DOMAIN_ERRORS failure counts as a rejection.  Returns
-    (gamma, x, current, accepted).
+    step_std z and s' ~ q(. | c') from ``conditional``, the exact conditional
+    of the linearised model.  As l_lin(s) + log p(s | c) = log Z(c) +
+    log q(s | c) for every s, the log ratio is [l(s') - l_lin(s') + log Z(c')
+    + log pi(gamma')] minus the same at (s, gamma).  ``current`` holds the
+    (log likelihood, log joint prior, log correlation prior) at (x, gamma);
+    ``loglik(s)`` gives the first at a new point, and the joint prior is
+    evaluated for an accepted move only.  Only a DOMAIN_ERRORS failure counts
+    as a rejection.  Returns (gamma, x, current, accepted).
     """
+    # the current c first, so the proposal's factor never evicts it
+    here = (current[0] - conditional.linear_loglik(x)
+            + conditional.log_evidence(np.tanh(gamma)) + current[2])
     prop = gamma + step_std * rng.standard_normal(gamma.shape)
     values = np.tanh(prop)
     try:
         x_new = conditional.draw(rng, values)
-        new = (*log_parts(x_new, values), correlation_prior_logdensity(prop))
-        log_ratio = (sum(new) - sum(current) + conditional.logpdf(x, np.tanh(gamma))
-                     - conditional.logpdf(x_new, values))
+        ll, cp = loglik(x_new), correlation_prior_logdensity(prop)
+        log_ratio = (ll - conditional.linear_loglik(x_new) + conditional.log_evidence(values)
+                     + cp - here)
     except DOMAIN_ERRORS:
         return gamma, x, current, False
     if np.log(rng.random()) < log_ratio:
-        return prop, x_new, new, True
+        return prop, x_new, (ll, conditional.family.log_density(x_new, values), cp), True
     return gamma, x, current, False
 
 
-class _LaplaceConditional:
-    """Gaussian proposal for the field given the correlation, from the model
-    linearised at a reference point x0, f(s) ~ f0 + J (s - x0):
+class _Evidence:
+    """Evidence of a linear(ised) model d = G s + e, e ~ N(0, Sigma), under
+    the prior N(mu, Gamma(c)), through the q x q data-space covariance
 
-        q(s | c) = N(mu(c), H(c)^{-1}),   H(c) = J^T W J + P(c),
-        mu(c) = H(c)^{-1} J^T W (d - f0 + J x0),
+        K(c) = G Gamma(c) G^T + Sigma = sum_j w_j G T_j + Sigma,  w = (1, c),
 
-    with W the noise precision and P(c) the family's prior precision (zero
-    prior mean, as for the reduced coordinates).  J^T W J and the right-hand
-    side are formed once; H(c) is factorised once per c, and the two most
-    recent values of c stay cached (the current and the proposed one of a
-    block move).  For a linear model with J its matrix, q is the exact
+    where T_j are the c-free n x q terms of B(c) = Gamma(c) G^T (affine in c,
+    as both marginal blocks are fixed).  With K(c) = R R^T and r0 = d - G mu,
+
+        log Z(c) = -|R^{-1} r0|^2 / 2 - sum_i log R_ii
+
+    up to a constant; it is 0 with no data (q = 0).  K(c) is factorised once
+    per c, and the two most recently used values stay cached, so a new c
+    costs O(q^3) and Gamma(c) is never formed."""
+
+    def __init__(self, g, r0, noise, terms):
+        self._terms = terms
+        self._gterms = g @ terms
+        self._gterms[0] += noise.covariance()
+        self._r0 = r0
+        self._factors = {}
+
+    def columns(self, values):
+        """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
+        return np.tensordot(_weights(values), self._terms, axes=1)
+
+    def _data_factor(self, values):
+        """(R, log Z(c)) with K(c) = R R^T."""
+        def build(values):
+            k = np.tensordot(_weights(values), self._gterms, axes=1)
+            r = cholesky_lower(0.5 * (k + k.T), "data-space covariance")
+            y = solve_lower(r, self._r0) if r.size else self._r0
+            return r, -0.5 * float(y @ y) - float(np.sum(np.log(np.diagonal(r))))
+        return _cached(self._factors, values, build)
+
+    def log_evidence(self, values):
+        return self._data_factor(values)[1]
+
+
+class _LaplaceConditional(_Evidence):
+    """Field proposal given the correlation: the exact conditional s | c of
+    the model linearised at a reference point x0, f(s) ~ f0 + J (s - x0),
+    that is of d_lin = J s + e with d_lin = d - f0 + J x0, under the reduced
+    family's prior N(0, Sigma(c)).  Sigma(c) = [[I, X(c)], [X(c)^T, I]] is
+    affine in c, so the evidence terms Sigma_j J^T are formed once.  A draw
+    is Matheron's rule: s0 = ``family.draw``, e ~ noise,
+    s = s0 + Sigma(c) J^T K(c)^{-1} (d_lin - J s0 - e); no n x n precision
+    is formed.  For a linear model with J its matrix, q is the exact
     conditional.  ``reference`` carries ``point``, ``jacobian`` and
     ``forward``, as a ``GaussNewtonResult`` does."""
 
     def __init__(self, reference, d, noise, family):
-        j = np.asarray(reference.jacobian, dtype=float)
-        jw = j.T / noise.var_vector
-        jwj = jw @ j
-        self._jwj = 0.5 * (jwj + jwj.T)
-        self._rhs = jw @ (d - reference.forward + j @ reference.point)
+        self.j = np.asarray(reference.jacobian, dtype=float)
+        self.d_lin = d - reference.forward + self.j @ reference.point
+        self.noise = noise
         self.family = family
-        self._cache = {}
+        jp, jm = np.split(self.j.T, [family.basis_p.k])
+        terms = np.stack([np.concatenate([xj @ jm, xj.T @ jp]) for xj in family._blocks])
+        terms[0] += self.j.T
+        super().__init__(self.j, self.d_lin, noise, terms)
 
-    def _factor(self, values):
-        """(R, mu(c), log det R) with H(c) = R R^T."""
-        key = np.asarray(values, dtype=float).tobytes()
-        state = self._cache.pop(key, None)
-        if state is None:
-            r = cholesky_lower(self._jwj + self.family.precision(values),
-                               "Laplace conditional precision")
-            state = (r, cho_solve((r, True), self._rhs), float(np.sum(np.log(np.diagonal(r)))))
-        self._cache[key] = state
-        if len(self._cache) > 2:
-            del self._cache[next(iter(self._cache))]  # the least recently used
-        return state
+    def linear_loglik(self, s):
+        return gaussian_loglik(self.d_lin, self.j @ s, self.noise)
 
     def draw(self, rng, values):
-        r, mean, _ = self._factor(values)
-        return mean + solve_triangular(r, rng.standard_normal(mean.size), lower=True, trans="T")
-
-    def logpdf(self, s, values):
-        """log q(s | c) up to a constant independent of s and c."""
-        r, mean, logdet_r = self._factor(values)
-        z = r.T @ (s - mean)
-        return logdet_r - 0.5 * float(z @ z)
+        s0 = self.family.draw(rng, values)
+        resid = self.d_lin - self.j @ s0 - self.noise.sample(rng)
+        r, _ = self._data_factor(values)
+        return s0 + self.columns(values) @ cho_solve((r, True), resid)
 
 
-class _LinearGibbs:
+class _LinearGibbs(_Evidence):
     """Exact posterior of a linear model d = G s + e at fixed correlation,
-    through the q x q data-space covariance K(c) = G B(c) + Sigma, where
-    B(c) = Gamma(c) G^T = B_0 + sum_l c_l B_l (affine, as both marginal
-    blocks are fixed).  It serves the sampler's Gibbs draws and the fixed-c
-    moments from one cached factor K(c) = R R^T, so ``_key`` changes exactly
-    when K(c) is factorised.  The c-free terms take q filter solves each at
-    construction, so a new c costs O(n q + q^3) and Gamma(c) is never formed.
+    through the data-space covariance K(c) of ``_Evidence``.  It serves the
+    collapsed correlation steps (``log_evidence``), the sampler's Gibbs draws
+    and the fixed-c moments from the same cached factor.  A draw at a new c
+    also builds prior(c) and B(c), once per c, and ``_key`` changes exactly
+    then.  The c-free terms take q filter solves each at construction.
 
     A draw is pathwise conditioning (Matheron's rule): with s0 ~ prior(c) and
     e ~ noise, s = s0 + B K^{-1} (d - G s0 - e) has exactly the conditional
@@ -538,24 +581,16 @@ class _LinearGibbs:
             half = con.with_values(0.5 * np.eye(n_free)[l])
             terms.append(2.0 * np.concatenate([fp.solve(half.matvec(a[fp.dim :])),
                                                fm.solve(half.rmatvec(a[: fp.dim]))]))
-        self._terms = np.stack(terms)
-        self._gterms = self.g @ self._terms
-        self._gterms[0] += noise.covariance()
+        super().__init__(self.g, self.d - self.g @ family.mean, noise, np.stack(terms))
         self._key = None
         self._state = None
 
-    def columns(self, values):
-        """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
-        return np.tensordot(np.concatenate([[1.0], values]), self._terms, axes=1)
-
     def _factor(self, values):
-        """(prior(c), B(c), R) with K(c) = R R^T, factorised once per new c."""
+        """(prior(c), B(c), R) with K(c) = R R^T."""
         key = np.asarray(values, dtype=float).tobytes()
         if key != self._key:
-            k = np.tensordot(np.concatenate([[1.0], values]), self._gterms, axes=1)
-            r = cholesky_lower(0.5 * (k + k.T), "data-space covariance")
-            self._key, self._state = key, (self.family.prior(values), self.columns(values), r)
-        return self._state
+            self._key, self._state = key, (self.family.prior(values), self.columns(values))
+        return (*self._state, self._data_factor(values)[0])
 
     def draw(self, rng, values):
         prior, b, r = self._factor(values)
@@ -578,14 +613,17 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             init_state=None, init_gamma=None, proposal_factor=None, reference=None):
     """Metropolis-within-Gibbs over (s, gamma); fully reproducible from cfg.seed.
 
-    Linear models (model.is_linear with a ``matrix``) get exact Gibbs field
-    updates; otherwise the field block uses adaptive random-walk Metropolis
-    started from ``init_state`` (required), optionally with an initial
-    proposal factor (e.g. a Laplace factor from the warm start).  Each
-    iteration then takes ``cfg.block_steps`` one-block (gamma, s) moves,
-    whose field proposal is the Laplace conditional about ``reference`` (a
-    ``GaussNewtonResult``; nonlinear models and families with a
-    ``precision`` only), and ``cfg.c_steps_per_s_step`` centred gamma steps.
+    Linear models (model.is_linear with a ``matrix``) are collapsed: each
+    iteration takes ``cfg.c_steps_per_s_step`` gamma steps on the marginal
+    p(c | d), through the log evidence with the field integrated out, then
+    one exact Gibbs field draw at the resulting c.  Otherwise the field block
+    uses adaptive random-walk Metropolis started from ``init_state``
+    (required), optionally with an initial proposal factor (e.g. a Laplace
+    factor from the warm start).  Each such iteration then takes
+    ``cfg.block_steps`` one-block (gamma, s) moves, whose field proposal is
+    the conditional of the model linearised about ``reference`` (a
+    ``GaussNewtonResult``; nonlinear models and the reduced family only),
+    and ``cfg.c_steps_per_s_step`` centred gamma steps at the fixed field.
     When ``sample_correlation`` is false the correlation stays at its
     initial value and only the field block is sampled.
     """
@@ -607,7 +645,6 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     if linear:
         gibbs = _LinearGibbs(model.matrix, d, noise, family)
         x = gibbs.draw(rng, values)
-        cur_pd = None
     else:
         if init_state is None:
             raise ValueError("nonlinear models need an initial state")
@@ -615,11 +652,11 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         # keeps the (log likelihood, log prior) of its last evaluation
         last = [None, None]
 
-        def log_parts(s, vals):
-            return gaussian_loglik(d, model(s), noise), family.log_density(s, vals)
+        def loglik(s):
+            return gaussian_loglik(d, model(s), noise)
 
         def log_target(s):
-            last[:] = log_parts(s, values)
+            last[:] = loglik(s), family.log_density(s, values)
             return last[0] + last[1]
 
         x = np.asarray(init_state, dtype=float).copy()
@@ -635,13 +672,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
     for k in range(cfg.total_samples):
         adapting = k < cfg.burn_in
-        if linear:
-            x = gibbs.draw(rng, values)
-            s_steps += 1
-            s_accepted += 1
-            if track_gamma:
-                cur_pd = family.log_density(x, values)
-        else:
+        if not linear:
             x, _, accepted = adaptive_metropolis_update_s(
                 rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
             )
@@ -653,18 +684,25 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         if track_gamma:
             for _ in range(blocks):
                 gamma, x, (cur_ll, cur_pd, cur_cp), acc = metropolis_block_update(
-                    rng, gamma, x, (cur_ll, cur_pd, cur_cp), log_parts, conditional,
+                    rng, gamma, x, (cur_ll, cur_pd, cur_cp), loglik, conditional,
                     GAMMA_STEP_STD
                 )
                 block_accepted += int(acc)
+            target = gibbs.log_evidence if linear else partial(family.log_density, x)
             for _ in range(cfg.c_steps_per_s_step):
+                if linear:  # the current c first, so the proposal's factor never evicts it
+                    cur_pd = target(values)
                 gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
-                    rng, gamma, cur_pd, cur_cp, x, family, GAMMA_STEP_STD
+                    rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
                 )
+                values = np.tanh(gamma)
                 gamma_steps += 1
                 gamma_accepted += int(acc)
-            values = np.tanh(gamma)
 
+        if linear:
+            x = gibbs.draw(rng, values)
+            s_steps += 1
+            s_accepted += 1
         if k >= cfg.burn_in:
             states[k - cfg.burn_in] = x
             corr[k - cfg.burn_in] = values

@@ -218,6 +218,7 @@ def test_criterion_06_sign_invariance_at_scale(tmp_path):
            f"moments to {moments_gap:.1e} < 1e-9 ({n}-node layout)")
 
 
+@pytest.mark.slow
 def test_criterion_07_mwg_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(107)
@@ -271,6 +272,7 @@ def test_criterion_08_monod_reproduction(tmp_path):
            f"positive-correlation mass {res['positive_correlation_mass']:.2f} > 0.5")
 
 
+@pytest.mark.slow
 def test_criterion_09_cokriging_reproduction(tmp_path):
     t0 = time.perf_counter()
     from jointprior.experiments.configs import CokrigeConfig, load_config
@@ -292,6 +294,7 @@ def test_criterion_09_cokriging_reproduction(tmp_path):
            f"below zero {res['c_mass_below_zero']:.3f} > 0.9")
 
 
+@pytest.mark.slow
 def test_criterion_10_darcy_reproduction(tmp_path):
     t0 = time.perf_counter()
     # forward-solver oracle at the stated tolerance

@@ -143,7 +143,7 @@ class TestCliRuns:
         assert code == 0
         assert (tmp_path / "v" / "verify.json").exists()
         out = capsys.readouterr().out
-        assert "11/11 checks passed" in out
+        assert "12/12 checks passed" in out
 
     def test_sample_prior_outputs(self, tmp_path):
         code = main([
@@ -226,6 +226,12 @@ class TestCliRuns:
         "monod-zero-mcmc-noise": ("monod", {**TINY_MONOD, "mcmc_noise": 0}, "mcmc_noise"),
         "monod-zero-noise-level": ("monod", {**TINY_MONOD, "noise_levels": [0.0, 0.03]},
                                    "noise_levels"),
+        "monod-reversed-range": ("monod", {**TINY_MONOD, "p_range": [1.0, 0.0]}, "p_range"),
+        "monod-repeated-scan": ("monod", {**TINY_MONOD, "scan_correlations": [0.5, 0.5]},
+                                "scan_correlations"),
+        "cokrige-zero-length": ("cokrige", {**TINY_COKRIGE, "lx": 0}, "lx"),
+        "darcy-zero-length": ("darcy", {**TINY_DARCY, "ly": 0}, "ly"),
+        "sample-prior-negative-length": ("sample-prior", {"lx": -2.0}, "lx"),
     }
 
     @pytest.mark.parametrize("subcommand,payload,field", list(INVALID.values()),

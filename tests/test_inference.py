@@ -1,3 +1,4 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,6 +99,7 @@ class TestLinearGaussianPosterior:
         np.testing.assert_allclose(mean, prior_mean, rtol=1e-10)
         np.testing.assert_allclose(cov, prior_cov, rtol=1e-10)
 
+    @pytest.mark.slow
     def test_monte_carlo_cross_check(self, rng):
         gp, gm = random_spd(rng, 4), random_spd(rng, 4)
         fam = FullJointFamily(whitening_filter(gp, "principal_sqrt"),
@@ -158,8 +160,8 @@ class Scripted:
 
 
 def implied_moments(gibbs, values):
-    """Mean and covariance of a Gibbs draw, read off its affine dependence on
-    the 2n + q standard normals it consumes."""
+    """Mean and covariance of a pathwise draw (Gibbs or block-move proposal),
+    read off its affine dependence on the dim + q standard normals it consumes."""
     m = gibbs.family.dim + gibbs.noise.q
     mean = gibbs.draw(Scripted(np.zeros(m)), values)
     cols = np.column_stack([gibbs.draw(Scripted(e), values) - mean for e in np.eye(m)])
@@ -278,6 +280,7 @@ class TestPathwiseGibbs:
             draw = gibbs.draw(rng_a, [c])
             prior_draw = fam.prior([c]).sample(rng_b.standard_normal(fam.dim))
             np.testing.assert_array_equal(draw, prior_draw)
+            assert gibbs.log_evidence([c]) == 0.0
 
     def test_key_changes_only_on_new_correlation(self, rng):
         fam, model, noise, d = small_linear_problem(rng)
@@ -317,7 +320,7 @@ class TestCorrelationUpdate:
         cp = correlation_prior_logdensity(gamma)
         for _ in range(10):
             gamma2, _, _, accepted = metropolis_update_correlation(
-                rng, gamma, pd, cp, x, fam, step_std=0.0)
+                rng, gamma, pd, cp, partial(fam.log_density, x), step_std=0.0)
             assert accepted
             np.testing.assert_array_equal(gamma2, gamma)
 
@@ -408,13 +411,8 @@ class TestLoudFailures:
             adaptive_metropolis_update_s(rng, np.zeros(2), 0.0, self.shape_bug, proposal)
 
     def test_value_error_propagates_from_correlation_step(self, rng):
-        class BrokenFamily:
-            def log_density(self, x, values):
-                raise ValueError("operands could not be broadcast together")
-
         with pytest.raises(ValueError, match="broadcast"):
-            metropolis_update_correlation(rng, np.zeros(1), 0.0, 0.0, np.zeros(2),
-                                          BrokenFamily(), 1.0)
+            metropolis_update_correlation(rng, np.zeros(1), 0.0, 0.0, self.shape_bug, 1.0)
 
     def test_value_error_propagates_from_chain(self):
         class ShapeBugAfterStart:
@@ -473,6 +471,7 @@ class TestMwgRun:
         assert chain.s_acceptance == 1.0
         assert chain.kind == "gibbs"
 
+    @pytest.mark.slow
     def test_correlation_marginal_matches_quadrature_oracle(self, rng):
         # linear model with unknown scalar correlation: the exact marginal
         # posterior of c follows from the per-c Gaussian evidence
@@ -497,6 +496,27 @@ class TestMwgRun:
         quantiles = np.interp(samples, cs, cdf)
         ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
         assert ks < 0.02
+
+    def test_desk_cokrige_chain_matches_quadrature(self):
+        # collapsed steps at the study's own settings against a 4001-point
+        # quadrature of the evidence under the uniform prior on c
+        from jointprior.experiments.cokrige import build_problem
+        from jointprior.experiments.configs import CokrigeConfig, load_config, mwg_config
+
+        cfg = load_config(CokrigeConfig, None, {"samples": 5000, "burn_in": 500})
+        problem = build_problem(cfg)
+        model, fam, noise, d = (problem[k] for k in ("model", "family", "noise", "d"))
+        gibbs = _LinearGibbs(model.matrix, d, noise, fam)
+        cs = np.linspace(-1.0, 1.0, 4003)[1:-1]
+        logev = np.array([gibbs.log_evidence([c]) for c in cs])
+        post = np.exp(logev - logev.max())
+        cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
+        cdf /= cdf[-1]
+        chain = mwg_run(model, fam, noise, d, mwg_config(cfg, seed=3))
+        samples = np.sort(chain.corr[:, 0])
+        quantiles = np.interp(samples, cs, cdf)
+        ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
+        assert ks < 0.05
 
     def test_reproducible_bit_identical(self, rng):
         fam, model, noise, d = small_linear_problem(rng)
@@ -728,7 +748,8 @@ class TestFamilyStateCache:
             x = np.zeros(fam.dim)
             x[1] = bad
             with pytest.raises(ValueError, match="non-finite") as info:
-                metropolis_update_correlation(rng, gamma, 0.0, 0.0, x, fam, 1.0)
+                metropolis_update_correlation(rng, gamma, 0.0, 0.0,
+                                              partial(fam.log_density, x), 1.0)
             assert not isinstance(info.value, DOMAIN_ERRORS)
 
     @pytest.mark.parametrize("kind", ["full", "reduced"])
@@ -860,33 +881,53 @@ class TestBlockMoves:
 
     @pytest.mark.parametrize("kp,km", [(2, 5), (4, 3)])
     @pytest.mark.parametrize("variant", CONSTRUCTORS)
-    def test_precision_is_inverse_covariance(self, rng, variant, kp, km):
+    def test_draw_moments_match_analytic_posterior(self, rng, variant, kp, km):
+        # the draw is affine in the standard normals it consumes; with the
+        # map's own Jacobian at a random point, q(. | c) is exactly s | c, d
         labels = [0, 0, 1, 1, 0, 1, 0]
         n2 = 7 if variant in ("scalar", "piecewise") else 6
         bp, bm = kl_truncate(random_spd(rng, 7), kp), kl_truncate(random_spd(rng, n2), km)
         fam = ReducedJointFamily(bp, bm, zero_contraction(variant, rng, labels, n2))
+        g = rng.standard_normal((5, kp + km))
+        noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
+        point = rng.standard_normal(kp + km)
+        q = _LaplaceConditional(SimpleNamespace(point=point, jacobian=g, forward=g @ point),
+                                d, noise, fam)
         n = fam.n_free
         for values in (np.resize([0.4, -0.7], n), np.zeros(n), np.full(n, 0.95)):
-            cov = reduced_joint_covariance(bp, bm, fam.contraction.with_values(values))
-            np.testing.assert_allclose(fam.precision(values) @ cov, np.eye(kp + km),
-                                       atol=1e-9)
+            mean, cov = implied_moments(q, values)
+            ref_mean, ref_cov = linear_gaussian_posterior(
+                g, d, noise, fam.mean,
+                reduced_joint_covariance(bp, bm, fam.contraction.with_values(values)))
+            np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(cov, ref_cov, rtol=1e-9, atol=1e-10)
 
-    def test_conditional_is_exact_for_linear_model(self, rng):
-        fam, model, noise, d, reference = block_problem(rng)
-        q = _LaplaceConditional(reference, d, noise, fam)
-        for c in (0.6, -0.3):
-            mean, cov = linear_gaussian_posterior(model.g, d, noise, fam.mean,
-                                                  reduced_cov(fam, c))
-            draws = np.array([q.draw(rng, [c]) for _ in range(20000)])
-            np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.03)
-            assert np.abs(np.cov(draws, rowvar=False) - cov).max() < 0.03
-            # the exact Gaussian log density, with its c-dependent normaliser,
-            # less the dropped constant n log(2 pi) / 2
-            for s in draws[:3]:
-                exact = -0.5 * ((s - mean) @ np.linalg.solve(cov, s - mean)
-                                + np.linalg.slogdet(cov)[1])
-                assert q.logpdf(s, [c]) == pytest.approx(exact, rel=1e-9, abs=1e-9)
+    @pytest.mark.parametrize("variant", ["reduced"] + CONSTRUCTORS)
+    def test_log_evidence_matches_dense_gaussian(self, rng, variant):
+        # log N(r0; 0, G Gamma(c) G^T + Sigma), less the constant q log(2 pi) / 2
+        noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
+        if variant == "reduced":
+            fam = block_problem(rng)[0]
+            g, point = rng.standard_normal((5, fam.dim)), rng.standard_normal(fam.dim)
+            evidence = _LaplaceConditional(
+                SimpleNamespace(point=point, jacobian=g, forward=g @ point), d, noise, fam)
+            prior_cov = lambda values: reduced_cov(fam, values[0])
+        else:
+            fam = variant_family(variant, rng)
+            g = rng.standard_normal((5, fam.dim))
+            evidence = _LinearGibbs(g, d, noise, fam)
+            prior_cov = lambda values: fam.prior(values).dense_covariance()
+        r0 = d - g @ fam.mean
+        n = fam.n_free
+        ours, dense = [], []
+        for values in (np.zeros(n), np.resize([0.4, -0.7, 0.2], n), np.full(n, -0.95)):
+            k = g @ prior_cov(values) @ g.T + noise.covariance()
+            dense.append(-0.5 * (r0 @ np.linalg.solve(k, r0) + np.linalg.slogdet(k)[1]))
+            ours.append(evidence.log_evidence(values))
+        np.testing.assert_allclose(ours, dense, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(ours), np.diff(dense), rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.slow
     def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
         g = model.g
@@ -938,7 +979,7 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
 
         class Broken(ReducedJointFamily):
-            def precision(self, values):
+            def draw(self, rng, values):
                 raise TypeError("unsupported operand type(s)")
 
         broken = Broken(fam.basis_p, fam.basis_m, fam.contraction)
@@ -951,7 +992,7 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
 
         class Failing(ReducedJointFamily):
-            def precision(self, values):
+            def draw(self, rng, values):
                 raise ForwardModelError("no conditional here")
 
         failing = Failing(fam.basis_p, fam.basis_m, fam.contraction)
