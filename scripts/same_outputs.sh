@@ -13,7 +13,9 @@
 # (relative to the larger magnitude of each pair; a JSON file's numbers are
 # paired path by path), and for a JSON file the first three paths whose
 # strings or structure differ, such as checks[0].detail or a list's length
-# (outputs (length 4 against 14)).  Exit status: 0 when every
+# (outputs (length 4 against 14)).  For a CSV file it then prints the same two
+# gaps per column, named by the header row (by position when there is none),
+# and lists the columns that read 0 gap apart.  Exit status: 0 when every
 # file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
 # choose where the copy and the outputs go; both are removed on exit.
 set -euo pipefail
@@ -62,16 +64,35 @@ import math
 import sys
 
 
-def csv_numbers(path):
-    out = []
+def csv_columns(path):
+    """(column names, rows of numbers); a header row of names is the first
+    line whose tokens are not all numbers and that is no # comment."""
+    names, rows = None, []
     with open(path) as handle:
         for line in handle:
-            for token in line.strip().split(","):
-                try:
-                    out.append(float(token))
-                except ValueError:  # header text
-                    pass
-    return out
+            if line.startswith("#"):
+                continue
+            tokens = line.strip().split(",")
+            try:
+                rows.append([float(t) for t in tokens])
+            except ValueError:  # header text
+                names = names or tokens
+    width = max(map(len, rows), default=0)
+    return names or [f"column {j}" for j in range(width)], rows
+
+
+def gaps(pairs):
+    """Largest absolute and relative gap of (x, y) number pairs."""
+    gap_abs = gap_rel = 0.0
+    for x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if math.isnan(x) or math.isnan(y):
+            return math.inf, math.inf
+        gap = abs(x - y)
+        gap_abs = max(gap_abs, gap)
+        gap_rel = max(gap_rel, gap / max(abs(x), abs(y)))
+    return gap_abs, gap_rel
 
 
 def is_number(x):
@@ -100,30 +121,28 @@ def walk(a, b, path, pairs, differ):
 
 
 ref, new = sys.argv[1], sys.argv[2]
-differ = []
+differ, columns = [], []
 if ref.endswith(".json"):
     pairs = []
     with open(ref) as fa, open(new) as fb:
         walk(json.load(fa), json.load(fb), "", pairs, differ)
 else:
-    a, b = csv_numbers(ref), csv_numbers(new)
-    if len(a) != len(b):
-        print(f"{len(a)} against {len(b)} numbers")
+    (names, a), (_, b) = csv_columns(ref), csv_columns(new)
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        print(f"{sum(map(len, a))} against {sum(map(len, b))} numbers")
         sys.exit()
-    pairs = list(zip(a, b))
-gap_abs = gap_rel = 0.0
-for x, y in pairs:
-    if x == y or (math.isnan(x) and math.isnan(y)):
-        continue
-    if math.isnan(x) or math.isnan(y):
-        gap_abs = gap_rel = math.inf
-        continue
-    gap = abs(x - y)
-    gap_abs = max(gap_abs, gap)
-    gap_rel = max(gap_rel, gap / max(abs(x), abs(y)))
-text = f"max abs {gap_abs:.3g}, max rel {gap_rel:.3g}"
+    pairs = [p for x, y in zip(a, b) for p in zip(x, y)]
+    columns = [(name, gaps([(x[j], y[j]) for x, y in zip(a, b) if j < len(x)]))
+               for j, name in enumerate(names)]
+text = "max abs {:.3g}, max rel {:.3g}".format(*gaps(pairs))
 if differ:
     text += "; differs at " + ", ".join(differ[:3])
+if columns:
+    same = [name for name, (gap_abs, _) in columns if gap_abs == 0.0]
+    moved = [f"{name} {gap_abs:.3g}/{gap_rel:.3g}" for name, (gap_abs, gap_rel) in columns
+             if gap_abs != 0.0]
+    text += "\n    columns, max abs/rel: " + (", ".join(moved) or "none")
+    text += "\n    columns at 0 gap: " + (", ".join(same) or "none")
 print(text)
 PY
 }
@@ -140,7 +159,7 @@ while IFS= read -r file; do
         differ=$((differ + 1))
         if [[ ($file == *.csv || $file == *.json) && -f $tmp/out-ref/$file
               && -f $tmp/out-new/$file ]]; then
-            echo "differs: $file ($(file_gap "$tmp/out-ref/$file" "$tmp/out-new/$file"))"
+            echo "differs: $file: $(file_gap "$tmp/out-ref/$file" "$tmp/out-new/$file")"
         else
             echo "differs: $file"
         fi

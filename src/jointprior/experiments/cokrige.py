@@ -5,11 +5,12 @@ The truth pair is drawn from the joint prior at a prescribed correlation;
 p is observed on a grid in the right half of the domain, m on a grid in the
 top half, both with range-relative noise.  Both forward maps are linear, so
 the fixed-correlation posteriors are exact Gaussian updates.  The sampler
-integrates the fields out: each iteration takes ``c_steps`` Metropolis steps
-on p(c | d), through the evidence of the data, then one exact Gibbs field
-draw at the resulting c.  All come from one data-space algebra
-(``_LinearGibbs``), whose q x q factor gives the evidence and the fixed-c
-means and variances without densifying Gamma(c).
+integrates the fields out: each iteration takes ``c_steps`` independence
+Metropolis-Hastings steps on p(c | d), proposed from a table of the evidence
+of the data on 144 cells of (-1, 1), then one exact Gibbs field draw at the
+resulting c.  All come from one data-space algebra (``_LinearGibbs``), whose
+q x q factor gives the evidence and the fixed-c means and variances without
+densifying Gamma(c).
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def run(cfg, out_dir):
     independent = fixed[0.0]
     timer.mark("fixed_c_posteriors")
 
-    # joint run: collapsed steps for the correlation, exact Gibbs draws for the fields
+    # joint run: independence steps for the correlation, exact Gibbs draws for the fields
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_chains)
     chains = run_chains(partial(_run_single_chain, problem, mwg_config(cfg)), seeds)
     states = np.vstack([ch.states for ch in chains])

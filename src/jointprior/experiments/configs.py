@@ -238,7 +238,7 @@ class CokrigeConfig:
     noise_pct_m: float = 1.0
     samples: int = 30000
     burn_in: int = 3000
-    c_steps: int = 2                 # collapsed correlation steps per field draw
+    c_steps: int = 1                 # independence correlation steps per field draw
     n_chains: int = 1
     tracked_nodes: int = 6
 
@@ -283,8 +283,8 @@ class DarcyConfig:
     noise_pct_p: float = 2.0
     samples: int = 30000
     burn_in: int = 10000
-    c_steps: int = 10                # centred correlation steps per iteration
-    block_steps: int = 2             # one-block (c, s) moves per iteration
+    c_steps: int = 0                 # centred correlation steps, with block_steps 0 only
+    block_steps: int = 1             # independence (c, s) moves per iteration
     n_chains: int = 1
 
     SCALABLE = {"nx": 4, "ny": 3, "k_p": 4, "k_m": 6, "u_obs_nx": 2, "u_obs_ny": 2,

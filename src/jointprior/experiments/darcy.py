@@ -4,15 +4,19 @@ from head observations and direct permeability measurements.
 The truth pair is drawn from the full joint prior with a different
 correlation on each half of the domain.  Inference runs in truncated-basis
 coordinates.  Every chain, independent and joint, starts at a Gauss-Newton
-warm start, whose Laplace factor initialises the adaptive Metropolis field
-proposal.  The warm start takes its Jacobians from the tangent-linear model
+warm start.  The warm start takes its Jacobians from the tangent-linear model
 (``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
-Each iteration of the joint chain takes one field step, ``block_steps``
-one-block moves of the correlation and the field together, whose field
-proposal is the exact conditional of the model linearised at the warm start
-(its Jacobian and forward value, so no extra solve), drawn and corrected
-through the q x q data-space evidence, and ``c_steps`` cheap Metropolis
-steps on the two correlation coordinates at the fixed field.
+The independent chain takes adaptive random-walk Metropolis field steps,
+whose proposal starts from the warm start's Laplace factor.  Each iteration
+of the joint chain takes ``block_steps`` independence moves of the
+correlation and the field together: c' from a table of the evidence of the
+model linearised at the warm start (its Jacobian and forward value, so no
+extra solve) and s' from that model's exact conditional at c', one forward
+solve per move for the Metropolis-Hastings weight.  With ``block_steps`` 0
+(``scripts/paper_scale_configs/darcy_full.json``, where no global proposal
+is accepted) it takes one random-walk field step and ``c_steps`` centred
+Metropolis steps on the two correlation coordinates at the fixed field
+instead.
 Every chain samples from the one built problem, forked when there are several.
 """
 
@@ -143,7 +147,8 @@ def warm_start(problem):
 def _run_single_chain(problem, mcfg, start, joint, chain_seed):
     """One chain on the built problem; only the seed varies.  It starts at
     the warm start ``start`` (a ``GaussNewtonResult``), whose Laplace factor
-    seeds the field proposal and whose linearisation the block moves use."""
+    seeds the random-walk field proposal and whose linearisation the
+    independence moves use."""
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,

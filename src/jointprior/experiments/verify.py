@@ -243,10 +243,10 @@ def check_darcy_jacobian(seed):
     return worst < 1e-6, f"max relative gap to central differences = {worst:.2e}"
 
 
-def check_collapsed_evidence(seed):
-    """The target of the collapsed correlation steps on the desk co-kriging
-    problem, log Z(c) - log Z(0), against the dense Gaussian density of the
-    data, log N(r0; 0, G Gamma(c) G^T + Sigma)."""
+def check_correlation_evidence(seed):
+    """The evidence that the independence correlation steps tabulate and
+    target on the desk co-kriging problem, log Z(c) - log Z(0), against the
+    dense Gaussian density of the data, log N(r0; 0, G Gamma(c) G^T + Sigma)."""
     problem = build_problem(load_config(CokrigeConfig, None, {"seed": seed}))
     fam, d, noise = problem["family"], problem["d"], problem["noise"]
     g = problem["model"].matrix
@@ -277,7 +277,7 @@ CHECKS = [
     ("correlation prior pushforward", check_correlation_prior),
     ("effective sample size oracles", check_ess),
     ("tangent-linear Darcy Jacobian", check_darcy_jacobian),
-    ("collapsed-step evidence", check_collapsed_evidence),
+    ("evidence of the correlation steps", check_correlation_evidence),
 ]
 
 

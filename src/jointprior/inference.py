@@ -1,31 +1,35 @@
 """Likelihoods, exact linear-Gaussian posteriors, the adaptive
 Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 
-The correlation coordinates gamma (c_i = tanh(gamma_i)) move by random-walk
-Metropolis; the random-walk rules (step sizes, acceptance target, adaptation
-schedule) are module constants, and proposal adaptation runs during burn-in
-only, so the retained chain is Markovian.
-
-Both studies move c through the evidence of a linear or linearised model,
+Both studies move the correlation c by independence Metropolis-Hastings
+(Tierney 1994) through the evidence of a linear or linearised model,
 log Z(c) = -(r0^T K(c)^{-1} r0 + log det K(c)) / 2, with K(c) the q x q
 data-space covariance, affine in c and factorised once per c (``_Evidence``).
-For a linear model the field is integrated out: gamma takes collapsed steps
-on p(c | d) (Liu, Wong & Kong 1994; van Dyk & Park 2008), then the field
-gets one exact Gibbs draw by pathwise conditioning.  For a nonlinear model
-the field takes adaptive random-walk Metropolis steps, and (gamma, s) can
-also move together: gamma' by a random walk and s' from the exact
-conditional of the model linearised at a reference point, with a
-Metropolis-Hastings correction that needs only log Z(c) (Knorr-Held & Rue
-2002; Rue & Held 2005, ch. 4).  Centred gamma steps at a fixed field state
-use the prior families, which compute the terms that depend on the state
-once per state: the full family reuses the whitened marginals, and the
-reduced family factors the smaller of its two Gram complements (k_p x k_p
-when k_p <= k_m).  A non-finite state raises ValueError; a correlation
-value outside (-1, 1) raises ContractionError.
+Before its first iteration a chain tabulates log Z at the centres of a grid
+of about TABLE_CELLS cells over (-1, 1)^n_free, the INLA recipe for a
+low-dimensional hyperparameter (Rue, Martino & Chopin 2009), and proposes c'
+from the piecewise-constant density g of that table (``_EvidenceTable``).
+For a linear model the field is integrated out: c takes independence steps
+on p(c | d), then the field gets one exact Gibbs draw by pathwise
+conditioning.  For a nonlinear model with a reference linearisation (c, s)
+move together: s' is drawn from the exact conditional of the linearised
+model at c', and the move is exact for the nonlinear target whatever the
+table holds.
+
+The field of a nonlinear model without such moves takes adaptive random-walk
+Metropolis steps, and c = tanh(gamma) takes centred random-walk steps at the
+fixed field; the random-walk rules are module constants, and proposal
+adaptation runs during burn-in only, so the retained chain is Markovian.
+Centred steps use the prior families, which compute the terms that depend
+on the state once per state: the full family reuses the whitened marginals,
+and the reduced family factors the smaller of its two Gram complements
+(k_p x k_p when k_p <= k_m).  A non-finite state raises ValueError; a
+correlation value outside (-1, 1) raises ContractionError.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -146,8 +150,8 @@ def _weights(values):
 
 def _cached(cache, values, build):
     """``build(values)``, kept in ``cache`` under the values' bytes for the
-    two most recently used values of c: a Metropolis step that looks up the
-    current c before the proposed one builds only the proposal's."""
+    two most recently used values of c: after a move proposes c', a draw at
+    c' or at the current c finds its factor built."""
     key = np.asarray(values, dtype=float).tobytes()
     state = cache.pop(key, None)
     if state is None:
@@ -300,15 +304,24 @@ ADAPT_BATCH = 50
 COV_REFRESH = 1000
 COV_RIDGE = 1e-8
 
+# The independence proposal for c tabulates log Z(c) on about TABLE_CELLS
+# cells of (-1, 1)^n_free, G = round(TABLE_CELLS^(1/n_free)) per coordinate,
+# and floors each cell's weight at TABLE_FLOOR times the largest.
+TABLE_CELLS = 144
+TABLE_FLOOR = 1e-3
+
 
 @dataclass
 class MwgConfig:
     """Lengths, move counts and seed of a Metropolis-within-Gibbs run.
 
-    Each iteration takes one field update, ``block_steps`` one-block
-    (gamma, s) moves (nonlinear models with a reference linearisation only;
-    see ``mwg_run``) and ``c_steps_per_s_step`` gamma steps (collapsed for
-    linear models, centred otherwise).
+    An iteration on a linear model takes ``c_steps_per_s_step`` independence
+    steps of c, then one exact Gibbs field draw.  An iteration on a
+    nonlinear model takes ``block_steps`` independence moves of (c, s) and
+    nothing else when ``block_steps`` >= 1 (this needs a reference
+    linearisation; see ``mwg_run``); otherwise one adaptive random-walk
+    field step and ``c_steps_per_s_step`` centred gamma steps.  So
+    ``c_steps_per_s_step`` may be 0 only when ``block_steps`` >= 1.
     Proposal adaptation happens during burn-in only.
     """
 
@@ -326,10 +339,11 @@ class MwgConfig:
                 f"burn-in {self.burn_in} leaves an empty chain out of "
                 f"{self.total_samples} total samples"
             )
-        if self.c_steps_per_s_step < 1:
-            raise ValueError("c_steps_per_s_step must be >= 1")
         if self.block_steps < 0:
             raise ValueError(f"block_steps must be >= 0, got {self.block_steps}")
+        if self.c_steps_per_s_step < (0 if self.block_steps else 1):
+            raise ValueError("c_steps_per_s_step must be >= 1, or >= 0 when "
+                             f"block_steps >= 1, got {self.c_steps_per_s_step}")
 
 
 @dataclass
@@ -344,10 +358,11 @@ class Chain:
     kind: str              # "gibbs" or "adaptive"
     s_steps: int = 0
     s_accepted: int = 0
-    gamma_steps: int = 0     # collapsed or centred correlation steps
+    gamma_steps: int = 0     # centred random-walk correlation steps
     gamma_accepted: int = 0
-    block_steps: int = 0     # one-block (gamma, s) moves
+    block_steps: int = 0     # independence moves of c, or of (c, s)
     block_accepted: int = 0
+    block_failed: int = 0    # independence moves rejected through a domain error
     tau_trace: np.ndarray | None = None  # (records, 2): iteration, tau
 
     @property
@@ -363,11 +378,13 @@ class Chain:
         return self.gamma_accepted / self.gamma_steps if self.gamma_steps else float("nan")
 
     def acceptance_rates(self):
-        """Field, gamma-step and, for a chain that took block moves, block
-        acceptance."""
+        """Field and gamma-step acceptance and, for a chain that took
+        independence moves, their acceptance and the number of them rejected
+        through a domain error rather than by the Metropolis test."""
         rates = {"s": self.s_acceptance, "gamma": self.gamma_acceptance}
         if self.block_steps:
             rates["block"] = self.block_accepted / self.block_steps
+            rates["block_failed"] = self.block_failed
         return rates
 
 
@@ -438,10 +455,9 @@ def metropolis_update_correlation(rng, gamma, cur_logdens, corr_prior, log_targe
     """One Gaussian random-walk Metropolis step on the correlation coordinates.
 
     ``log_target(values)`` is the c-dependent part of the target at
-    c = tanh(gamma): the joint prior density at a fixed field state (a
-    centred step) or the log evidence with the field integrated out (a
-    collapsed step).  The tanh-induced coordinate prior is added here and
-    the symmetric proposal cancels.  Returns
+    c = tanh(gamma), for a centred step the joint prior density at a fixed
+    field state.  The tanh-induced coordinate prior is added here and the
+    symmetric proposal cancels.  Returns
     (gamma, log target, corr_prior, accepted).
     """
     prop = gamma + step_std * rng.standard_normal(gamma.shape)
@@ -456,32 +472,35 @@ def metropolis_update_correlation(rng, gamma, cur_logdens, corr_prior, log_targe
     return gamma, cur_logdens, corr_prior, False
 
 
-def metropolis_block_update(rng, gamma, x, current, loglik, conditional, step_std):
-    """One Metropolis-Hastings move of (gamma, s) together: gamma' = gamma +
-    step_std z and s' ~ q(. | c') from ``conditional``, the exact conditional
-    of the linearised model.  As l_lin(s) + log p(s | c) = log Z(c) +
-    log q(s | c) for every s, the log ratio is [l(s') - l_lin(s') + log Z(c')
-    + log pi(gamma')] minus the same at (s, gamma).  ``current`` holds the
-    (log likelihood, log joint prior, log correlation prior) at (x, gamma);
-    ``loglik(s)`` gives the first at a new point, and the joint prior is
-    evaluated for an accepted move only.  Only a DOMAIN_ERRORS failure counts
-    as a rejection.  Returns (gamma, x, current, accepted).
+def metropolis_block_update(rng, values, x, weight, table, evidence, excess=None):
+    """One independence Metropolis-Hastings move (Tierney 1994): c' ~ g from
+    ``table`` and, when ``excess`` is given, s' ~ q(. | c') =
+    ``evidence.draw(rng, c')``, the exact conditional of the linearised
+    model.  As l_lin(s) + log p(s | c) = log Z(c) + log q(s | c) for every s
+    and c is uniform a priori, the importance weight of (s, c) is
+
+        w(s, c) = l(s) - l_lin(s) + log Z(c) - log g(c),
+
+    with ``excess(s)`` = l(s) - l_lin(s); without it (a linear model, where
+    the excess is 0) only c moves and the field is left to a Gibbs draw.
+    The move is accepted with probability min(1, exp(w' - w)); ``weight`` is
+    w at the current (x, values).  A DOMAIN_ERRORS failure is a rejection,
+    any other error propagates, and a NaN weight raises ValueError.  Returns
+    (values, x, weight, outcome): outcome is True when accepted, False when
+    rejected by the Metropolis test and None when rejected by a failure.
     """
-    # the current c first, so the proposal's factor never evicts it
-    here = (current[0] - conditional.linear_loglik(x)
-            + conditional.log_evidence(np.tanh(gamma)) + current[2])
-    prop = gamma + step_std * rng.standard_normal(gamma.shape)
-    values = np.tanh(prop)
+    proposed = table.draw(rng)
     try:
-        x_new = conditional.draw(rng, values)
-        ll, cp = loglik(x_new), correlation_prior_logdensity(prop)
-        log_ratio = (ll - conditional.linear_loglik(x_new) + conditional.log_evidence(values)
-                     + cp - here)
+        x_new = x if excess is None else evidence.draw(rng, proposed)
+        w_new = ((0.0 if excess is None else excess(x_new))
+                 + evidence.log_evidence(proposed) - table.log_density(proposed))
     except DOMAIN_ERRORS:
-        return gamma, x, current, False
-    if np.log(rng.random()) < log_ratio:
-        return prop, x_new, (ll, conditional.family.log_density(x_new, values), cp), True
-    return gamma, x, current, False
+        return values, x, weight, None
+    if np.isnan(w_new):
+        raise ValueError(f"independence weight is NaN at c = {proposed}")
+    if np.log(rng.random()) < w_new - weight:
+        return proposed, x_new, w_new, True
+    return values, x, weight, False
 
 
 class _Evidence:
@@ -523,6 +542,43 @@ class _Evidence:
         return self._data_factor(values)[1]
 
 
+class _EvidenceTable:
+    """The independence proposal for c: a piecewise-constant density g on
+    (-1, 1)^n_free from log Z at the centres of G = round(TABLE_CELLS^(1 /
+    n_free)) cells per coordinate, uniform within a cell.  Each cell's weight
+    exp(log Z - max log Z) is floored at TABLE_FLOOR, so g > 0 wherever the
+    target is, and the weights are kept as logarithms, so a table that spans
+    thousands of nats does not underflow.  It costs G^n_free factors of
+    K(c), one per cell."""
+
+    def __init__(self, evidence, n_free):
+        self._n = n_free
+        self._cells = max(1, round(TABLE_CELLS ** (1.0 / n_free)))
+        self._width = 2.0 / self._cells
+        centres = -1.0 + self._width * (np.arange(self._cells) + 0.5)
+        grid = np.array(list(itertools.product(centres, repeat=n_free)))  # row-major
+        logz = np.array([evidence.log_evidence(c) for c in grid])
+        if not np.all(np.isfinite(logz)):
+            raise ValueError("log evidence is not finite on the correlation table")
+        logw = np.maximum(logz - logz.max(), np.log(TABLE_FLOOR))
+        mass = np.exp(logw)
+        self._cdf = np.cumsum(mass) / mass.sum()
+        self._log_g = logw - np.log(mass.sum()) - n_free * np.log(self._width)
+        self._lower = grid - 0.5 * self._width
+
+    def draw(self, rng):
+        """c ~ g: a cell by its weight, then a uniform point in it."""
+        u = rng.random(self._n + 1)
+        cell = min(int(np.searchsorted(self._cdf, u[0], side="right")), self._cdf.size - 1)
+        return self._lower[cell] + self._width * u[1:]
+
+    def log_density(self, values):
+        """log g(c), the density of the cell that holds c."""
+        index = np.clip(np.floor((np.asarray(values) + 1.0) / self._width).astype(int),
+                        0, self._cells - 1)
+        return float(self._log_g[np.ravel_multi_index(index, (self._cells,) * self._n)])
+
+
 class _LaplaceConditional(_Evidence):
     """Field proposal given the correlation: the exact conditional s | c of
     the model linearised at a reference point x0, f(s) ~ f0 + J (s - x0),
@@ -558,8 +614,8 @@ class _LaplaceConditional(_Evidence):
 class _LinearGibbs(_Evidence):
     """Exact posterior of a linear model d = G s + e at fixed correlation,
     through the data-space covariance K(c) of ``_Evidence``.  It serves the
-    collapsed correlation steps (``log_evidence``), the sampler's Gibbs draws
-    and the fixed-c moments from the same cached factor.  A draw at a new c
+    independence correlation steps (``log_evidence``), the sampler's Gibbs
+    draws and the fixed-c moments from the same cached factor.  A draw at a new c
     also builds prior(c) and B(c), once per c, and ``_key`` changes exactly
     then.  The c-free terms take q filter solves each at construction.
 
@@ -611,21 +667,23 @@ class _LinearGibbs(_Evidence):
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             init_state=None, init_gamma=None, proposal_factor=None, reference=None):
-    """Metropolis-within-Gibbs over (s, gamma); fully reproducible from cfg.seed.
+    """Metropolis-within-Gibbs over (s, c); fully reproducible from cfg.seed.
 
     Linear models (model.is_linear with a ``matrix``) are collapsed: each
-    iteration takes ``cfg.c_steps_per_s_step`` gamma steps on the marginal
-    p(c | d), through the log evidence with the field integrated out, then
-    one exact Gibbs field draw at the resulting c.  Otherwise the field block
-    uses adaptive random-walk Metropolis started from ``init_state``
-    (required), optionally with an initial proposal factor (e.g. a Laplace
-    factor from the warm start).  Each such iteration then takes
-    ``cfg.block_steps`` one-block (gamma, s) moves, whose field proposal is
-    the conditional of the model linearised about ``reference`` (a
-    ``GaussNewtonResult``; nonlinear models and the reduced family only),
-    and ``cfg.c_steps_per_s_step`` centred gamma steps at the fixed field.
-    When ``sample_correlation`` is false the correlation stays at its
-    initial value and only the field block is sampled.
+    iteration takes ``cfg.c_steps_per_s_step`` independence steps of c on the
+    marginal p(c | d), through the log evidence with the field integrated
+    out, then one exact Gibbs field draw at the resulting c.  A nonlinear
+    model starts from ``init_state`` (required).  With ``cfg.block_steps``
+    >= 1 each iteration takes that many independence moves of (c, s), whose
+    field proposal is the conditional of the model linearised about
+    ``reference`` (a ``GaussNewtonResult``; the reduced family only), and
+    nothing else.  Otherwise the field takes an adaptive random-walk
+    Metropolis step, optionally with an initial proposal factor (e.g. a
+    Laplace factor from the warm start), and gamma takes
+    ``cfg.c_steps_per_s_step`` centred steps at the fixed field.  An
+    independence chain tabulates its proposal for c (``_EvidenceTable``)
+    before the first iteration.  When ``sample_correlation`` is false the
+    correlation stays at its initial value and only the field is sampled.
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -638,13 +696,12 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
     linear = bool(getattr(model, "is_linear", False))
     blocks = cfg.block_steps if track_gamma else 0
-    if blocks:
-        if linear or reference is None:
-            raise ValueError("block moves need a nonlinear model and a reference linearisation")
-        conditional = _LaplaceConditional(reference, d, noise, family)
+    if blocks and (linear or reference is None):
+        raise ValueError("block moves need a nonlinear model and a reference linearisation")
+    excess = x = None
     if linear:
-        gibbs = _LinearGibbs(model.matrix, d, noise, family)
-        x = gibbs.draw(rng, values)
+        evidence = _LinearGibbs(model.matrix, d, noise, family)
+        moves = cfg.c_steps_per_s_step if track_gamma else 0
     else:
         if init_state is None:
             raise ValueError("nonlinear models need an initial state")
@@ -664,15 +721,30 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             raise ValueError("target log density is not finite at the initial state")
         cur_ll, cur_pd = last
         proposal = AdaptiveProposal(family.dim, proposal_factor)
+        moves = blocks
+        if blocks:
+            evidence = _LaplaceConditional(reference, d, noise, family)
+
+            def excess(s):
+                return loglik(s) - evidence.linear_loglik(s)
+    if moves:
+        table = _EvidenceTable(evidence, n_free)
+        weight = ((0.0 if excess is None else cur_ll - evidence.linear_loglik(x))
+                  + evidence.log_evidence(values) - table.log_density(values))
 
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
-    s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = 0
+    s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = block_failed = 0
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
 
     for k in range(cfg.total_samples):
         adapting = k < cfg.burn_in
-        if not linear:
+        for _ in range(moves):
+            values, x, weight, outcome = metropolis_block_update(
+                rng, values, x, weight, table, evidence, excess)
+            block_accepted += outcome is True
+            block_failed += outcome is None
+        if not (linear or moves):
             x, _, accepted = adaptive_metropolis_update_s(
                 rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
             )
@@ -680,27 +752,18 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
                 cur_ll, cur_pd = last
             s_steps += 1
             s_accepted += int(accepted)
-
-        if track_gamma:
-            for _ in range(blocks):
-                gamma, x, (cur_ll, cur_pd, cur_cp), acc = metropolis_block_update(
-                    rng, gamma, x, (cur_ll, cur_pd, cur_cp), loglik, conditional,
-                    GAMMA_STEP_STD
-                )
-                block_accepted += int(acc)
-            target = gibbs.log_evidence if linear else partial(family.log_density, x)
-            for _ in range(cfg.c_steps_per_s_step):
-                if linear:  # the current c first, so the proposal's factor never evicts it
-                    cur_pd = target(values)
-                gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
-                    rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
-                )
-                values = np.tanh(gamma)
-                gamma_steps += 1
-                gamma_accepted += int(acc)
+            if track_gamma:
+                target = partial(family.log_density, x)
+                for _ in range(cfg.c_steps_per_s_step):
+                    gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
+                        rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
+                    )
+                    values = np.tanh(gamma)
+                    gamma_steps += 1
+                    gamma_accepted += int(acc)
 
         if linear:
-            x = gibbs.draw(rng, values)
+            x = evidence.draw(rng, values)
             s_steps += 1
             s_accepted += 1
         if k >= cfg.burn_in:
@@ -712,7 +775,8 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         burn_in=cfg.burn_in, seed=cfg.seed, kind="gibbs" if linear else "adaptive",
         s_steps=s_steps, s_accepted=s_accepted,
         gamma_steps=gamma_steps, gamma_accepted=gamma_accepted,
-        block_steps=blocks * cfg.total_samples, block_accepted=block_accepted,
+        block_steps=moves * cfg.total_samples, block_accepted=block_accepted,
+        block_failed=block_failed,
         tau_trace=None if linear else proposal.trace_array(),
     )
 
@@ -747,7 +811,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     """Gauss-Newton minimisation of the negative log posterior with Armijo
     backtracking, returning the MAP point and the Laplace covariance factor,
     with the Jacobian and the forward value at the point (a reference for
-    ``mwg_run``'s block moves at no extra solve).
+    ``mwg_run``'s independence moves at no extra solve).
 
     The model supplies its Jacobian as ``model.jacobian(x)``.  Terminates
     when the gradient norm falls below grad_tol * (1 + initial norm) or after

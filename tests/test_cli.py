@@ -197,6 +197,9 @@ class TestCliRuns:
         "cokrige-payload7": ("cokrige", {**TINY_COKRIGE, "c_steps": 0}, "c_steps"),
         "monod-payload9": ("monod", {"c_steps": 0}, "c_steps"),
         "darcy-payload13": ("darcy", {**TINY_DARCY, "block_steps": -1}, "block_steps"),
+        # a chain must move c: by centred steps or by independence moves
+        "darcy-no-correlation-moves": ("darcy", {**TINY_DARCY, "c_steps": 0, "block_steps": 0},
+                                       "c_steps"),
         # values of the wrong type
         "cokrige-float-count": ("cokrige", {**TINY_COKRIGE, "samples": 400.5}, "samples"),
         "cokrige-float-size": ("cokrige", {**TINY_COKRIGE, "nx": 6.0}, "nx"),

@@ -9,13 +9,14 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from jointprior.covariance import fem_precision_filter, PdePriorConfig, whitening_filter
 from jointprior.forward_models import (DOMAIN_ERRORS, CokrigeModel, ForwardModelError,
                                        MonodModel)
-from jointprior.inference import (AdaptiveProposal, FullJointFamily,
+from jointprior import inference
+from jointprior.inference import (TABLE_CELLS, AdaptiveProposal, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
-                                  ReducedJointFamily, _LaplaceConditional,
+                                  ReducedJointFamily, _EvidenceTable, _LaplaceConditional,
                                   _LinearGibbs,
                                   adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik,
-                                  linear_gaussian_posterior,
+                                  linear_gaussian_posterior, metropolis_block_update,
                                   metropolis_update_correlation, mwg_run)
 from jointprior.joint_prior import (Contraction, correlation_prior_logdensity,
                                     reduced_joint_covariance)
@@ -457,6 +458,20 @@ class TestLoudFailures:
         assert np.all(chain.states == 0.0)
 
 
+@pytest.fixture(scope="module")
+def desk_cokrige():
+    """The exact Gibbs kernel of the desk cokrige problem, and a 5000/500
+    chain at the study's own settings (chain seed 3)."""
+    from jointprior.experiments.cokrige import build_problem
+    from jointprior.experiments.configs import CokrigeConfig, load_config, mwg_config
+
+    cfg = load_config(CokrigeConfig, None, {"samples": 5000, "burn_in": 500})
+    problem = build_problem(cfg)
+    model, fam, noise, d = (problem[k] for k in ("model", "family", "noise", "d"))
+    return (_LinearGibbs(model.matrix, d, noise, fam),
+            mwg_run(model, fam, noise, d, mwg_config(cfg, seed=3)))
+
+
 class TestMwgRun:
     def test_fixed_correlation_matches_analytic(self, rng):
         fam, model, noise, d = small_linear_problem(rng, n=3)
@@ -497,26 +512,50 @@ class TestMwgRun:
         ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
         assert ks < 0.02
 
-    def test_desk_cokrige_chain_matches_quadrature(self):
-        # collapsed steps at the study's own settings against a 4001-point
+    def test_desk_cokrige_chain_matches_quadrature(self, desk_cokrige):
+        # independence steps at the study's own settings against a 4001-point
         # quadrature of the evidence under the uniform prior on c
-        from jointprior.experiments.cokrige import build_problem
-        from jointprior.experiments.configs import CokrigeConfig, load_config, mwg_config
-
-        cfg = load_config(CokrigeConfig, None, {"samples": 5000, "burn_in": 500})
-        problem = build_problem(cfg)
-        model, fam, noise, d = (problem[k] for k in ("model", "family", "noise", "d"))
-        gibbs = _LinearGibbs(model.matrix, d, noise, fam)
+        gibbs, chain = desk_cokrige
         cs = np.linspace(-1.0, 1.0, 4003)[1:-1]
         logev = np.array([gibbs.log_evidence([c]) for c in cs])
         post = np.exp(logev - logev.max())
         cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
         cdf /= cdf[-1]
-        chain = mwg_run(model, fam, noise, d, mwg_config(cfg, seed=3))
         samples = np.sort(chain.corr[:, 0])
         quantiles = np.interp(samples, cs, cdf)
         ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
         assert ks < 0.05
+
+    def test_desk_cokrige_fields_match_mixture_oracle(self, desk_cokrige):
+        # the exact field posterior is a mixture over c of the fixed-c
+        # Gaussians, weighted by exp(log Z(c)) under the uniform prior: on
+        # 2001 values of c, mean = sum w mu(c) and variance =
+        # sum w (v(c) + mu(c)^2) - mean^2, from _LinearGibbs.moments
+        gibbs, chain = desk_cokrige
+        fam = gibbs.family
+        cs = np.linspace(-1.0, 1.0, 2003)[1:-1]
+        logev = np.array([gibbs.log_evidence([c]) for c in cs])
+        weights = np.exp(logev - logev.max())
+        weights /= weights.sum()
+        prior_var = np.concatenate([np.diagonal(fam.filter_p.covariance()),
+                                    np.diagonal(fam.filter_m.covariance())])
+        mean, second = np.zeros(fam.dim), np.zeros(fam.dim)
+        for c, w in zip(cs, weights):
+            if w < 1e-12 * weights.max():  # below rounding in the sums
+                continue
+            mean_c, whitened = gibbs.moments([c])
+            mean += w * mean_c
+            second += w * (prior_var - np.einsum("ij,ij->j", whitened, whitened) + mean_c**2)
+        var = second - mean**2
+        # field draws are near independent (ESS 0.8-1.0 per draw at chain
+        # seeds 1-3), so the 676 standardised mean gaps are near N(0, 1)
+        # (largest 2.7-3.4 over those seeds) and the relative variance gaps
+        # near N(0, 2 / n) (largest 0.06-0.08); leaving log g out of the
+        # independence weight reads about 10 and 0.23
+        n = chain.retained
+        z = (chain.states.mean(axis=0) - mean) / np.sqrt(var / n)
+        assert np.abs(z).max() < 4.5
+        assert np.abs(chain.states.var(axis=0, ddof=1) / var - 1.0).max() < 0.15
 
     def test_reproducible_bit_identical(self, rng):
         fam, model, noise, d = small_linear_problem(rng)
@@ -869,15 +908,68 @@ def block_problem(rng):
     return fam, FlaggedLinear(g), noise, d, reference
 
 
+def steep_block_problem(rng):
+    """As ``block_problem``, but both bases come from one covariance, so
+    Sigma(c) nears singular as |c| -> 1, and 20 precise observations of a
+    field 1.5 times a draw at c = 0.8 pin the field: log Z(c) falls by over
+    800 nats toward c = -1."""
+    a = random_spd(rng, 6)
+    fam = ReducedJointFamily(kl_truncate(a, 2), kl_truncate(a, 3), Contraction.scalar(0.0, 6))
+    g = rng.standard_normal((20, 5))
+    noise = NoiseModel(0.003, 20)
+    truth = 1.5 * cholesky_lower(reduced_cov(fam, 0.8)) @ rng.standard_normal(5)
+    d = g @ truth + noise.sample(rng)
+    point = rng.standard_normal(5)
+    reference = SimpleNamespace(point=point, jacobian=g, forward=g @ point)
+    return fam, FlaggedLinear(g), noise, d, reference
+
+
 def reduced_cov(fam, c):
     return reduced_joint_covariance(fam.basis_p, fam.basis_m,
                                     fam.contraction.with_values([c]))
 
 
+def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
+    """A 30,000-iteration chain of 2 independence moves per iteration against
+    a 1999-point quadrature of the c marginal (KS < 0.02) and the field's
+    mixture moments over c (mean and covariance gaps < 0.03)."""
+    g = model.g
+    cs = np.linspace(-0.999, 0.999, 1999)
+    logev, means, covs = np.empty(cs.size), [], []
+    for i, c in enumerate(cs):
+        cov = reduced_cov(fam, c)
+        cf = cho_factor(g @ cov @ g.T + noise.covariance(), lower=True)
+        logev[i] = -0.5 * (d @ cho_solve(cf, d) + 2 * np.sum(np.log(np.diagonal(cf[0]))))
+        mean_c, cov_c = linear_gaussian_posterior(g, d, noise, fam.mean, cov)
+        means.append(mean_c)
+        covs.append(cov_c)
+    post = np.exp(logev - logev.max())  # the tanh coordinate prior is uniform in c
+    weights = post / post.sum()
+    cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
+    cdf /= cdf[-1]
+    means = np.array(means)
+    mean = weights @ means
+    cov = np.einsum("i,ijk->jk", weights, np.array(covs)) \
+        + np.einsum("i,ij,ik->jk", weights, means - mean, means - mean)
+
+    cfg = MwgConfig(total_samples=30000, burn_in=1000, block_steps=2, seed=5)
+    chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                    reference=reference)
+    assert chain.block_steps == 60000 and chain.block_failed == 0
+    assert 0.3 < chain.acceptance_rates()["block"] < 1.0
+    samples = np.sort(chain.corr[:, 0])
+    quantiles = np.interp(samples, cs, cdf)
+    ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
+    assert ks < 0.02
+    np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.03)
+    assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.03
+
+
 class TestBlockMoves:
-    """One-block (gamma, s) moves from the Laplace conditional.  For a linear
-    map with its exact Jacobian as the reference, q is the exact conditional
-    s | c, d, so the chain must reproduce the exact posterior."""
+    """Independence (c, s) moves: c' from the evidence table, s' from the
+    Laplace conditional.  For a linear map with its exact Jacobian as the
+    reference, q is the exact conditional s | c, d, so the chain must
+    reproduce the exact posterior."""
 
     @pytest.mark.parametrize("kp,km", [(2, 5), (4, 3)])
     @pytest.mark.parametrize("variant", CONSTRUCTORS)
@@ -929,37 +1021,23 @@ class TestBlockMoves:
 
     @pytest.mark.slow
     def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
-        fam, model, noise, d, reference = block_problem(rng)
-        g = model.g
-        cs = np.linspace(-0.999, 0.999, 1999)
-        logev, means, covs = np.empty(cs.size), [], []
-        for i, c in enumerate(cs):
-            cov = reduced_cov(fam, c)
-            cf = cho_factor(g @ cov @ g.T + noise.covariance(), lower=True)
-            logev[i] = -0.5 * (d @ cho_solve(cf, d) + 2 * np.sum(np.log(np.diagonal(cf[0]))))
-            mean_c, cov_c = linear_gaussian_posterior(g, d, noise, fam.mean, cov)
-            means.append(mean_c)
-            covs.append(cov_c)
-        post = np.exp(logev - logev.max())  # the tanh coordinate prior is uniform in c
-        weights = post / post.sum()
-        cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
-        cdf /= cdf[-1]
-        means = np.array(means)
-        mean = weights @ means
-        cov = np.einsum("i,ijk->jk", weights, np.array(covs)) \
-            + np.einsum("i,ij,ik->jk", weights, means - mean, means - mean)
+        assert_block_chain_matches_oracle(*block_problem(rng))
 
-        cfg = MwgConfig(total_samples=30000, burn_in=1000, block_steps=2, seed=5)
-        chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
-                        reference=reference)
-        assert chain.block_steps == 60000
-        assert 0.3 < chain.acceptance_rates()["block"] < 1.0
-        samples = np.sort(chain.corr[:, 0])
-        quantiles = np.interp(samples, cs, cdf)
-        ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
-        assert ks < 0.02
-        np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.03)
-        assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.03
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case", ["two-cells", "steep"])
+    def test_chain_is_exact_whatever_the_table(self, rng, monkeypatch, case):
+        # a table of 2 cells, and one whose log Z spans over 800 nats, must
+        # do as well as the default: the table sets only the acceptance
+        if case == "two-cells":
+            monkeypatch.setattr(inference, "TABLE_CELLS", 2)
+            problem = block_problem(rng)
+        else:
+            problem = steep_block_problem(rng)
+            fam, _, noise, d, reference = problem
+            evidence = _LaplaceConditional(reference, d, noise, fam)
+            centres = np.linspace(-1.0, 1.0, 2 * TABLE_CELLS + 1)[1::2]
+            assert np.ptp([evidence.log_evidence([c]) for c in centres]) > 800
+        assert_block_chain_matches_oracle(*problem)
 
     def test_block_moves_are_reproducible_and_counted_apart(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
@@ -969,11 +1047,13 @@ class TestBlockMoves:
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.corr, b.corr)
         assert a.block_steps == 900 and 0 < a.block_accepted == b.block_accepted
-        assert a.gamma_steps == 300
-        assert set(a.acceptance_rates()) == {"s", "gamma", "block"}
+        # a chain with independence moves takes no random-walk steps
+        assert a.s_steps == a.gamma_steps == 0
+        assert set(a.acceptance_rates()) == {"s", "gamma", "block", "block_failed"}
         fixed = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
                         reference=reference, sample_correlation=False)
         assert fixed.block_steps == 0 and set(fixed.acceptance_rates()) == {"s", "gamma"}
+        assert fixed.s_steps == 300
 
     def test_type_error_in_conditional_propagates(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
@@ -999,9 +1079,56 @@ class TestBlockMoves:
         cfg = MwgConfig(total_samples=30, burn_in=5, block_steps=2, seed=1)
         chain = mwg_run(model, failing, noise, d, cfg, init_state=reference.point,
                         reference=reference)
-        assert chain.block_steps == 60 and chain.block_accepted == 0
+        assert chain.block_steps == chain.block_failed == 60
+        assert chain.block_accepted == 0
         assert chain.acceptance_rates()["block"] == 0.0
-        assert chain.gamma_accepted > 0
+        assert chain.acceptance_rates()["block_failed"] == 60
+        assert np.all(chain.states == reference.point)
+
+    def test_contraction_error_is_counted_apart_from_metropolis_rejections(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        # c' lands on the edge of the box half the time: a ContractionError
+        table = SimpleNamespace(draw=lambda rng: np.array([1.0 if rng.random() < 0.5 else 0.3]),
+                                log_density=lambda values: 0.0)
+        conditional = _LaplaceConditional(reference, d, noise, fam)
+        values, x, weight = np.zeros(1), reference.point, 0.0
+        outcomes = []
+        for _ in range(40):
+            values, x, weight, outcome = metropolis_block_update(
+                rng, values, x, weight, table, conditional,
+                lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
+            outcomes.append(outcome)
+        assert None in outcomes and True in outcomes
+        assert all(v < 1.0 for v in values)
+
+    def test_nan_weight_raises(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        conditional = _LaplaceConditional(reference, d, noise, fam)
+        table = _EvidenceTable(conditional, 1)
+        with pytest.raises(ValueError, match="NaN"):
+            metropolis_block_update(rng, np.zeros(1), reference.point, 0.0, table,
+                                    conditional, lambda s: float("nan"))
+
+    def test_table_is_floored_and_normalised(self, rng, monkeypatch):
+        # g integrates to 1 over the box and stays positive in a cell whose
+        # log Z is thousands of nats below the largest
+        fam, model, noise, d, reference = steep_block_problem(rng)
+        monkeypatch.setattr(inference, "TABLE_CELLS", 16)
+        evidence = _LaplaceConditional(reference, 1e3 * d, noise, fam)
+        table = _EvidenceTable(evidence, 1)
+        centres = np.linspace(-1.0, 1.0, 33)[1::2]
+        logz = np.array([evidence.log_evidence([c]) for c in centres])
+        assert np.ptp(logz) > 5000
+        log_g = np.array([table.log_density([c]) for c in centres])
+        assert np.all(np.isfinite(log_g))
+        assert np.exp(log_g).sum() * (2.0 / 16) == pytest.approx(1.0, rel=1e-12)
+        floor = log_g.max() + np.log(inference.TABLE_FLOOR)
+        np.testing.assert_allclose(log_g, np.maximum(logz - logz.max() + log_g.max(), floor),
+                                   rtol=1e-12)
+        draws = np.array([table.draw(rng)[0] for _ in range(2000)])
+        assert np.all(np.abs(draws) < 1.0)
+        cells = np.floor((draws + 1.0) * 8).astype(int)
+        assert cells.min() >= 0 and cells.max() <= 15
 
     def test_block_moves_need_a_reference_and_a_nonlinear_model(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
@@ -1013,3 +1140,7 @@ class TestBlockMoves:
             mwg_run(linear, fam, noise, d, cfg, reference=reference)
         with pytest.raises(ValueError, match="block_steps"):
             MwgConfig(total_samples=20, burn_in=5, block_steps=-1)
+        # a chain must move c somehow: centred steps or independence moves
+        with pytest.raises(ValueError, match="c_steps_per_s_step"):
+            MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=0)
+        MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=0, block_steps=1)
