@@ -4,7 +4,10 @@
 # Usage: scripts/same_outputs.sh REF
 #
 # Runs every CLI study at a fixed seed (darcy also with block moves off, the
-# kernel of scripts/paper_scale_configs/darcy_full.json), once on a temporary
+# kernel of scripts/paper_scale_configs/darcy_full.json, and with two
+# independence moves per iteration; cokrige also with three correlation steps
+# per field draw, so that the layout of several moves per iteration in a
+# block of moves is compared too), once on a temporary
 # copy of REF (extracted with git archive, so nothing under .git changes) and
 # once on the working tree, then compares each output file except
 # timings.json byte for byte.  Prints the number of identical files and each
@@ -28,15 +31,19 @@ mkdir "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '{"n_chains": 2}\n' > "$tmp/two_chains.json"
 printf '{"block_steps": 0, "c_steps": 100}\n' > "$tmp/centred.json"
+printf '{"block_steps": 2}\n' > "$tmp/multimove.json"
+printf '{"c_steps": 3}\n' > "$tmp/multistep.json"
 
 # output directory | subcommand and options
 runs=(
     "darcy|darcy --seed 7 --samples 300 --burn-in 100"
     "darcy-2chains|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/two_chains.json"
     "darcy-centred|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/centred.json"
+    "darcy-multimove|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/multimove.json"
     "monod|monod --seed 7 --samples 3000 --burn-in 1000"
     "cokrige|cokrige --seed 7 --samples 600 --burn-in 100"
     "cokrige-2chains|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/two_chains.json"
+    "cokrige-multistep|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/multistep.json"
     "sample-prior|sample-prior --seed 7"
     "factor-compare|factor-compare --seed 7"
     "verify|verify --seed 7"

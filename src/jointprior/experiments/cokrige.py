@@ -7,10 +7,10 @@ top half, both with range-relative noise.  Both forward maps are linear, so
 the fixed-correlation posteriors are exact Gaussian updates.  The sampler
 integrates the fields out: each iteration takes ``c_steps`` independence
 Metropolis-Hastings steps on p(c | d), proposed from a table of the evidence
-of the data on 144 cells of (-1, 1), then one exact Gibbs field draw at the
-resulting c.  All come from one data-space algebra (``_LinearGibbs``), whose
-q x q factor gives the evidence and the fixed-c means and variances without
-densifying Gamma(c).
+of the data on 144 cells of (-1, 1), and each retained iteration one exact
+Gibbs field draw at its c.  All come from one data-space algebra
+(``_LinearGibbs``), whose q x q factor gives the evidence and the fixed-c
+means and variances without densifying Gamma(c).
 """
 
 from __future__ import annotations

@@ -74,10 +74,15 @@ def chain_ess(x):
 
 
 def median_ess(states):
-    """Median effective sample size over the columns of a chain block that
-    moved; NaN when none did."""
-    vals = [v for v in map(chain_ess, np.asarray(states, dtype=float).T) if not np.isnan(v)]
-    return float(np.median(vals)) if vals else float("nan")
+    """Median effective sample size over the columns of a chain block whose
+    ``chain_ess`` is not NaN, taken in chunks of columns of about 2^14
+    numbers; NaN when there are none."""
+    states = np.asarray(states, dtype=float)
+    width = max(1, 2**14 // max(1, len(states)))
+    rows = (np.ascontiguousarray(states[:, j : j + width].T)  # rows as ``ess`` reads them
+            for j in range(0, states.shape[1], width))
+    vals = np.concatenate([[]] + [ess(r[r.std(axis=-1) > 0.0].T) for r in rows])
+    return float(np.median(vals)) if vals.size else float("nan")
 
 
 _chain = None  # set in each forked pool worker by its initializer

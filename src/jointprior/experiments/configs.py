@@ -292,6 +292,9 @@ class DarcyConfig:
 
     def validate(self):
         mwg_config(self)
+        if self.c_steps and self.block_steps:  # independence moves take no centred steps
+            raise ConfigError(f"c_steps {self.c_steps} would go unread with block_steps "
+                              f"{self.block_steps}: set one of them to 0")
         _check_at_least(self, 0, "seed")
         _check_at_least(self, 1, "k_p", "k_m", "u_obs_nx", "u_obs_ny", "p_wells",
                         "p_per_well", "n_chains")

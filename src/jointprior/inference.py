@@ -4,17 +4,17 @@ Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 Both studies move the correlation c by independence Metropolis-Hastings
 (Tierney 1994) through the evidence of a linear or linearised model,
 log Z(c) = -(r0^T K(c)^{-1} r0 + log det K(c)) / 2, with K(c) the q x q
-data-space covariance, affine in c and factorised once per c (``_Evidence``).
-Before its first iteration a chain tabulates log Z at the centres of a grid
-of about TABLE_CELLS cells over (-1, 1)^n_free, the INLA recipe for a
-low-dimensional hyperparameter (Rue, Martino & Chopin 2009), and proposes c'
-from the piecewise-constant density g of that table (``_EvidenceTable``).
-For a linear model the field is integrated out: c takes independence steps
-on p(c | d), then the field gets one exact Gibbs draw by pathwise
-conditioning.  For a nonlinear model with a reference linearisation (c, s)
-move together: s' is drawn from the exact conditional of the linearised
-model at c', and the move is exact for the nonlinear target whatever the
-table holds.
+data-space covariance, affine in c (``_Evidence``).  A chain tabulates log Z
+at the centres of a grid of about TABLE_CELLS cells over (-1, 1)^n_free, the
+INLA recipe for a low-dimensional hyperparameter (Rue, Martino & Chopin
+2009), and proposes c' from the piecewise-constant density g of that table
+(``_EvidenceTable``).  For a linear model the field is integrated out: c
+takes independence steps on p(c | d), then each retained iteration gets one
+exact Gibbs field draw by pathwise conditioning.  For a nonlinear model with
+a reference linearisation (c, s) move together: s' is drawn from the exact
+conditional of the linearised model at c', and the move is exact for the
+nonlinear target whatever the table holds.  No proposal depends on the
+chain, so chains draw and score them in blocks (``independence_block``).
 
 The field of a nonlinear model without such moves takes adaptive random-walk
 Metropolis steps, and c = tanh(gamma) takes centred random-walk steps at the
@@ -34,11 +34,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
 
 from .forward_models import DOMAIN_ERRORS
 from .joint_prior import JointPrior, correlation_prior_logdensity
-from .linalg import CONTRACTION_MARGIN, ContractionError, cholesky_lower, solve_lower
+from .linalg import (CONTRACTION_MARGIN, ContractionError, FactorizationError,
+                     cholesky_lower, solve_lower)
 
 
 @dataclass(frozen=True)
@@ -138,28 +139,37 @@ class _StateCache:
         return self._state
 
 
+def _stack_weights(values):
+    """Rows w = (1, c) of a stack of values (k, n_free), and the mask of the
+    rows with |c| < 1 - margin (``Contraction``'s rule); others read c = 0."""
+    values = np.asarray(values, dtype=float)
+    ok = np.abs(values).max(axis=1, initial=0.0) < 1.0 - CONTRACTION_MARGIN  # False for NaN
+    w = np.zeros((len(values), values.shape[1] + 1))
+    w[:, 0], w[ok, 1:] = 1.0, values[ok]
+    return w, ok
+
+
 def _weights(values):
-    """w = (1, c), after the rule of ``Contraction``: |c| < 1 - margin."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    sigma = float(np.abs(values).max()) if values.size else 0.0
-    if not sigma < 1.0 - CONTRACTION_MARGIN:  # also rejects a NaN or inf value
-        raise ContractionError(f"correlation values reached +-1: {values}",
-                               sigma_max=sigma)
-    return np.concatenate([[1.0], values])
+    """w = (1, c) at one c; outside the box it raises ContractionError."""
+    w, ok = _stack_weights(np.atleast_2d(values))
+    if not ok[0]:
+        raise ContractionError(f"correlation values reached +-1: {values}")
+    return w[0]
 
 
-def _cached(cache, values, build):
-    """``build(values)``, kept in ``cache`` under the values' bytes for the
-    two most recently used values of c: after a move proposes c', a draw at
-    c' or at the current c finds its factor built."""
-    key = np.asarray(values, dtype=float).tobytes()
-    state = cache.pop(key, None)
-    if state is None:
-        state = build(values)
-    cache[key] = state
-    if len(cache) > 2:
-        del cache[next(iter(cache))]  # the least recently used
-    return state
+def _cholesky_stack(a, name):
+    """Lower Cholesky factors of a stack (k, m, m) by the LAPACK potrf of
+    ``cholesky_lower``, so each is that factor bitwise, and the mask of the
+    positive definite ones (I stands for any other factor)."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    r, ok = np.empty_like(a), np.ones(len(a), dtype=bool)
+    for i, ai in enumerate(a):
+        r[i], info = potrf(ai, lower=True, clean=True)
+        if info:
+            r[i], ok[i] = np.eye(len(ai)), False
+    return r, ok
 
 
 class FullJointFamily:
@@ -202,6 +212,21 @@ class FullJointFamily:
         defect = self._template.defect if c is self.contraction else c.defect()
         w2 = defect.apply(wm - c.rmatvec(w1))
         return -0.5 * (quad_p + float(w2 @ w2) + c.logdet_complement())
+
+    def draw(self, rng, values):
+        """``prior(c).sample(eta)`` at one c, or a row per c of a stack
+        (k, n_free), with one filter solve per marginal for the whole stack."""
+        stack, t = np.atleast_2d(np.asarray(values, dtype=float)), self._template
+        eta = rng.standard_normal(len(stack) * self.dim).reshape(len(stack), self.dim).T
+        top, rest = eta[: t.n1], eta[t.n1 :].copy()
+        starts = [0, *(np.flatnonzero(np.any(stack[1:] != stack[:-1], axis=1)) + 1)]
+        for a, b in zip(starts, starts[1:] + [len(stack)]):  # a run of rows at one c
+            c = self.contraction.with_values(stack[a])
+            defect = t.defect if c is self.contraction else c.defect()
+            rest[:, a:b] = c.rmatvec(top[:, a:b]) + defect.solve(rest[:, a:b])
+        s = np.concatenate([t.mean_p[:, None] + self.filter_p.solve(top),
+                            t.mean_m[:, None] + self.filter_m.solve(rest)]).T
+        return s[0] if np.ndim(values) == 1 else s
 
 
 class ReducedJointFamily:
@@ -259,13 +284,18 @@ class ReducedJointFamily:
 
     def _gram_factor(self, values):
         """(w, R, log det R R^T) with R R^T = I - X X^T, the smaller Gram
-        complement at c; kept for the two most recent values of c."""
-        def build(values):
+        complement at c; kept for the two most recently used values of c."""
+        key = np.asarray(values, dtype=float).tobytes()
+        state = self._grams.pop(key, None)
+        if state is None:
             w = _weights(values)
             gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
             r = cholesky_lower(gram, "reduced Gram complement")
-            return w, r, 2.0 * float(np.sum(np.log(np.diagonal(r))))
-        return _cached(self._grams, values, build)
+            state = w, r, 2.0 * float(np.sum(np.log(np.diagonal(r))))
+        self._grams[key] = state
+        if len(self._grams) > 2:
+            del self._grams[next(iter(self._grams))]  # the least recently used
+        return state
 
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
@@ -275,13 +305,18 @@ class ReducedJointFamily:
         return -0.5 * (bb + float(resid @ resid) + logdet)
 
     def draw(self, rng, values):
-        """A draw from the reduced joint prior at c: b = z_b, a = X b + R z_a."""
-        w, r, _ = self._gram_factor(values)
-        z = rng.standard_normal(self.dim)
-        s = np.empty(self.dim)
-        s[self._b] = b = z[self._b]
-        s[self._a] = w @ (self._x @ b) + r @ z[self._a]
-        return s
+        """Draws b = z_b, a = X(c) b + R z_a at one c, or a row per c of a stack
+        (k, n_free); NaN at a c outside the box or with no Gram factor."""
+        w, ok = _stack_weights(np.atleast_2d(values))
+        nw, ks, kb = self._x.shape
+        gram = self._eye - ((w[:, :, None] * w[:, None, :]).reshape(-1, nw * nw)
+                            @ self._gram.reshape(nw * nw, -1)).reshape(-1, ks, ks)
+        r, pd = _cholesky_stack(gram, "reduced Gram complement")
+        s = rng.standard_normal(len(w) * self.dim).reshape(len(w), self.dim)
+        xb = (s[:, self._b] @ self._x.reshape(nw * ks, kb).T).reshape(-1, nw, ks)
+        s[:, self._a] = np.einsum("kj,kja->ka", w, xb) + (r @ s[:, self._a, None])[..., 0]
+        s[~(ok & pd)] = np.nan
+        return s[0] if np.ndim(values) == 1 else s
 
 
 # ----------------------------------------------------------------------------
@@ -309,6 +344,7 @@ COV_RIDGE = 1e-8
 # and floors each cell's weight at TABLE_FLOOR times the largest.
 TABLE_CELLS = 144
 TABLE_FLOOR = 1e-3
+BLOCK_LENGTH = 32  # about this many independence moves are drawn and scored together
 
 
 @dataclass
@@ -316,12 +352,12 @@ class MwgConfig:
     """Lengths, move counts and seed of a Metropolis-within-Gibbs run.
 
     An iteration on a linear model takes ``c_steps_per_s_step`` independence
-    steps of c, then one exact Gibbs field draw.  An iteration on a
-    nonlinear model takes ``block_steps`` independence moves of (c, s) and
-    nothing else when ``block_steps`` >= 1 (this needs a reference
-    linearisation; see ``mwg_run``); otherwise one adaptive random-walk
-    field step and ``c_steps_per_s_step`` centred gamma steps.  So
-    ``c_steps_per_s_step`` may be 0 only when ``block_steps`` >= 1.
+    steps of c, and a retained iteration then one exact Gibbs field draw.
+    An iteration on a nonlinear model takes ``block_steps`` independence
+    moves of (c, s) and nothing else when ``block_steps`` >= 1 (this needs a
+    reference linearisation; see ``mwg_run``); otherwise one adaptive
+    random-walk field step and ``c_steps_per_s_step`` centred gamma steps.
+    So ``c_steps_per_s_step`` may be 0 only when ``block_steps`` >= 1.
     Proposal adaptation happens during burn-in only.
     """
 
@@ -356,14 +392,14 @@ class Chain:
     burn_in: int
     seed: int
     kind: str              # "gibbs" or "adaptive"
-    s_steps: int = 0
+    s_steps: int = 0         # random-walk field steps, or the Gibbs draws made
     s_accepted: int = 0
     gamma_steps: int = 0     # centred random-walk correlation steps
     gamma_accepted: int = 0
     block_steps: int = 0     # independence moves of c, or of (c, s)
     block_accepted: int = 0
     block_failed: int = 0    # independence moves rejected through a domain error
-    tau_trace: np.ndarray | None = None  # (records, 2): iteration, tau
+    tau_trace: np.ndarray | None = None  # (records, 2): iteration, tau of a random walk
 
     @property
     def retained(self):
@@ -472,40 +508,51 @@ def metropolis_update_correlation(rng, gamma, cur_logdens, corr_prior, log_targe
     return gamma, cur_logdens, corr_prior, False
 
 
-def metropolis_block_update(rng, values, x, weight, table, evidence, excess=None):
-    """One independence Metropolis-Hastings move (Tierney 1994): c' ~ g from
-    ``table`` and, when ``excess`` is given, s' ~ q(. | c') =
-    ``evidence.draw(rng, c')``, the exact conditional of the linearised
-    model.  As l_lin(s) + log p(s | c) = log Z(c) + log q(s | c) for every s
-    and c is uniform a priori, the importance weight of (s, c) is
-
-        w(s, c) = l(s) - l_lin(s) + log Z(c) - log g(c),
-
-    with ``excess(s)`` = l(s) - l_lin(s); without it (a linear model, where
-    the excess is 0) only c moves and the field is left to a Gibbs draw.
-    The move is accepted with probability min(1, exp(w' - w)); ``weight`` is
-    w at the current (x, values).  A DOMAIN_ERRORS failure is a rejection,
-    any other error propagates, and a NaN weight raises ValueError.  Returns
-    (values, x, weight, outcome): outcome is True when accepted, False when
-    rejected by the Metropolis test and None when rejected by a failure.
-    """
-    proposed = table.draw(rng)
-    try:
-        x_new = x if excess is None else evidence.draw(rng, proposed)
-        w_new = ((0.0 if excess is None else excess(x_new))
-                 + evidence.log_evidence(proposed) - table.log_density(proposed))
-    except DOMAIN_ERRORS:
-        return values, x, weight, None
-    if np.isnan(w_new):
-        raise ValueError(f"independence weight is NaN at c = {proposed}")
-    if np.log(rng.random()) < w_new - weight:
-        return proposed, x_new, w_new, True
-    return values, x, weight, False
+def independence_block(rng, count, current, table, evidence, excess=None):
+    """``count`` independence Metropolis-Hastings moves (Tierney 1994): c' ~ g
+    from ``table`` and, given ``excess``, s' ~ q(. | c') by ``evidence.draw``.
+    As l_lin(s) + log p(s | c) = log Z(c) + log q(s | c) and c is uniform a
+    priori, (s, c) weighs w = l(s) - l_lin(s) + log Z(c) - log g(c), with
+    ``excess(s)`` = l - l_lin (0 for a linear model, where only c moves).
+    All proposals are drawn and scored, then a scalar pass accepts each in
+    order with probability min(1, exp(w' - w)).  ``current`` is the state
+    as a stack of one row (values, x, w, R), R R^T = K(c).  Returns it with
+    the proposals as rows 1..count, the row held after each move, and the
+    count rejected through DOMAIN_ERRORS or a factor that is not positive
+    definite.  Other errors propagate; a NaN weight raises ValueError."""
+    values = table.draw(rng, count)
+    r, weight = evidence.factors(values)
+    failed = weight == -np.inf
+    weight -= table.log_density(values)
+    x = current[1]
+    if excess is not None:
+        try:
+            drawn = evidence.draw(rng, values, r)
+        except DOMAIN_ERRORS:
+            drawn = np.full((count, x.shape[1]), np.nan)
+        failed |= ~np.isfinite(drawn).all(axis=1)
+        for i in np.flatnonzero(~failed):
+            try:
+                weight[i] += excess(drawn[i])
+            except DOMAIN_ERRORS:
+                failed[i] = True
+        x = np.concatenate([x, drawn])
+    weight[failed] = -np.inf
+    if np.isnan(weight).any():
+        raise ValueError(f"independence weight is NaN at c = {values[np.isnan(weight)][0]}")
+    weights = np.concatenate([current[2], weight])
+    w, chosen, row = weights.tolist(), [], 0
+    for t, log_u in enumerate(np.log(rng.random(count)).tolist(), start=1):
+        if log_u < w[t] - w[row]:
+            row = t
+        chosen.append(row)
+    return ((np.concatenate([current[0], values]), x, weights, np.concatenate([current[3], r])),
+            np.array(chosen, dtype=int), int(np.count_nonzero(failed)))
 
 
 class _Evidence:
     """Evidence of a linear(ised) model d = G s + e, e ~ N(0, Sigma), under
-    the prior N(mu, Gamma(c)), through the q x q data-space covariance
+    the family's prior N(mu, Gamma(c)), through the q x q covariance
 
         K(c) = G Gamma(c) G^T + Sigma = sum_j w_j G T_j + Sigma,  w = (1, c),
 
@@ -514,32 +561,60 @@ class _Evidence:
 
         log Z(c) = -|R^{-1} r0|^2 / 2 - sum_i log R_ii
 
-    up to a constant; it is 0 with no data (q = 0).  K(c) is factorised once
-    per c, and the two most recently used values stay cached, so a new c
-    costs O(q^3) and Gamma(c) is never formed."""
+    up to a constant (0 with no data, q = 0); Gamma(c) is never formed.  A
+    draw is Matheron's rule, s = s0 + B K^{-1} (d - G s0 - e) with s0 ~
+    prior(c), e ~ noise; ``_key`` holds the values of the last draw."""
 
-    def __init__(self, g, r0, noise, terms):
+    def __init__(self, g, data, noise, family, terms):
+        self.g, self.data, self.noise, self.family = g, data, noise, family
         self._terms = terms
-        self._gterms = g @ terms
-        self._gterms[0] += noise.covariance()
-        self._r0 = r0
-        self._factors = {}
+        self._gterms = (g @ terms).reshape(len(terms), -1)
+        self._gterms[0] += noise.covariance().ravel()
+        self._r0 = data - g @ family.mean
+        self._key = None
 
     def columns(self, values):
         """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
         return np.tensordot(_weights(values), self._terms, axes=1)
 
-    def _data_factor(self, values):
-        """(R, log Z(c)) with K(c) = R R^T."""
-        def build(values):
-            k = np.tensordot(_weights(values), self._gterms, axes=1)
-            r = cholesky_lower(0.5 * (k + k.T), "data-space covariance")
-            y = solve_lower(r, self._r0) if r.size else self._r0
-            return r, -0.5 * float(y @ y) - float(np.sum(np.log(np.diagonal(r))))
-        return _cached(self._factors, values, build)
+    def factors(self, values):
+        """(R, log Z(c)) for a stack of values (k, n_free); log Z is -inf at a
+        c outside the box or whose K(c) is not positive definite."""
+        w, ok = _stack_weights(values)
+        q = self._r0.size
+        k = (w @ self._gterms).reshape(len(w), q, q)
+        r, pd = _cholesky_stack(0.5 * (k + k.transpose(0, 2, 1)), "data-space covariance")
+        ys = (solve_lower(ri, self._r0) if q else self._r0 for ri in r)
+        logz = np.array([-0.5 * float(y @ y) - float(np.sum(np.log(np.diagonal(ri))))
+                         for ri, y in zip(r, ys)])
+        logz[~(ok & pd)] = -np.inf
+        return r, logz
+
+    def _factor(self, values):
+        """``factors`` of a stack that must all have one, or else it raises."""
+        r, logz = self.factors(values)
+        for c in values[logz == -np.inf][:1]:
+            _weights(c)  # raises ContractionError outside the box
+            raise FactorizationError(f"data-space covariance is not positive definite at {c}")
+        return r, logz
 
     def log_evidence(self, values):
-        return self._data_factor(values)[1]
+        return float(self._factor(np.atleast_2d(values))[1][0])
+
+    def draw(self, rng, values, factors=None):
+        """Draws from s | c, d at one c, or a row per c of a stack (k, n_free),
+        given the stack's factors R if the caller has them."""
+        stack = np.atleast_2d(np.asarray(values, dtype=float))
+        factors = self._factor(stack)[0] if factors is None else factors
+        self._key = stack.tobytes()
+        s0, q = self.family.draw(rng, stack), self.noise.q
+        e = self.noise.std_vector * rng.standard_normal(len(stack) * q).reshape(len(stack), q)
+        resid = self.data - s0 @ self.g.T - e
+        (potrs,) = get_lapack_funcs(("potrs",), (factors,))  # K^{-1} resid row by row
+        y = np.array([potrs(r, b, lower=True)[0] for r, b in zip(factors, resid)]) if q else resid
+        weights = _stack_weights(stack)[0].T
+        s = s0 + sum((w[:, None] * y) @ t.T for w, t in zip(weights, self._terms))
+        return s[0] if np.ndim(values) == 1 else s
 
 
 class _EvidenceTable:
@@ -549,7 +624,7 @@ class _EvidenceTable:
     exp(log Z - max log Z) is floored at TABLE_FLOOR, so g > 0 wherever the
     target is, and the weights are kept as logarithms, so a table that spans
     thousands of nats does not underflow.  It costs G^n_free factors of
-    K(c), one per cell."""
+    K(c), made in stacks of BLOCK_LENGTH."""
 
     def __init__(self, evidence, n_free):
         self._n = n_free
@@ -557,7 +632,8 @@ class _EvidenceTable:
         self._width = 2.0 / self._cells
         centres = -1.0 + self._width * (np.arange(self._cells) + 0.5)
         grid = np.array(list(itertools.product(centres, repeat=n_free)))  # row-major
-        logz = np.array([evidence.log_evidence(c) for c in grid])
+        logz = np.concatenate([evidence.factors(grid[i : i + BLOCK_LENGTH])[1]
+                               for i in range(0, len(grid), BLOCK_LENGTH)])
         if not np.all(np.isfinite(logz)):
             raise ValueError("log evidence is not finite on the correlation table")
         logw = np.maximum(logz - logz.max(), np.log(TABLE_FLOOR))
@@ -566,102 +642,67 @@ class _EvidenceTable:
         self._log_g = logw - np.log(mass.sum()) - n_free * np.log(self._width)
         self._lower = grid - 0.5 * self._width
 
-    def draw(self, rng):
-        """c ~ g: a cell by its weight, then a uniform point in it."""
-        u = rng.random(self._n + 1)
-        cell = min(int(np.searchsorted(self._cdf, u[0], side="right")), self._cdf.size - 1)
-        return self._lower[cell] + self._width * u[1:]
+    def draw(self, rng, count):
+        """``count`` draws c ~ g: a cell by its weight, then a point in it."""
+        u = rng.random((count, self._n + 1))
+        cells = np.minimum(np.searchsorted(self._cdf, u[:, 0], side="right"), self._cdf.size - 1)
+        return self._lower[cells] + self._width * u[:, 1:]
 
     def log_density(self, values):
-        """log g(c), the density of the cell that holds c."""
+        """log g(c), the density of the cell that holds c (or each row's c)."""
         index = np.clip(np.floor((np.asarray(values) + 1.0) / self._width).astype(int),
                         0, self._cells - 1)
-        return float(self._log_g[np.ravel_multi_index(index, (self._cells,) * self._n)])
+        return self._log_g[np.ravel_multi_index(index.T, (self._cells,) * self._n)]
 
 
 class _LaplaceConditional(_Evidence):
     """Field proposal given the correlation: the exact conditional s | c of
     the model linearised at a reference point x0, f(s) ~ f0 + J (s - x0),
     that is of d_lin = J s + e with d_lin = d - f0 + J x0, under the reduced
-    family's prior N(0, Sigma(c)).  Sigma(c) = [[I, X(c)], [X(c)^T, I]] is
-    affine in c, so the evidence terms Sigma_j J^T are formed once.  A draw
-    is Matheron's rule: s0 = ``family.draw``, e ~ noise,
-    s = s0 + Sigma(c) J^T K(c)^{-1} (d_lin - J s0 - e); no n x n precision
-    is formed.  For a linear model with J its matrix, q is the exact
+    family's prior N(0, Sigma(c)), affine in c; no n x n precision is
+    formed.  For a linear model with J its matrix, q is the exact
     conditional.  ``reference`` carries ``point``, ``jacobian`` and
     ``forward``, as a ``GaussNewtonResult`` does."""
 
     def __init__(self, reference, d, noise, family):
-        self.j = np.asarray(reference.jacobian, dtype=float)
-        self.d_lin = d - reference.forward + self.j @ reference.point
-        self.noise = noise
-        self.family = family
-        jp, jm = np.split(self.j.T, [family.basis_p.k])
+        j = np.asarray(reference.jacobian, dtype=float)
+        jp, jm = np.split(j.T, [family.basis_p.k])
         terms = np.stack([np.concatenate([xj @ jm, xj.T @ jp]) for xj in family._blocks])
-        terms[0] += self.j.T
-        super().__init__(self.j, self.d_lin, noise, terms)
+        terms[0] += j.T
+        super().__init__(j, d - reference.forward + j @ reference.point, noise, family, terms)
 
     def linear_loglik(self, s):
-        return gaussian_loglik(self.d_lin, self.j @ s, self.noise)
-
-    def draw(self, rng, values):
-        s0 = self.family.draw(rng, values)
-        resid = self.d_lin - self.j @ s0 - self.noise.sample(rng)
-        r, _ = self._data_factor(values)
-        return s0 + self.columns(values) @ cho_solve((r, True), resid)
+        return gaussian_loglik(self.data, self.g @ s, self.noise)
 
 
 class _LinearGibbs(_Evidence):
     """Exact posterior of a linear model d = G s + e at fixed correlation,
     through the data-space covariance K(c) of ``_Evidence``.  It serves the
-    independence correlation steps (``log_evidence``), the sampler's Gibbs
-    draws and the fixed-c moments from the same cached factor.  A draw at a new c
-    also builds prior(c) and B(c), once per c, and ``_key`` changes exactly
-    then.  The c-free terms take q filter solves each at construction.
-
-    A draw is pathwise conditioning (Matheron's rule): with s0 ~ prior(c) and
-    e ~ noise, s = s0 + B K^{-1} (d - G s0 - e) has exactly the conditional
-    law; it uses 2n + q standard normals."""
+    independence correlation steps (``factors``), the sampler's Gibbs draws
+    and the fixed-c moments from the same factor.  The c-free terms take q
+    filter solves each at construction."""
 
     def __init__(self, g, d, noise, family):
-        self.g = np.asarray(g, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        self.noise = noise
-        self.family = family
         fp, fm, con, n_free = family.filter_p, family.filter_m, family.contraction, family.n_free
+        g = np.asarray(g, dtype=float)
         # B_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
         base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)))
-        a = base.sample_t(self.g.T)
+        a = base.sample_t(g.T)
         terms = [base.sample(a)]
         for l in range(n_free):  # B_l = 2 B(e_l / 2): e_l itself is no strict contraction
             half = con.with_values(0.5 * np.eye(n_free)[l])
             terms.append(2.0 * np.concatenate([fp.solve(half.matvec(a[fp.dim :])),
                                                fm.solve(half.rmatvec(a[: fp.dim]))]))
-        super().__init__(self.g, self.d - self.g @ family.mean, noise, np.stack(terms))
-        self._key = None
-        self._state = None
-
-    def _factor(self, values):
-        """(prior(c), B(c), R) with K(c) = R R^T."""
-        key = np.asarray(values, dtype=float).tobytes()
-        if key != self._key:
-            self._key, self._state = key, (self.family.prior(values), self.columns(values))
-        return (*self._state, self._data_factor(values)[0])
-
-    def draw(self, rng, values):
-        prior, b, r = self._factor(values)
-        s0 = prior.sample(rng.standard_normal(prior.n))
-        resid = self.d - self.g @ s0 - self.noise.sample(rng)
-        return s0 + b @ cho_solve((r, True), resid)
+        super().__init__(g, np.asarray(d, dtype=float), noise, family, np.stack(terms))
 
     def moments(self, values):
         """Posterior mean mu + B K^{-1} (d - G mu) and whitened columns
         W = R^{-1} B^T, shape (q, n): the posterior covariance is
         Gamma(c) - W^T W, so the variances are
         diag Gamma_p (+) diag Gamma_m - colsum(W * W) for every c."""
-        prior, b, r = self._factor(values)
-        mean = prior.mean
-        return (mean + b @ cho_solve((r, True), self.d - self.g @ mean),
+        r = self._factor(np.atleast_2d(values))[0][0]
+        b = self.columns(values)
+        return (self.family.mean + b @ cho_solve((r, True), self._r0),
                 solve_triangular(r, b.T, lower=True))
 
 
@@ -669,21 +710,21 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             init_state=None, init_gamma=None, proposal_factor=None, reference=None):
     """Metropolis-within-Gibbs over (s, c); fully reproducible from cfg.seed.
 
-    Linear models (model.is_linear with a ``matrix``) are collapsed: each
-    iteration takes ``cfg.c_steps_per_s_step`` independence steps of c on the
-    marginal p(c | d), through the log evidence with the field integrated
-    out, then one exact Gibbs field draw at the resulting c.  A nonlinear
-    model starts from ``init_state`` (required).  With ``cfg.block_steps``
-    >= 1 each iteration takes that many independence moves of (c, s), whose
+    Linear models (model.is_linear with a ``matrix``) are collapsed: c takes
+    independence steps on the marginal p(c | d), and each retained iteration
+    gets one exact Gibbs field draw at its c (``Chain.s_steps`` counts them).
+    A nonlinear model starts from ``init_state`` (required).  With
+    ``cfg.block_steps`` >= 1 it takes independence moves of (c, s), whose
     field proposal is the conditional of the model linearised about
-    ``reference`` (a ``GaussNewtonResult``; the reduced family only), and
-    nothing else.  Otherwise the field takes an adaptive random-walk
-    Metropolis step, optionally with an initial proposal factor (e.g. a
-    Laplace factor from the warm start), and gamma takes
-    ``cfg.c_steps_per_s_step`` centred steps at the fixed field.  An
-    independence chain tabulates its proposal for c (``_EvidenceTable``)
-    before the first iteration.  When ``sample_correlation`` is false the
-    correlation stays at its initial value and only the field is sampled.
+    ``reference`` (a ``GaussNewtonResult``; the reduced family only).
+    Otherwise the field takes adaptive random-walk Metropolis steps, from an
+    optional initial proposal factor (e.g. the warm start's Laplace factor),
+    and gamma centred steps at the fixed field (see ``MwgConfig``).  An
+    independence chain tabulates its proposal for c (``_EvidenceTable``),
+    then runs in blocks of about BLOCK_LENGTH moves (``independence_block``);
+    a linear chain draws a block's retained fields together.  Blocks reorder
+    the random stream, not the law of the chain.  When ``sample_correlation``
+    is false c stays at its initial value and only the field is sampled.
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -727,45 +768,56 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
             def excess(s):
                 return loglik(s) - evidence.linear_loglik(s)
-    if moves:
-        table = _EvidenceTable(evidence, n_free)
-        weight = ((0.0 if excess is None else cur_ll - evidence.linear_loglik(x))
-                  + evidence.log_evidence(values) - table.log_density(values))
 
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
     s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = block_failed = 0
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
-
-    for k in range(cfg.total_samples):
-        adapting = k < cfg.burn_in
-        for _ in range(moves):
-            values, x, weight, outcome = metropolis_block_update(
-                rng, values, x, weight, table, evidence, excess)
-            block_accepted += outcome is True
-            block_failed += outcome is None
-        if not (linear or moves):
-            x, _, accepted = adaptive_metropolis_update_s(
-                rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
-            )
-            if accepted:
-                cur_ll, cur_pd = last
-            s_steps += 1
-            s_accepted += int(accepted)
-            if track_gamma:
-                target = partial(family.log_density, x)
-                for _ in range(cfg.c_steps_per_s_step):
-                    gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
-                        rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
-                    )
-                    values = np.tanh(gamma)
-                    gamma_steps += 1
-                    gamma_accepted += int(acc)
-
+    if linear or moves:
+        r, logz = evidence._factor(values[None])
+        table = _EvidenceTable(evidence, n_free) if moves else None
+        weight = ((0.0 if excess is None else excess(x)) + logz[0]
+                  - (table.log_density(values) if moves else 0.0))
+        current = (values[None], None if linear else x[None], np.array([weight]), r)
+        per_block = max(1, BLOCK_LENGTH // max(moves, 1))
+        for start in range(0, cfg.total_samples, per_block):
+            count = min(per_block, cfg.total_samples - start)
+            stack, ends = current, np.zeros(count, dtype=int)
+            if moves:
+                stack, chosen, failed = independence_block(
+                    rng, count * moves, current, table, evidence, excess)
+                ends = chosen[moves - 1 :: moves]  # the row at each iteration's end
+                block_accepted += np.count_nonzero(np.diff(chosen, prepend=0))
+                block_failed += failed
+                current = tuple(None if a is None else a[chosen[-1:]] for a in stack)
+            first = max(start, cfg.burn_in)  # the block's first retained iteration
+            rows = ends[first - start :]
+            if rows.size:
+                kept = slice(first - cfg.burn_in, first - cfg.burn_in + rows.size)
+                corr[kept] = stack[0][rows]
+                states[kept] = (evidence.draw(rng, stack[0][rows], stack[3][rows]) if linear
+                                else stack[1][rows])
         if linear:
-            x = evidence.draw(rng, values)
-            s_steps += 1
-            s_accepted += 1
+            s_steps = s_accepted = retained
+
+    for k in range(0 if linear or moves else cfg.total_samples):  # random-walk steps
+        adapting = k < cfg.burn_in
+        x, _, accepted = adaptive_metropolis_update_s(
+            rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
+        )
+        if accepted:
+            cur_ll, cur_pd = last
+        s_steps += 1
+        s_accepted += int(accepted)
+        if track_gamma:
+            target = partial(family.log_density, x)
+            for _ in range(cfg.c_steps_per_s_step):
+                gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
+                    rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
+                )
+                values = np.tanh(gamma)
+                gamma_steps += 1
+                gamma_accepted += int(acc)
         if k >= cfg.burn_in:
             states[k - cfg.burn_in] = x
             corr[k - cfg.burn_in] = values
@@ -777,7 +829,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         gamma_steps=gamma_steps, gamma_accepted=gamma_accepted,
         block_steps=moves * cfg.total_samples, block_accepted=block_accepted,
         block_failed=block_failed,
-        tau_trace=None if linear else proposal.trace_array(),
+        tau_trace=None if linear or moves else proposal.trace_array(),
     )
 
 

@@ -22,7 +22,7 @@ TINY_COKRIGE = {
 
 TINY_DARCY = {
     "nx": 9, "ny": 5, "k_p": 4, "k_m": 6, "samples": 300, "burn_in": 60,
-    "c_steps": 3, "u_obs_nx": 3, "u_obs_ny": 2, "p_wells": 2,
+    "u_obs_nx": 3, "u_obs_ny": 2, "p_wells": 2,
     "p_per_well": 2,
 }
 
@@ -200,6 +200,8 @@ class TestCliRuns:
         # a chain must move c: by centred steps or by independence moves
         "darcy-no-correlation-moves": ("darcy", {**TINY_DARCY, "c_steps": 0, "block_steps": 0},
                                        "c_steps"),
+        # centred steps that a chain of independence moves would never take
+        "darcy-ignored-c-steps": ("darcy", {**TINY_DARCY, "c_steps": 3}, "c_steps"),
         # values of the wrong type
         "cokrige-float-count": ("cokrige", {**TINY_COKRIGE, "samples": 400.5}, "samples"),
         "cokrige-float-size": ("cokrige", {**TINY_COKRIGE, "nx": 6.0}, "nx"),

@@ -62,6 +62,25 @@ class TestEss:
         expected = m * (1.0 - phi) / (1.0 + phi)
         assert ess(ar1(rng, phi, m)) == pytest.approx(expected, rel=0.15)
 
+    def test_columns_match_one_column_at_a_time(self, rng):
+        from jointprior.experiments import common
+
+        block = np.column_stack([ar1(rng, phi, 3000) for phi in (-0.5, 0.0, 0.5, 0.9, 0.99)])
+        one_by_one = [ess(column) for column in block.T]
+        np.testing.assert_allclose(ess(block), one_by_one, rtol=1e-12)
+        np.testing.assert_allclose(autocorrelation(block, 40),
+                                   np.column_stack([autocorrelation(c, 40) for c in block.T]),
+                                   rtol=1e-12, atol=1e-14)
+        # the median over the columns that moved, in chunks of columns
+        wide = np.column_stack([ar1(rng, 0.5, 40) for _ in range(600)])
+        wide[:, 7] = 0.5
+        one_by_one = [ess(column) for j, column in enumerate(wide.T) if j != 7]
+        assert common.median_ess(wide) == pytest.approx(np.median(one_by_one), rel=1e-12)
+        assert np.isnan(common.chain_ess(wide[:, 7]))
+        assert np.isnan(common.median_ess(np.full((50, 3), 0.5)))
+        with pytest.raises(ZeroVarianceError):
+            ess(wide)
+
     def test_bounded_by_chain_length(self, rng):
         for phi in (-0.5, 0.0, 0.9):
             x = ar1(rng, phi, 20000)

@@ -15,13 +15,13 @@ from jointprior.inference import (TABLE_CELLS, AdaptiveProposal, FullJointFamily
                                   ReducedJointFamily, _EvidenceTable, _LaplaceConditional,
                                   _LinearGibbs,
                                   adaptive_metropolis_update_s,
-                                  gauss_newton_map, gaussian_loglik,
-                                  linear_gaussian_posterior, metropolis_block_update,
+                                  gauss_newton_map, gaussian_loglik, independence_block,
+                                  linear_gaussian_posterior,
                                   metropolis_update_correlation, mwg_run)
 from jointprior.joint_prior import (Contraction, correlation_prior_logdensity,
                                     reduced_joint_covariance)
 from jointprior.covariance import kl_truncate
-from jointprior.linalg import ContractionError, cholesky_lower
+from jointprior.linalg import ContractionError, FactorizationError, cholesky_lower
 from jointprior.mesh_fem import build_lattice_mesh
 
 from conftest import random_dense_contraction, random_spd
@@ -458,8 +458,7 @@ class TestLoudFailures:
         assert np.all(chain.states == 0.0)
 
 
-@pytest.fixture(scope="module")
-def desk_cokrige():
+def desk_cokrige_run():
     """The exact Gibbs kernel of the desk cokrige problem, and a 5000/500
     chain at the study's own settings (chain seed 3)."""
     from jointprior.experiments.cokrige import build_problem
@@ -470,6 +469,56 @@ def desk_cokrige():
     model, fam, noise, d = (problem[k] for k in ("model", "family", "noise", "d"))
     return (_LinearGibbs(model.matrix, d, noise, fam),
             mwg_run(model, fam, noise, d, mwg_config(cfg, seed=3)))
+
+
+@pytest.fixture(scope="module")
+def desk_cokrige():
+    return desk_cokrige_run()
+
+
+def assert_desk_chain_matches_quadrature(gibbs, chain):
+    """Independence steps at the study's own settings against a 4001-point
+    quadrature of the evidence under the uniform prior on c (KS < 0.05)."""
+    cs = np.linspace(-1.0, 1.0, 4003)[1:-1]
+    logev = np.array([gibbs.log_evidence([c]) for c in cs])
+    post = np.exp(logev - logev.max())
+    cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
+    cdf /= cdf[-1]
+    samples = np.sort(chain.corr[:, 0])
+    quantiles = np.interp(samples, cs, cdf)
+    ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
+    assert ks < 0.05
+
+
+def assert_desk_fields_match_mixture(gibbs, chain):
+    """The exact field posterior is a mixture over c of the fixed-c
+    Gaussians, weighted by exp(log Z(c)) under the uniform prior: on 2001
+    values of c, mean = sum w mu(c) and variance = sum w (v(c) + mu(c)^2) -
+    mean^2, from _LinearGibbs.moments."""
+    fam = gibbs.family
+    cs = np.linspace(-1.0, 1.0, 2003)[1:-1]
+    logev = np.array([gibbs.log_evidence([c]) for c in cs])
+    weights = np.exp(logev - logev.max())
+    weights /= weights.sum()
+    prior_var = np.concatenate([np.diagonal(fam.filter_p.covariance()),
+                                np.diagonal(fam.filter_m.covariance())])
+    mean, second = np.zeros(fam.dim), np.zeros(fam.dim)
+    for c, w in zip(cs, weights):
+        if w < 1e-12 * weights.max():  # below rounding in the sums
+            continue
+        mean_c, whitened = gibbs.moments([c])
+        mean += w * mean_c
+        second += w * (prior_var - np.einsum("ij,ij->j", whitened, whitened) + mean_c**2)
+    var = second - mean**2
+    # field draws are near independent (ESS 1.0 per draw at chain seeds
+    # 1-3), so the 676 standardised mean gaps are near N(0, 1) (largest
+    # 3.0-3.8 over those seeds) and the relative variance gaps near
+    # N(0, 2 / n) (largest 0.07-0.08); leaving log g out of the
+    # independence weight reads about 10 and 0.23
+    n = chain.retained
+    z = (chain.states.mean(axis=0) - mean) / np.sqrt(var / n)
+    assert np.abs(z).max() < 4.5
+    assert np.abs(chain.states.var(axis=0, ddof=1) / var - 1.0).max() < 0.15
 
 
 class TestMwgRun:
@@ -513,49 +562,32 @@ class TestMwgRun:
         assert ks < 0.02
 
     def test_desk_cokrige_chain_matches_quadrature(self, desk_cokrige):
-        # independence steps at the study's own settings against a 4001-point
-        # quadrature of the evidence under the uniform prior on c
-        gibbs, chain = desk_cokrige
-        cs = np.linspace(-1.0, 1.0, 4003)[1:-1]
-        logev = np.array([gibbs.log_evidence([c]) for c in cs])
-        post = np.exp(logev - logev.max())
-        cdf = np.concatenate([[0.0], np.cumsum((post[1:] + post[:-1]) / 2 * np.diff(cs))])
-        cdf /= cdf[-1]
-        samples = np.sort(chain.corr[:, 0])
-        quantiles = np.interp(samples, cs, cdf)
-        ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
-        assert ks < 0.05
+        assert_desk_chain_matches_quadrature(*desk_cokrige)
 
     def test_desk_cokrige_fields_match_mixture_oracle(self, desk_cokrige):
-        # the exact field posterior is a mixture over c of the fixed-c
-        # Gaussians, weighted by exp(log Z(c)) under the uniform prior: on
-        # 2001 values of c, mean = sum w mu(c) and variance =
-        # sum w (v(c) + mu(c)^2) - mean^2, from _LinearGibbs.moments
-        gibbs, chain = desk_cokrige
-        fam = gibbs.family
-        cs = np.linspace(-1.0, 1.0, 2003)[1:-1]
-        logev = np.array([gibbs.log_evidence([c]) for c in cs])
-        weights = np.exp(logev - logev.max())
-        weights /= weights.sum()
-        prior_var = np.concatenate([np.diagonal(fam.filter_p.covariance()),
-                                    np.diagonal(fam.filter_m.covariance())])
-        mean, second = np.zeros(fam.dim), np.zeros(fam.dim)
-        for c, w in zip(cs, weights):
-            if w < 1e-12 * weights.max():  # below rounding in the sums
-                continue
-            mean_c, whitened = gibbs.moments([c])
-            mean += w * mean_c
-            second += w * (prior_var - np.einsum("ij,ij->j", whitened, whitened) + mean_c**2)
-        var = second - mean**2
-        # field draws are near independent (ESS 0.8-1.0 per draw at chain
-        # seeds 1-3), so the 676 standardised mean gaps are near N(0, 1)
-        # (largest 2.7-3.4 over those seeds) and the relative variance gaps
-        # near N(0, 2 / n) (largest 0.06-0.08); leaving log g out of the
-        # independence weight reads about 10 and 0.23
-        n = chain.retained
-        z = (chain.states.mean(axis=0) - mean) / np.sqrt(var / n)
-        assert np.abs(z).max() < 4.5
-        assert np.abs(chain.states.var(axis=0, ddof=1) / var - 1.0).max() < 0.15
+        assert_desk_fields_match_mixture(*desk_cokrige)
+
+    @pytest.mark.slow
+    def test_desk_cokrige_at_block_length_one_matches_oracles(self, monkeypatch):
+        # one move per block reads the random stream in another order; the
+        # law of the chain, and so both oracles, must not change
+        monkeypatch.setattr(inference, "BLOCK_LENGTH", 1)
+        gibbs, chain = desk_cokrige_run()
+        assert chain.s_steps == chain.retained
+        assert_desk_chain_matches_quadrature(gibbs, chain)
+        assert_desk_fields_match_mixture(gibbs, chain)
+
+    def test_block_length_changes_the_stream_not_the_bookkeeping(self, rng, monkeypatch):
+        fam, model, noise, d = small_linear_problem(rng)
+        cfg = MwgConfig(total_samples=500, burn_in=50, c_steps_per_s_step=3, seed=3)
+        default = mwg_run(model, fam, noise, d, cfg)
+        monkeypatch.setattr(inference, "BLOCK_LENGTH", 1)
+        single = mwg_run(model, fam, noise, d, cfg)
+        for chain in (default, single):
+            assert chain.block_steps == 1500 and chain.s_steps == chain.s_accepted == 450
+            assert chain.states.shape == (450, fam.dim) and np.all(np.isfinite(chain.states))
+            assert 0.5 < chain.acceptance_rates()["block"] <= 1.0
+        assert not np.array_equal(default.corr, single.corr)
 
     def test_reproducible_bit_identical(self, rng):
         fam, model, noise, d = small_linear_problem(rng)
@@ -996,7 +1028,8 @@ class TestBlockMoves:
 
     @pytest.mark.parametrize("variant", ["reduced"] + CONSTRUCTORS)
     def test_log_evidence_matches_dense_gaussian(self, rng, variant):
-        # log N(r0; 0, G Gamma(c) G^T + Sigma), less the constant q log(2 pi) / 2
+        # log N(r0; 0, G Gamma(c) G^T + Sigma), less the constant q log(2 pi) / 2,
+        # at one c at a time and at all three as one stack, with its factors
         noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
         if variant == "reduced":
             fam = block_problem(rng)[0]
@@ -1011,17 +1044,33 @@ class TestBlockMoves:
             prior_cov = lambda values: fam.prior(values).dense_covariance()
         r0 = d - g @ fam.mean
         n = fam.n_free
-        ours, dense = [], []
-        for values in (np.zeros(n), np.resize([0.4, -0.7, 0.2], n), np.full(n, -0.95)):
-            k = g @ prior_cov(values) @ g.T + noise.covariance()
-            dense.append(-0.5 * (r0 @ np.linalg.solve(k, r0) + np.linalg.slogdet(k)[1]))
+        stack = np.array([np.zeros(n), np.resize([0.4, -0.7, 0.2], n), np.full(n, -0.95)])
+        ours, dense, ks = [], [], []
+        for values in stack:
+            ks.append(g @ prior_cov(values) @ g.T + noise.covariance())
+            dense.append(-0.5 * (r0 @ np.linalg.solve(ks[-1], r0) + np.linalg.slogdet(ks[-1])[1]))
             ours.append(evidence.log_evidence(values))
         np.testing.assert_allclose(ours, dense, rtol=1e-9)
         np.testing.assert_allclose(np.diff(ours), np.diff(dense), rtol=1e-9, atol=1e-12)
+        r, stacked = evidence.factors(stack)
+        np.testing.assert_allclose(stacked, dense, rtol=1e-9)
+        np.testing.assert_allclose(r @ r.transpose(0, 2, 1), ks, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ks).max())
 
     @pytest.mark.slow
     def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
         assert_block_chain_matches_oracle(*block_problem(rng))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case", ["default", "two-cells", "steep"])
+    def test_chain_at_block_length_one_is_exact(self, rng, monkeypatch, case):
+        # a block of one iteration (2 moves) reads the random stream in
+        # another order than the default blocks; the law must not change
+        monkeypatch.setattr(inference, "BLOCK_LENGTH", 1)
+        if case == "two-cells":
+            monkeypatch.setattr(inference, "TABLE_CELLS", 2)
+        assert_block_chain_matches_oracle(
+            *(steep_block_problem(rng) if case == "steep" else block_problem(rng)))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("case", ["two-cells", "steep"])
@@ -1088,26 +1137,59 @@ class TestBlockMoves:
     def test_contraction_error_is_counted_apart_from_metropolis_rejections(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
         # c' lands on the edge of the box half the time: a ContractionError
-        table = SimpleNamespace(draw=lambda rng: np.array([1.0 if rng.random() < 0.5 else 0.3]),
-                                log_density=lambda values: 0.0)
+        table = SimpleNamespace(
+            draw=lambda rng, count: np.where(rng.random((count, 1)) < 0.5, 1.0, 0.3),
+            log_density=lambda values: np.zeros(len(values)))
         conditional = _LaplaceConditional(reference, d, noise, fam)
-        values, x, weight = np.zeros(1), reference.point, 0.0
-        outcomes = []
-        for _ in range(40):
-            values, x, weight, outcome = metropolis_block_update(
-                rng, values, x, weight, table, conditional,
-                lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
-            outcomes.append(outcome)
-        assert None in outcomes and True in outcomes
-        assert all(v < 1.0 for v in values)
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        stack, chosen, failed = independence_block(
+            rng, 40, current, table, conditional,
+            lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
+        edge = np.flatnonzero(stack[0][:, 0] == 1.0)
+        assert failed == edge.size > 0
+        assert np.all(stack[2][edge] == -np.inf) and not np.isin(edge, chosen).any()
+        assert np.any(chosen > 0)  # some moves to c' = 0.3 are accepted
+        assert np.all(stack[0][chosen] < 1.0)
 
     def test_nan_weight_raises(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
         conditional = _LaplaceConditional(reference, d, noise, fam)
         table = _EvidenceTable(conditional, 1)
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         with pytest.raises(ValueError, match="NaN"):
-            metropolis_block_update(rng, np.zeros(1), reference.point, 0.0, table,
-                                    conditional, lambda s: float("nan"))
+            independence_block(rng, 4, current, table, conditional, lambda s: float("nan"))
+
+    def test_nan_evidence_terms_raise(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        jacobian = reference.jacobian.copy()
+        jacobian[1, 2] = np.nan
+        conditional = _LaplaceConditional(
+            SimpleNamespace(point=reference.point, jacobian=jacobian, forward=reference.forward),
+            d, noise, fam)
+        with pytest.raises(ValueError, match="non-finite"):
+            conditional.factors(np.array([[0.1], [0.5]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            _EvidenceTable(conditional, 1)
+
+    def test_non_positive_definite_proposal_is_a_counted_rejection(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        conditional = _LaplaceConditional(reference, d, noise, fam)
+        # K(c) = (1 - 3 c) K(0): not positive definite for c > 1/3
+        conditional._gterms[1] = -3.0 * conditional._gterms[0]
+        stack = np.array([[0.1], [0.8], [-0.4], [0.5]])
+        r, logz = conditional.factors(stack)
+        np.testing.assert_array_equal(np.isinf(logz), [False, True, False, True])
+        np.testing.assert_array_equal(r[1], np.eye(4))
+        table = SimpleNamespace(draw=lambda rng, count: np.resize(stack, (count, 1)),
+                                log_density=lambda values: np.zeros(len(values)))
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        out, chosen, failed = independence_block(
+            rng, 40, current, table, conditional,
+            lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
+        assert failed == 20
+        assert np.all(np.isin(out[0][chosen][:, 0], [0.0, 0.1, -0.4]))
+        with pytest.raises(FactorizationError):
+            conditional.log_evidence([0.8])
 
     def test_table_is_floored_and_normalised(self, rng, monkeypatch):
         # g integrates to 1 over the box and stays positive in a cell whose
@@ -1125,7 +1207,7 @@ class TestBlockMoves:
         floor = log_g.max() + np.log(inference.TABLE_FLOOR)
         np.testing.assert_allclose(log_g, np.maximum(logz - logz.max() + log_g.max(), floor),
                                    rtol=1e-12)
-        draws = np.array([table.draw(rng)[0] for _ in range(2000)])
+        draws = table.draw(rng, 2000)[:, 0]
         assert np.all(np.abs(draws) < 1.0)
         cells = np.floor((draws + 1.0) * 8).astype(int)
         assert cells.min() >= 0 and cells.max() <= 15
