@@ -3,25 +3,25 @@
 #
 # Usage: scripts/same_outputs.sh REF
 #
-# Runs every CLI study at a fixed seed (darcy also with block moves off, the
-# kernel of scripts/paper_scale_configs/darcy_full.json, and with two
-# independence moves per iteration; cokrige also with three correlation steps
-# per field draw, so that the layout of several moves per iteration in a
-# block of moves is compared too), once on a temporary
-# copy of REF (extracted with git archive, so nothing under .git changes) and
-# once on the working tree, then compares each output file except
-# timings.json byte for byte.  Prints the number of identical files and each
-# file that differs or exists on one side only.  Beside a CSV or JSON file that
-# differs it prints the largest absolute and relative difference of its numbers
-# (relative to the larger magnitude of each pair; a JSON file's numbers are
-# paired path by path), and for a JSON file the first three paths whose
-# strings or structure differ, such as checks[0].detail or a list's length
-# (outputs (length 4 against 14)).  For a CSV file it then prints the same two
-# gaps per column, named by the header row (by position when there is none),
-# and lists the columns that read 0 gap apart.  Exit status: 0 when every
-# file is identical, 1 on any difference, 2 when a run fails.  Set TMPDIR to
-# choose where the copy and the outputs go; both are removed on exit.
+# Runs every CLI study at a fixed seed (darcy also with 100 centred
+# correlation steps, the kernel of scripts/paper_scale_configs/darcy_full.json),
+# once on a temporary copy of REF (extracted with git archive, so nothing
+# under .git changes) and once on the working tree, with one BLAS thread (the
+# rounding of some outputs depends on the thread count), then compares each
+# output file except timings.json byte for byte.  Prints the number of
+# identical files and each file that differs or exists on one side only.
+# Beside a CSV or JSON file that differs it prints the largest absolute and
+# relative difference of its numbers (relative to the larger magnitude of
+# each pair; a JSON file's numbers are paired path by path), and for a JSON
+# file the first three paths whose strings or structure differ, such as
+# checks[0].detail or a list's length (outputs (length 4 against 14)).  For
+# a CSV file it then prints the same two gaps per column, named by the header
+# row (by position when there is none), and lists the columns that read 0 gap
+# apart.  Exit status: 0 when every file is identical, 1 on any difference, 2
+# when a run fails.  Set TMPDIR to choose where the copy and the outputs go;
+# both are removed on exit.
 set -euo pipefail
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 ref=${1:?usage: scripts/same_outputs.sh REF}
 root=$(git rev-parse --show-toplevel)
@@ -30,20 +30,15 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '{"n_chains": 2}\n' > "$tmp/two_chains.json"
-printf '{"block_steps": 0, "c_steps": 100}\n' > "$tmp/centred.json"
-printf '{"block_steps": 2}\n' > "$tmp/multimove.json"
-printf '{"c_steps": 3}\n' > "$tmp/multistep.json"
 
 # output directory | subcommand and options
 runs=(
     "darcy|darcy --seed 7 --samples 300 --burn-in 100"
     "darcy-2chains|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/two_chains.json"
     "darcy-centred|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/centred.json"
-    "darcy-multimove|darcy --seed 7 --samples 200 --burn-in 50 --config $tmp/multimove.json"
     "monod|monod --seed 7 --samples 3000 --burn-in 1000"
     "cokrige|cokrige --seed 7 --samples 600 --burn-in 100"
     "cokrige-2chains|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/two_chains.json"
-    "cokrige-multistep|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/multistep.json"
     "sample-prior|sample-prior --seed 7"
     "factor-compare|factor-compare --seed 7"
     "verify|verify --seed 7"
@@ -52,6 +47,12 @@ runs=(
 run_studies() {  # source tree, output directory
     local src=$1/src out=$2 run name
     mkdir -p "$out"
+    # the centred kernel; a tree that still has darcy's block_steps needs it 0
+    if grep -q block_steps "$src/jointprior/experiments/configs.py"; then
+        printf '{"block_steps": 0, "c_steps": 100}\n' > "$tmp/centred.json"
+    else
+        printf '{"c_steps": 100}\n' > "$tmp/centred.json"
+    fi
     for run in "${runs[@]}"; do
         name=${run%%|*}
         echo "$(basename "$out"): $name" >&2

@@ -5,8 +5,8 @@ The truth pair is drawn from the joint prior at a prescribed correlation;
 p is observed on a grid in the right half of the domain, m on a grid in the
 top half, both with range-relative noise.  Both forward maps are linear, so
 the fixed-correlation posteriors are exact Gaussian updates.  The sampler
-integrates the fields out: each iteration takes ``c_steps`` independence
-Metropolis-Hastings steps on p(c | d), proposed from a table of the evidence
+integrates the fields out: each iteration takes one independence
+Metropolis-Hastings step on p(c | d), proposed from a table of the evidence
 of the data on 144 cells of (-1, 1), and each retained iteration one exact
 Gibbs field draw at its c.  All come from one data-space algebra
 (``_LinearGibbs``), whose q x q factor gives the evidence and the fixed-c

@@ -108,8 +108,7 @@ def mwg_config(cfg, seed=0):
     builds one, so the sampler's own rules reject a config before any work."""
     try:
         return MwgConfig(total_samples=cfg.samples, burn_in=cfg.burn_in,
-                         c_steps_per_s_step=cfg.c_steps,
-                         block_steps=getattr(cfg, "block_steps", 0), seed=seed)
+                         c_steps_per_s_step=getattr(cfg, "c_steps", 0), seed=seed)
     except ValueError as exc:
         raise ConfigError(f"chain settings: {exc}") from exc
 
@@ -204,6 +203,7 @@ class MonodConfig:
 
     def validate(self):
         mwg_config(self)
+        _check_at_least(self, 1, "c_steps")  # no reference linearisation for independence moves
         _check_at_least(self, 0, "seed")
         _check_at_least(self, 11, "grid_n")
         for name in ("substrate", "scan_correlations", "noise_levels"):
@@ -238,7 +238,6 @@ class CokrigeConfig:
     noise_pct_m: float = 1.0
     samples: int = 30000
     burn_in: int = 3000
-    c_steps: int = 1                 # independence correlation steps per field draw
     n_chains: int = 1
     tracked_nodes: int = 6
 
@@ -283,8 +282,7 @@ class DarcyConfig:
     noise_pct_p: float = 2.0
     samples: int = 30000
     burn_in: int = 10000
-    c_steps: int = 0                 # centred correlation steps, with block_steps 0 only
-    block_steps: int = 1             # independence (c, s) moves per iteration
+    c_steps: int = 0                 # centred correlation steps; 0: independence (c, s) moves
     n_chains: int = 1
 
     SCALABLE = {"nx": 4, "ny": 3, "k_p": 4, "k_m": 6, "u_obs_nx": 2, "u_obs_ny": 2,
@@ -292,9 +290,6 @@ class DarcyConfig:
 
     def validate(self):
         mwg_config(self)
-        if self.c_steps and self.block_steps:  # independence moves take no centred steps
-            raise ConfigError(f"c_steps {self.c_steps} would go unread with block_steps "
-                              f"{self.block_steps}: set one of them to 0")
         _check_at_least(self, 0, "seed")
         _check_at_least(self, 1, "k_p", "k_m", "u_obs_nx", "u_obs_ny", "p_wells",
                         "p_per_well", "n_chains")

@@ -7,16 +7,16 @@ coordinates.  Every chain, independent and joint, starts at a Gauss-Newton
 warm start.  The warm start takes its Jacobians from the tangent-linear model
 (``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
 The independent chain takes adaptive random-walk Metropolis field steps,
-whose proposal starts from the warm start's Laplace factor.  Each iteration
-of the joint chain takes ``block_steps`` independence moves of the
-correlation and the field together: c' from a table of the evidence of the
-model linearised at the warm start (its Jacobian and forward value, so no
-extra solve) and s' from that model's exact conditional at c', one forward
-solve per move for the Metropolis-Hastings weight.  With ``block_steps`` 0
-(``scripts/paper_scale_configs/darcy_full.json``, where no global proposal
-is accepted) it takes one random-walk field step and ``c_steps`` centred
-Metropolis steps on the two correlation coordinates at the fixed field
-instead.
+whose proposal starts from the warm start's Laplace factor.  With ``c_steps``
+0 (the default) each iteration of the joint chain takes one independence
+move of the correlation and the field together: c' from a table of the
+evidence of the model linearised at the warm start (its Jacobian and forward
+value, so no extra solve) and s' from that model's exact conditional at c',
+one forward solve per move for the Metropolis-Hastings weight.  With
+``c_steps`` >= 1 (``scripts/paper_scale_configs/darcy_full.json``, where no
+global proposal is accepted) it takes one random-walk field step and
+``c_steps`` centred Metropolis steps on the two correlation coordinates at
+the fixed field instead.
 Every chain samples from the one built problem, forked when there are several.
 """
 

@@ -228,6 +228,20 @@ class FullJointFamily:
                             t.mean_m[:, None] + self.filter_m.solve(rest)]).T
         return s[0] if np.ndim(values) == 1 else s
 
+    def data_terms(self, g):
+        """The c-free terms T_j of Gamma(c) G^T = sum_j w_j T_j, w = (1, c),
+        shape (1 + n_free, n, q), at q filter solves per term."""
+        fp, fm, con, n_free = self.filter_p, self.filter_m, self.contraction, self.n_free
+        # T_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
+        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)))
+        a = base.sample_t(g.T)
+        terms = [base.sample(a)]
+        for l in range(n_free):  # T_l = 2 T(e_l / 2): e_l itself is no strict contraction
+            half = con.with_values(0.5 * np.eye(n_free)[l])
+            terms.append(2.0 * np.concatenate([fp.solve(half.matvec(a[fp.dim :])),
+                                               fm.solve(half.rmatvec(a[: fp.dim]))]))
+        return np.stack(terms)
+
 
 class ReducedJointFamily:
     """Joint prior over truncated-basis coordinates (identity marginals,
@@ -318,6 +332,15 @@ class ReducedJointFamily:
         s[~(ok & pd)] = np.nan
         return s[0] if np.ndim(values) == 1 else s
 
+    def data_terms(self, g):
+        """The c-free terms T_j of Sigma(c) G^T = sum_j w_j T_j, w = (1, c),
+        shape (1 + n_free, k_p + k_m, q): [X_j G_m^T; X_j^T G_p^T], plus G^T
+        in T_0 for the identity marginals."""
+        gp, gm = np.split(g.T, [self.basis_p.k])
+        terms = np.stack([np.concatenate([xj @ gm, xj.T @ gp]) for xj in self._blocks])
+        terms[0] += g.T
+        return terms
+
 
 # ----------------------------------------------------------------------------
 # Sampler configuration and chain storage
@@ -344,27 +367,25 @@ COV_RIDGE = 1e-8
 # and floors each cell's weight at TABLE_FLOOR times the largest.
 TABLE_CELLS = 144
 TABLE_FLOOR = 1e-3
-BLOCK_LENGTH = 32  # about this many independence moves are drawn and scored together
+BLOCK_LENGTH = 32  # this many independence moves are drawn and scored together
 
 
 @dataclass
 class MwgConfig:
-    """Lengths, move counts and seed of a Metropolis-within-Gibbs run.
+    """Lengths, kernel and seed of a Metropolis-within-Gibbs run.
 
-    An iteration on a linear model takes ``c_steps_per_s_step`` independence
-    steps of c, and a retained iteration then one exact Gibbs field draw.
-    An iteration on a nonlinear model takes ``block_steps`` independence
-    moves of (c, s) and nothing else when ``block_steps`` >= 1 (this needs a
-    reference linearisation; see ``mwg_run``); otherwise one adaptive
-    random-walk field step and ``c_steps_per_s_step`` centred gamma steps.
-    So ``c_steps_per_s_step`` may be 0 only when ``block_steps`` >= 1.
-    Proposal adaptation happens during burn-in only.
+    With ``c_steps_per_s_step`` 0 each iteration takes one independence
+    move: of c on a linear model, where a retained iteration then gets one
+    exact Gibbs field draw, or of (c, s) on a nonlinear model, which needs a
+    reference linearisation (see ``mwg_run``).  With ``c_steps_per_s_step``
+    >= 1 an iteration on a nonlinear model takes one adaptive random-walk
+    field step and that many centred gamma steps; a linear model takes no
+    such steps.  Proposal adaptation happens during burn-in only.
     """
 
     total_samples: int
     burn_in: int
-    c_steps_per_s_step: int = 1
-    block_steps: int = 0
+    c_steps_per_s_step: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -375,11 +396,8 @@ class MwgConfig:
                 f"burn-in {self.burn_in} leaves an empty chain out of "
                 f"{self.total_samples} total samples"
             )
-        if self.block_steps < 0:
-            raise ValueError(f"block_steps must be >= 0, got {self.block_steps}")
-        if self.c_steps_per_s_step < (0 if self.block_steps else 1):
-            raise ValueError("c_steps_per_s_step must be >= 1, or >= 0 when "
-                             f"block_steps >= 1, got {self.c_steps_per_s_step}")
+        if self.c_steps_per_s_step < 0:
+            raise ValueError(f"c_steps_per_s_step must be >= 0, got {self.c_steps_per_s_step}")
 
 
 @dataclass
@@ -391,7 +409,6 @@ class Chain:
     total_samples: int
     burn_in: int
     seed: int
-    kind: str              # "gibbs" or "adaptive"
     s_steps: int = 0         # random-walk field steps, or the Gibbs draws made
     s_accepted: int = 0
     gamma_steps: int = 0     # centred random-walk correlation steps
@@ -557,20 +574,24 @@ class _Evidence:
         K(c) = G Gamma(c) G^T + Sigma = sum_j w_j G T_j + Sigma,  w = (1, c),
 
     where T_j are the c-free n x q terms of B(c) = Gamma(c) G^T (affine in c,
-    as both marginal blocks are fixed).  With K(c) = R R^T and r0 = d - G mu,
+    as both marginal blocks are fixed), from ``family.data_terms(G)``.  With
+    K(c) = R R^T and r0 = d - G mu,
 
         log Z(c) = -|R^{-1} r0|^2 / 2 - sum_i log R_ii
 
     up to a constant (0 with no data, q = 0); Gamma(c) is never formed.  A
     draw is Matheron's rule, s = s0 + B K^{-1} (d - G s0 - e) with s0 ~
-    prior(c), e ~ noise; ``_key`` holds the values of the last draw."""
+    prior(c), e ~ noise; ``_key`` holds the values of the last draw.  For a
+    model linearised at a reference, G is its Jacobian and d the data of
+    ``linearised_data``."""
 
-    def __init__(self, g, data, noise, family, terms):
-        self.g, self.data, self.noise, self.family = g, data, noise, family
-        self._terms = terms
+    def __init__(self, g, data, noise, family):
+        g = np.asarray(g, dtype=float)
+        self.g, self.data, self.noise, self.family = g, np.asarray(data, dtype=float), noise, family
+        self._terms = terms = family.data_terms(g)
         self._gterms = (g @ terms).reshape(len(terms), -1)
         self._gterms[0] += noise.covariance().ravel()
-        self._r0 = data - g @ family.mean
+        self._r0 = self.data - g @ family.mean
         self._key = None
 
     def columns(self, values):
@@ -600,6 +621,9 @@ class _Evidence:
 
     def log_evidence(self, values):
         return float(self._factor(np.atleast_2d(values))[1][0])
+
+    def linear_loglik(self, s):
+        return gaussian_loglik(self.data, self.g @ s, self.noise)
 
     def draw(self, rng, values, factors=None):
         """Draws from s | c, d at one c, or a row per c of a stack (k, n_free),
@@ -655,45 +679,18 @@ class _EvidenceTable:
         return self._log_g[np.ravel_multi_index(index.T, (self._cells,) * self._n)]
 
 
-class _LaplaceConditional(_Evidence):
-    """Field proposal given the correlation: the exact conditional s | c of
-    the model linearised at a reference point x0, f(s) ~ f0 + J (s - x0),
-    that is of d_lin = J s + e with d_lin = d - f0 + J x0, under the reduced
-    family's prior N(0, Sigma(c)), affine in c; no n x n precision is
-    formed.  For a linear model with J its matrix, q is the exact
-    conditional.  ``reference`` carries ``point``, ``jacobian`` and
-    ``forward``, as a ``GaussNewtonResult`` does."""
-
-    def __init__(self, reference, d, noise, family):
-        j = np.asarray(reference.jacobian, dtype=float)
-        jp, jm = np.split(j.T, [family.basis_p.k])
-        terms = np.stack([np.concatenate([xj @ jm, xj.T @ jp]) for xj in family._blocks])
-        terms[0] += j.T
-        super().__init__(j, d - reference.forward + j @ reference.point, noise, family, terms)
-
-    def linear_loglik(self, s):
-        return gaussian_loglik(self.data, self.g @ s, self.noise)
+def linearised_data(reference, d):
+    """Data of the model linearised at a reference point x0, f(s) ~ f0 +
+    J (s - x0): d_lin = d - f0 + J x0, so that d_lin = J s + e.  The
+    reference carries ``point``, ``jacobian`` and ``forward``, as a
+    ``GaussNewtonResult`` does."""
+    return d - reference.forward + np.asarray(reference.jacobian, dtype=float) @ reference.point
 
 
 class _LinearGibbs(_Evidence):
-    """Exact posterior of a linear model d = G s + e at fixed correlation,
-    through the data-space covariance K(c) of ``_Evidence``.  It serves the
-    independence correlation steps (``factors``), the sampler's Gibbs draws
-    and the fixed-c moments from the same factor.  The c-free terms take q
-    filter solves each at construction."""
-
-    def __init__(self, g, d, noise, family):
-        fp, fm, con, n_free = family.filter_p, family.filter_m, family.contraction, family.n_free
-        g = np.asarray(g, dtype=float)
-        # B_0 = S_0 S_0^T G^T with S_0 the mean-free colouring map at c = 0
-        base = JointPrior(fp, fm, con.with_values(np.zeros(n_free)))
-        a = base.sample_t(g.T)
-        terms = [base.sample(a)]
-        for l in range(n_free):  # B_l = 2 B(e_l / 2): e_l itself is no strict contraction
-            half = con.with_values(0.5 * np.eye(n_free)[l])
-            terms.append(2.0 * np.concatenate([fp.solve(half.matvec(a[fp.dim :])),
-                                               fm.solve(half.rmatvec(a[: fp.dim]))]))
-        super().__init__(g, np.asarray(d, dtype=float), noise, family, np.stack(terms))
+    """``_Evidence`` of a linear model, which also gives its exact fixed-c
+    posterior moments from the same factor.  The sampler's Gibbs draws of a
+    linear chain go through this class."""
 
     def moments(self, values):
         """Posterior mean mu + B K^{-1} (d - G mu) and whitened columns
@@ -710,21 +707,23 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             init_state=None, init_gamma=None, proposal_factor=None, reference=None):
     """Metropolis-within-Gibbs over (s, c); fully reproducible from cfg.seed.
 
-    Linear models (model.is_linear with a ``matrix``) are collapsed: c takes
-    independence steps on the marginal p(c | d), and each retained iteration
-    gets one exact Gibbs field draw at its c (``Chain.s_steps`` counts them).
-    A nonlinear model starts from ``init_state`` (required).  With
-    ``cfg.block_steps`` >= 1 it takes independence moves of (c, s), whose
-    field proposal is the conditional of the model linearised about
-    ``reference`` (a ``GaussNewtonResult``; the reduced family only).
-    Otherwise the field takes adaptive random-walk Metropolis steps, from an
-    optional initial proposal factor (e.g. the warm start's Laplace factor),
-    and gamma centred steps at the fixed field (see ``MwgConfig``).  An
-    independence chain tabulates its proposal for c (``_EvidenceTable``),
-    then runs in blocks of about BLOCK_LENGTH moves (``independence_block``);
-    a linear chain draws a block's retained fields together.  Blocks reorder
-    the random stream, not the law of the chain.  When ``sample_correlation``
-    is false c stays at its initial value and only the field is sampled.
+    Linear models (model.is_linear with a ``matrix``) are collapsed: each
+    iteration takes one independence step of c on the marginal p(c | d), and
+    each retained iteration gets one exact Gibbs field draw at its c
+    (``Chain.s_steps`` counts them); ``cfg.c_steps_per_s_step`` must be 0
+    then.  A nonlinear model starts from
+    ``init_state`` (required).  With ``cfg.c_steps_per_s_step`` 0 each of its
+    iterations takes one independence move of (c, s), whose field proposal
+    is the conditional of the model linearised about ``reference`` (a
+    ``GaussNewtonResult``, required then).  Otherwise the field takes
+    adaptive random-walk Metropolis steps, from an optional initial proposal
+    factor (e.g. the warm start's Laplace factor), and gamma centred steps
+    at the fixed field.  An independence chain tabulates its proposal for c
+    (``_EvidenceTable``), then runs in blocks of BLOCK_LENGTH iterations
+    (``independence_block``); a linear chain draws a block's retained fields
+    together.  Blocks reorder the random stream, not the law of the chain.
+    When ``sample_correlation`` is false c stays at its initial value and
+    only the field is sampled.
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -736,13 +735,14 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     track_gamma = sample_correlation and n_free > 0
 
     linear = bool(getattr(model, "is_linear", False))
-    blocks = cfg.block_steps if track_gamma else 0
-    if blocks and (linear or reference is None):
-        raise ValueError("block moves need a nonlinear model and a reference linearisation")
+    independence = track_gamma and (linear or cfg.c_steps_per_s_step == 0)
+    if track_gamma and linear and cfg.c_steps_per_s_step:
+        raise ValueError("centred steps (c_steps_per_s_step >= 1) need a nonlinear model")
+    if independence and not linear and reference is None:
+        raise ValueError("independence moves on a nonlinear model need a reference linearisation")
     excess = x = None
     if linear:
         evidence = _LinearGibbs(model.matrix, d, noise, family)
-        moves = cfg.c_steps_per_s_step if track_gamma else 0
     else:
         if init_state is None:
             raise ValueError("nonlinear models need an initial state")
@@ -762,9 +762,8 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             raise ValueError("target log density is not finite at the initial state")
         cur_ll, cur_pd = last
         proposal = AdaptiveProposal(family.dim, proposal_factor)
-        moves = blocks
-        if blocks:
-            evidence = _LaplaceConditional(reference, d, noise, family)
+        if independence:
+            evidence = _Evidence(reference.jacobian, linearised_data(reference, d), noise, family)
 
             def excess(s):
                 return loglik(s) - evidence.linear_loglik(s)
@@ -773,25 +772,23 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     corr = np.empty((retained, n_free))
     s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = block_failed = 0
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
-    if linear or moves:
+    if linear or independence:
         r, logz = evidence._factor(values[None])
-        table = _EvidenceTable(evidence, n_free) if moves else None
+        table = _EvidenceTable(evidence, n_free) if independence else None
         weight = ((0.0 if excess is None else excess(x)) + logz[0]
-                  - (table.log_density(values) if moves else 0.0))
+                  - (table.log_density(values) if independence else 0.0))
         current = (values[None], None if linear else x[None], np.array([weight]), r)
-        per_block = max(1, BLOCK_LENGTH // max(moves, 1))
-        for start in range(0, cfg.total_samples, per_block):
-            count = min(per_block, cfg.total_samples - start)
-            stack, ends = current, np.zeros(count, dtype=int)
-            if moves:
+        for start in range(0, cfg.total_samples, BLOCK_LENGTH):
+            count = min(BLOCK_LENGTH, cfg.total_samples - start)
+            stack, chosen = current, np.zeros(count, dtype=int)
+            if independence:
                 stack, chosen, failed = independence_block(
-                    rng, count * moves, current, table, evidence, excess)
-                ends = chosen[moves - 1 :: moves]  # the row at each iteration's end
+                    rng, count, current, table, evidence, excess)
                 block_accepted += np.count_nonzero(np.diff(chosen, prepend=0))
                 block_failed += failed
                 current = tuple(None if a is None else a[chosen[-1:]] for a in stack)
             first = max(start, cfg.burn_in)  # the block's first retained iteration
-            rows = ends[first - start :]
+            rows = chosen[first - start :]  # the row held at each retained iteration
             if rows.size:
                 kept = slice(first - cfg.burn_in, first - cfg.burn_in + rows.size)
                 corr[kept] = stack[0][rows]
@@ -800,7 +797,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         if linear:
             s_steps = s_accepted = retained
 
-    for k in range(0 if linear or moves else cfg.total_samples):  # random-walk steps
+    for k in range(0 if linear or independence else cfg.total_samples):  # random-walk steps
         adapting = k < cfg.burn_in
         x, _, accepted = adaptive_metropolis_update_s(
             rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
@@ -824,12 +821,12 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
     return Chain(
         states=states, corr=corr, total_samples=cfg.total_samples,
-        burn_in=cfg.burn_in, seed=cfg.seed, kind="gibbs" if linear else "adaptive",
+        burn_in=cfg.burn_in, seed=cfg.seed,
         s_steps=s_steps, s_accepted=s_accepted,
         gamma_steps=gamma_steps, gamma_accepted=gamma_accepted,
-        block_steps=moves * cfg.total_samples, block_accepted=block_accepted,
+        block_steps=cfg.total_samples if independence else 0, block_accepted=block_accepted,
         block_failed=block_failed,
-        tau_trace=None if linear or moves else proposal.trace_array(),
+        tau_trace=None if linear or independence else proposal.trace_array(),
     )
 
 

@@ -194,18 +194,16 @@ class TestCliRuns:
                                   "mixed_correlation"),
         "factor-compare-payload5": ("factor-compare", {"correlation": 1.5}, "correlation"),
         "monod-payload6": ("monod", {"scan_correlations": [0.5, 1.5]}, "scan_correlations"),
-        "cokrige-payload7": ("cokrige", {**TINY_COKRIGE, "c_steps": 0}, "c_steps"),
+        # a deleted setting (cokrige always takes one independence c step)
+        "cokrige-payload7": ("cokrige", {**TINY_COKRIGE, "c_steps": 1},
+                             "unknown config keys: ['c_steps']"),
+        # monod has no reference linearisation, so it needs centred steps
         "monod-payload9": ("monod", {"c_steps": 0}, "c_steps"),
-        "darcy-payload13": ("darcy", {**TINY_DARCY, "block_steps": -1}, "block_steps"),
-        # a chain must move c: by centred steps or by independence moves
-        "darcy-no-correlation-moves": ("darcy", {**TINY_DARCY, "c_steps": 0, "block_steps": 0},
-                                       "c_steps"),
-        # centred steps that a chain of independence moves would never take
-        "darcy-ignored-c-steps": ("darcy", {**TINY_DARCY, "c_steps": 3}, "c_steps"),
+        "darcy-payload13": ("darcy", {**TINY_DARCY, "c_steps": -1}, "c_steps"),
         # values of the wrong type
         "cokrige-float-count": ("cokrige", {**TINY_COKRIGE, "samples": 400.5}, "samples"),
         "cokrige-float-size": ("cokrige", {**TINY_COKRIGE, "nx": 6.0}, "nx"),
-        "darcy-bool-count": ("darcy", {**TINY_DARCY, "block_steps": True}, "block_steps"),
+        "darcy-bool-count": ("darcy", {**TINY_DARCY, "c_steps": True}, "c_steps"),
         "monod-string-count": ("monod", {"grid_n": "41"}, "grid_n"),
         "sample-prior-string-float": ("sample-prior", {"kernel_length": "0.2"},
                                       "kernel_length"),
@@ -248,7 +246,8 @@ class TestCliRuns:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
-        assert "unknown config keys" not in err
+        # no misspelt key passes a case that checks a value
+        assert ("unknown config keys" in err) == field.startswith("unknown config keys")
         assert not (tmp_path / "x").exists()  # rejected before any computation
 
     @pytest.mark.parametrize("subcommand,payload", [

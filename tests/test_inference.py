@@ -12,11 +12,10 @@ from jointprior.forward_models import (DOMAIN_ERRORS, CokrigeModel, ForwardModel
 from jointprior import inference
 from jointprior.inference import (TABLE_CELLS, AdaptiveProposal, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
-                                  ReducedJointFamily, _EvidenceTable, _LaplaceConditional,
-                                  _LinearGibbs,
+                                  ReducedJointFamily, _Evidence, _EvidenceTable, _LinearGibbs,
                                   adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik, independence_block,
-                                  linear_gaussian_posterior,
+                                  linear_gaussian_posterior, linearised_data,
                                   metropolis_update_correlation, mwg_run)
 from jointprior.joint_prior import (Contraction, correlation_prior_logdensity,
                                     reduced_joint_covariance)
@@ -142,7 +141,7 @@ class TestGibbsUpdate:
         g = model.matrix
         mean, _ = linear_gaussian_posterior(g, d, noise, fam.mean, cov)
         gibbs = _LinearGibbs(g, d, noise, fam)
-        draws = np.array([gibbs.draw(rng, [0.4]) for _ in range(100000)])
+        draws = gibbs.draw(rng, np.full((100000, 1), 0.4))
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.01)
 
 
@@ -426,7 +425,7 @@ class TestLoudFailures:
                     raise ValueError("operands could not be broadcast together")
                 return x[:1]
 
-        cfg = MwgConfig(total_samples=20, burn_in=5, seed=1)
+        cfg = MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=1, seed=1)
         with pytest.raises(ValueError, match="broadcast"):
             mwg_run(ShapeBugAfterStart(), scalar_family(), NoiseModel(1.0, 1),
                     np.zeros(1), cfg, init_state=np.zeros(2))
@@ -451,7 +450,7 @@ class TestLoudFailures:
                     raise ForwardModelError("non-finite heads")
                 return x[:1]
 
-        cfg = MwgConfig(total_samples=30, burn_in=5, seed=1)
+        cfg = MwgConfig(total_samples=30, burn_in=5, c_steps_per_s_step=1, seed=1)
         chain = mwg_run(FailsAfterStart(), scalar_family(), NoiseModel(1.0, 1),
                         np.zeros(1), cfg, init_state=np.zeros(2))
         assert chain.s_steps == 30 and chain.s_accepted == 0
@@ -533,7 +532,7 @@ class TestMwgRun:
         emp = np.cov(chain.states, rowvar=False)
         assert np.abs(emp - cov).max() < 0.02
         assert chain.s_acceptance == 1.0
-        assert chain.kind == "gibbs"
+        assert chain.tau_trace is None and chain.s_steps == chain.retained  # Gibbs draws
 
     @pytest.mark.slow
     def test_correlation_marginal_matches_quadrature_oracle(self, rng):
@@ -579,12 +578,12 @@ class TestMwgRun:
 
     def test_block_length_changes_the_stream_not_the_bookkeeping(self, rng, monkeypatch):
         fam, model, noise, d = small_linear_problem(rng)
-        cfg = MwgConfig(total_samples=500, burn_in=50, c_steps_per_s_step=3, seed=3)
+        cfg = MwgConfig(total_samples=500, burn_in=50, seed=3)
         default = mwg_run(model, fam, noise, d, cfg)
         monkeypatch.setattr(inference, "BLOCK_LENGTH", 1)
         single = mwg_run(model, fam, noise, d, cfg)
         for chain in (default, single):
-            assert chain.block_steps == 1500 and chain.s_steps == chain.s_accepted == 450
+            assert chain.block_steps == 500 and chain.s_steps == chain.s_accepted == 450
             assert chain.states.shape == (450, fam.dim) and np.all(np.isfinite(chain.states))
             assert 0.5 < chain.acceptance_rates()["block"] <= 1.0
         assert not np.array_equal(default.corr, single.corr)
@@ -606,7 +605,7 @@ class TestMwgRun:
         fam = scalar_family()
         model = MonodModel(np.array([28.0, 55.0]))
         noise = NoiseModel(0.1, 2)
-        cfg = MwgConfig(total_samples=10, burn_in=1)
+        cfg = MwgConfig(total_samples=10, burn_in=1, c_steps_per_s_step=1)
         with pytest.raises((ValueError, ForwardModelError)):
             mwg_run(model, fam, noise, np.zeros(2), cfg,
                     init_state=np.array([0.5, -28.0]))
@@ -707,7 +706,7 @@ class TestReducedFamily:
         chain = mwg_run(lambda s: np.tanh(s[:2]) + s[3:], fam, noise, np.array([0.3, -0.2]),
                         MwgConfig(total_samples=60, burn_in=20, seed=3),
                         init_state=np.zeros(fam.dim))
-        assert chain.kind == "adaptive"
+        assert chain.tau_trace is not None  # random-walk field steps
         assert chain.states.shape == (40, 5) and chain.corr.shape == (40, 0)
         assert chain.s_accepted > 0 and chain.gamma_steps == 0
 
@@ -956,13 +955,19 @@ def steep_block_problem(rng):
     return fam, FlaggedLinear(g), noise, d, reference
 
 
+def linearised(reference, d, noise, fam):
+    """The evidence of the model linearised at ``reference``, as a chain
+    of independence moves builds it."""
+    return _Evidence(reference.jacobian, linearised_data(reference, d), noise, fam)
+
+
 def reduced_cov(fam, c):
     return reduced_joint_covariance(fam.basis_p, fam.basis_m,
                                     fam.contraction.with_values([c]))
 
 
 def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
-    """A 30,000-iteration chain of 2 independence moves per iteration against
+    """A 60,000-iteration chain of 1 independence move per iteration against
     a 1999-point quadrature of the c marginal (KS < 0.02) and the field's
     mixture moments over c (mean and covariance gaps < 0.03)."""
     g = model.g
@@ -984,7 +989,7 @@ def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
     cov = np.einsum("i,ijk->jk", weights, np.array(covs)) \
         + np.einsum("i,ij,ik->jk", weights, means - mean, means - mean)
 
-    cfg = MwgConfig(total_samples=30000, burn_in=1000, block_steps=2, seed=5)
+    cfg = MwgConfig(total_samples=60000, burn_in=2000, seed=5)
     chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
                     reference=reference)
     assert chain.block_steps == 60000 and chain.block_failed == 0
@@ -999,9 +1004,9 @@ def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
 
 class TestBlockMoves:
     """Independence (c, s) moves: c' from the evidence table, s' from the
-    Laplace conditional.  For a linear map with its exact Jacobian as the
-    reference, q is the exact conditional s | c, d, so the chain must
-    reproduce the exact posterior."""
+    conditional of the linearised model.  For a linear map with its exact
+    Jacobian as the reference, q is the exact conditional s | c, d, so the
+    chain must reproduce the exact posterior."""
 
     @pytest.mark.parametrize("kp,km", [(2, 5), (4, 3)])
     @pytest.mark.parametrize("variant", CONSTRUCTORS)
@@ -1015,16 +1020,19 @@ class TestBlockMoves:
         g = rng.standard_normal((5, kp + km))
         noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
         point = rng.standard_normal(kp + km)
-        q = _LaplaceConditional(SimpleNamespace(point=point, jacobian=g, forward=g @ point),
-                                d, noise, fam)
+        q = linearised(SimpleNamespace(point=point, jacobian=g, forward=g @ point), d, noise, fam)
+        gibbs = _LinearGibbs(g, d, noise, fam)
         n = fam.n_free
         for values in (np.resize([0.4, -0.7], n), np.zeros(n), np.full(n, 0.95)):
+            prior_cov = reduced_joint_covariance(bp, bm, fam.contraction.with_values(values))
+            ref_mean, ref_cov = linear_gaussian_posterior(g, d, noise, fam.mean, prior_cov)
             mean, cov = implied_moments(q, values)
-            ref_mean, ref_cov = linear_gaussian_posterior(
-                g, d, noise, fam.mean,
-                reduced_joint_covariance(bp, bm, fam.contraction.with_values(values)))
             np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
             np.testing.assert_allclose(cov, ref_cov, rtol=1e-9, atol=1e-10)
+            # the fixed-c moments of the same algebra on the reduced family
+            mean, w = gibbs.moments(values)
+            np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(prior_cov - w.T @ w, ref_cov, rtol=1e-9, atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["reduced"] + CONSTRUCTORS)
     def test_log_evidence_matches_dense_gaussian(self, rng, variant):
@@ -1033,9 +1041,8 @@ class TestBlockMoves:
         noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
         if variant == "reduced":
             fam = block_problem(rng)[0]
-            g, point = rng.standard_normal((5, fam.dim)), rng.standard_normal(fam.dim)
-            evidence = _LaplaceConditional(
-                SimpleNamespace(point=point, jacobian=g, forward=g @ point), d, noise, fam)
+            g = rng.standard_normal((5, fam.dim))
+            evidence = _Evidence(g, d, noise, fam)
             prior_cov = lambda values: reduced_cov(fam, values[0])
         else:
             fam = variant_family(variant, rng)
@@ -1064,7 +1071,7 @@ class TestBlockMoves:
     @pytest.mark.slow
     @pytest.mark.parametrize("case", ["default", "two-cells", "steep"])
     def test_chain_at_block_length_one_is_exact(self, rng, monkeypatch, case):
-        # a block of one iteration (2 moves) reads the random stream in
+        # a block of one iteration (1 move) reads the random stream in
         # another order than the default blocks; the law must not change
         monkeypatch.setattr(inference, "BLOCK_LENGTH", 1)
         if case == "two-cells":
@@ -1083,19 +1090,19 @@ class TestBlockMoves:
         else:
             problem = steep_block_problem(rng)
             fam, _, noise, d, reference = problem
-            evidence = _LaplaceConditional(reference, d, noise, fam)
+            evidence = linearised(reference, d, noise, fam)
             centres = np.linspace(-1.0, 1.0, 2 * TABLE_CELLS + 1)[1::2]
             assert np.ptp([evidence.log_evidence([c]) for c in centres]) > 800
         assert_block_chain_matches_oracle(*problem)
 
     def test_block_moves_are_reproducible_and_counted_apart(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        cfg = MwgConfig(total_samples=300, burn_in=100, block_steps=3, seed=2)
+        cfg = MwgConfig(total_samples=300, burn_in=100, seed=2)
         a, b = (mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
                         reference=reference) for _ in range(2))
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.corr, b.corr)
-        assert a.block_steps == 900 and 0 < a.block_accepted == b.block_accepted
+        assert a.block_steps == 300 and 0 < a.block_accepted == b.block_accepted
         # a chain with independence moves takes no random-walk steps
         assert a.s_steps == a.gamma_steps == 0
         assert set(a.acceptance_rates()) == {"s", "gamma", "block", "block_failed"}
@@ -1112,7 +1119,7 @@ class TestBlockMoves:
                 raise TypeError("unsupported operand type(s)")
 
         broken = Broken(fam.basis_p, fam.basis_m, fam.contraction)
-        cfg = MwgConfig(total_samples=20, burn_in=5, block_steps=1, seed=1)
+        cfg = MwgConfig(total_samples=20, burn_in=5, seed=1)
         with pytest.raises(TypeError, match="unsupported"):
             mwg_run(model, broken, noise, d, cfg, init_state=reference.point,
                     reference=reference)
@@ -1125,13 +1132,13 @@ class TestBlockMoves:
                 raise ForwardModelError("no conditional here")
 
         failing = Failing(fam.basis_p, fam.basis_m, fam.contraction)
-        cfg = MwgConfig(total_samples=30, burn_in=5, block_steps=2, seed=1)
+        cfg = MwgConfig(total_samples=30, burn_in=5, seed=1)
         chain = mwg_run(model, failing, noise, d, cfg, init_state=reference.point,
                         reference=reference)
-        assert chain.block_steps == chain.block_failed == 60
+        assert chain.block_steps == chain.block_failed == 30
         assert chain.block_accepted == 0
         assert chain.acceptance_rates()["block"] == 0.0
-        assert chain.acceptance_rates()["block_failed"] == 60
+        assert chain.acceptance_rates()["block_failed"] == 30
         assert np.all(chain.states == reference.point)
 
     def test_contraction_error_is_counted_apart_from_metropolis_rejections(self, rng):
@@ -1140,7 +1147,7 @@ class TestBlockMoves:
         table = SimpleNamespace(
             draw=lambda rng, count: np.where(rng.random((count, 1)) < 0.5, 1.0, 0.3),
             log_density=lambda values: np.zeros(len(values)))
-        conditional = _LaplaceConditional(reference, d, noise, fam)
+        conditional = linearised(reference, d, noise, fam)
         current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         stack, chosen, failed = independence_block(
             rng, 40, current, table, conditional,
@@ -1153,7 +1160,7 @@ class TestBlockMoves:
 
     def test_nan_weight_raises(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        conditional = _LaplaceConditional(reference, d, noise, fam)
+        conditional = linearised(reference, d, noise, fam)
         table = _EvidenceTable(conditional, 1)
         current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         with pytest.raises(ValueError, match="NaN"):
@@ -1163,7 +1170,7 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
         jacobian = reference.jacobian.copy()
         jacobian[1, 2] = np.nan
-        conditional = _LaplaceConditional(
+        conditional = linearised(
             SimpleNamespace(point=reference.point, jacobian=jacobian, forward=reference.forward),
             d, noise, fam)
         with pytest.raises(ValueError, match="non-finite"):
@@ -1173,7 +1180,7 @@ class TestBlockMoves:
 
     def test_non_positive_definite_proposal_is_a_counted_rejection(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        conditional = _LaplaceConditional(reference, d, noise, fam)
+        conditional = linearised(reference, d, noise, fam)
         # K(c) = (1 - 3 c) K(0): not positive definite for c > 1/3
         conditional._gterms[1] = -3.0 * conditional._gterms[0]
         stack = np.array([[0.1], [0.8], [-0.4], [0.5]])
@@ -1196,7 +1203,7 @@ class TestBlockMoves:
         # log Z is thousands of nats below the largest
         fam, model, noise, d, reference = steep_block_problem(rng)
         monkeypatch.setattr(inference, "TABLE_CELLS", 16)
-        evidence = _LaplaceConditional(reference, 1e3 * d, noise, fam)
+        evidence = linearised(reference, 1e3 * d, noise, fam)
         table = _EvidenceTable(evidence, 1)
         centres = np.linspace(-1.0, 1.0, 33)[1::2]
         logz = np.array([evidence.log_evidence([c]) for c in centres])
@@ -1214,15 +1221,22 @@ class TestBlockMoves:
 
     def test_block_moves_need_a_reference_and_a_nonlinear_model(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        cfg = MwgConfig(total_samples=20, burn_in=5, block_steps=1)
+        # c_steps_per_s_step 0: independence moves, which a nonlinear model
+        # takes from a reference linearisation; >= 1: centred steps, which a
+        # linear model never takes
+        independence = MwgConfig(total_samples=20, burn_in=5)
+        centred = MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=1)
         with pytest.raises(ValueError, match="reference"):
-            mwg_run(model, fam, noise, d, cfg, init_state=reference.point)
+            mwg_run(model, fam, noise, d, independence, init_state=reference.point)
         linear = CokrigeModel(model.g[:, :2], model.g[:, 2:])
         with pytest.raises(ValueError, match="nonlinear"):
-            mwg_run(linear, fam, noise, d, cfg, reference=reference)
-        with pytest.raises(ValueError, match="block_steps"):
-            MwgConfig(total_samples=20, burn_in=5, block_steps=-1)
-        # a chain must move c somehow: centred steps or independence moves
+            mwg_run(linear, fam, noise, d, centred)
         with pytest.raises(ValueError, match="c_steps_per_s_step"):
-            MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=0)
-        MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=0, block_steps=1)
+            MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=-1)
+        # neither rule binds a chain that holds c fixed
+        fixed = mwg_run(model, fam, noise, d, independence, init_state=reference.point,
+                        sample_correlation=False)
+        assert fixed.s_steps == 20 and fixed.block_steps == 0
+        fixed = mwg_run(linear, fam, NoiseModel(0.3, 8), np.tile(d, 2), centred,
+                        sample_correlation=False)
+        assert fixed.s_steps == 15 and fixed.block_steps == 0
