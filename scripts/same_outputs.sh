@@ -30,6 +30,7 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '{"n_chains": 2}\n' > "$tmp/two_chains.json"
+printf '{"c_steps": 100}\n' > "$tmp/centred.json"  # the centred kernel
 
 # output directory | subcommand and options
 runs=(
@@ -47,12 +48,6 @@ runs=(
 run_studies() {  # source tree, output directory
     local src=$1/src out=$2 run name
     mkdir -p "$out"
-    # the centred kernel; a tree that still has darcy's block_steps needs it 0
-    if grep -q block_steps "$src/jointprior/experiments/configs.py"; then
-        printf '{"block_steps": 0, "c_steps": 100}\n' > "$tmp/centred.json"
-    else
-        printf '{"c_steps": 100}\n' > "$tmp/centred.json"
-    fi
     for run in "${runs[@]}"; do
         name=${run%%|*}
         echo "$(basename "$out"): $name" >&2

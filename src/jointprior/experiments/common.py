@@ -45,25 +45,25 @@ def range_noise_std(values, percent):
 def reduced_chain_field_summary(states, basis_p, basis_m, mean_p, mean_m,
                                 batch=2000):
     """Posterior mean and pointwise variance of the reconstructed fields
-    from a chain of reduced coordinates, accumulated in batches."""
+    from a chain of reduced coordinates, accumulated in batches: each
+    batch's mean and centred sum of squares, merged by the pairwise rule
+    (Chan, Golub & LeVeque 1983), so a large field mean does not cancel."""
     states = np.asarray(states, dtype=float)
     kp = basis_p.k
-    n1, n2 = basis_p.n, basis_m.n
-    count = 0
-    s1 = np.zeros(n1 + n2)
-    s2 = np.zeros(n1 + n2)
+    n1 = basis_p.n
+    count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, states.shape[0], batch):
         block = states[start : start + batch]
         p = mean_p[:, None] + basis_p.expand(block[:, :kp].T)
         m = mean_m[:, None] + basis_m.expand(block[:, kp:].T)
         f = np.vstack([p, m])
-        s1 += f.sum(axis=1)
-        s2 += (f**2).sum(axis=1)
-        count += block.shape[0]
-    mean = s1 / count
-    var = s2 / count - mean**2
-    return PosteriorSummary(mean[:n1], mean[n1:], np.maximum(var[:n1], 0.0),
-                            np.maximum(var[n1:], 0.0))
+        size, block_mean = block.shape[0], f.mean(axis=1)
+        delta, total = block_mean - mean, count + size
+        m2 = m2 + ((f - block_mean[:, None]) ** 2).sum(axis=1) + delta**2 * (count * size / total)
+        mean = mean + delta * (size / total)
+        count = total
+    var = m2 / count
+    return PosteriorSummary(mean[:n1], mean[n1:], var[:n1], var[n1:])
 
 
 def chain_ess(x):

@@ -3,20 +3,21 @@ from head observations and direct permeability measurements.
 
 The truth pair is drawn from the full joint prior with a different
 correlation on each half of the domain.  Inference runs in truncated-basis
-coordinates.  Every chain, independent and joint, starts at a Gauss-Newton
-warm start.  The warm start takes its Jacobians from the tangent-linear model
-(``ReducedModel.jacobian``): one factorisation and one adjoint solve each.
-The independent chain takes adaptive random-walk Metropolis field steps,
-whose proposal starts from the warm start's Laplace factor.  With ``c_steps``
-0 (the default) each iteration of the joint chain takes one independence
-move of the correlation and the field together: c' from a table of the
-evidence of the model linearised at the warm start (its Jacobian and forward
-value, so no extra solve) and s' from that model's exact conditional at c',
-one forward solve per move for the Metropolis-Hastings weight.  With
-``c_steps`` >= 1 (``scripts/paper_scale_configs/darcy_full.json``, where no
-global proposal is accepted) it takes one random-walk field step and
-``c_steps`` centred Metropolis steps on the two correlation coordinates at
-the fixed field instead.
+coordinates.  Every chain, independent (c held at 0) and joint, starts at a
+Gauss-Newton warm start.  The warm start takes its Jacobians from the
+tangent-linear model (``ReducedModel.jacobian``): one factorisation and one
+adjoint solve each.  ``c_steps`` picks the kernel of both chains.  With 0
+(the default) each iteration of the joint chain takes one independence move
+of the correlation and the field together: c' from a table of the evidence
+of the model linearised at the warm start (its Jacobian and forward value,
+so no extra solve) and s' from that model's exact conditional at c', one
+forward solve per move for the Metropolis-Hastings weight; the independent
+chain takes the same move with c' = 0.  With ``c_steps`` >= 1
+(``scripts/paper_scale_configs/darcy_full.json``, where no global proposal
+is accepted) each chain takes one adaptive random-walk field step per
+iteration, whose proposal starts from the warm start's Laplace factor, and
+the joint chain ``c_steps`` centred Metropolis steps on the two correlation
+coordinates at the fixed field.
 Every chain samples from the one built problem, forked when there are several.
 """
 
@@ -135,8 +136,11 @@ def build_problem(cfg):
 
 
 def warm_start(problem):
-    """Gauss-Newton MAP in the reduced coordinates with an uncorrelated prior
-    (identity precision), and the Laplace factor for the proposal."""
+    """Gauss-Newton MAP in the reduced coordinates under the identity prior
+    precision, the prior at c = 0: its point starts every chain, its
+    Jacobian and forward value are the linearisation of the independence
+    moves (at the held value for the independent chain), and its Laplace
+    factor seeds the random-walk field proposal."""
     k = problem["family"].dim
     return gauss_newton_map(
         problem["reduced_model"], problem["d"], problem["noise"],
@@ -145,10 +149,11 @@ def warm_start(problem):
 
 
 def _run_single_chain(problem, mcfg, start, joint, chain_seed):
-    """One chain on the built problem; only the seed varies.  It starts at
-    the warm start ``start`` (a ``GaussNewtonResult``), whose Laplace factor
-    seeds the random-walk field proposal and whose linearisation the
-    independence moves use."""
+    """One chain on the built problem, c sampled (``joint``) or held at 0;
+    only the seed varies.  It starts at the warm start ``start`` (a
+    ``GaussNewtonResult``), whose linearisation the independence moves of
+    either chain use and whose Laplace factor seeds the random-walk field
+    proposal."""
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,

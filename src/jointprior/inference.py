@@ -13,18 +13,19 @@ takes independence steps on p(c | d), then each retained iteration gets one
 exact Gibbs field draw by pathwise conditioning.  For a nonlinear model with
 a reference linearisation (c, s) move together: s' is drawn from the exact
 conditional of the linearised model at c', and the move is exact for the
-nonlinear target whatever the table holds.  No proposal depends on the
-chain, so chains draw and score them in blocks (``independence_block``).
+nonlinear target whatever the table holds.  A chain that holds c fixed takes
+the same moves with c' = c.  No proposal depends on the chain, so chains
+draw and score them in blocks (``independence_block``).
 
-The field of a nonlinear model without such moves takes adaptive random-walk
-Metropolis steps, and c = tanh(gamma) takes centred random-walk steps at the
-fixed field; the random-walk rules are module constants, and proposal
-adaptation runs during burn-in only, so the retained chain is Markovian.
-Centred steps use the prior families, which compute the terms that depend
-on the state once per state: the full family reuses the whitened marginals,
-and the reduced family factors the smaller of its two Gram complements
-(k_p x k_p when k_p <= k_m).  A non-finite state raises ValueError; a
-correlation value outside (-1, 1) raises ContractionError.
+The random-walk kernel, for a nonlinear model only, takes adaptive
+random-walk Metropolis field steps, and c = tanh(gamma) takes centred
+random-walk steps at the fixed field; the random-walk rules are module
+constants, and proposal adaptation runs during burn-in only, so the retained
+chain is Markovian.  Centred steps use the prior families: the reduced
+family computes the terms of a field state once per state and factors the
+smaller of its two Gram complements (k_p x k_p when k_p <= k_m).  A
+non-finite state raises ValueError; a correlation value outside (-1, 1)
+raises ContractionError.
 """
 
 from __future__ import annotations
@@ -174,12 +175,7 @@ def _cholesky_stack(a, name):
 
 class FullJointFamily:
     """Joint prior over the stacked field vector as a function of the free
-    correlation coordinates of its contraction.
-
-    ``log_density`` equals ``prior(values).log_density(s)`` without building
-    the prior: the whitened marginals L_p (s_p - mu_p) and L_m (s_m - mu_m)
-    are computed once per field state, so a new value costs ``with_values``,
-    a defect apply and ``logdet_complement``."""
+    correlation coordinates of its contraction."""
 
     def __init__(self, filter_p, filter_m, contraction, mean_p=None, mean_m=None):
         self._template = build = JointPrior(filter_p, filter_m, contraction, mean_p, mean_m)
@@ -189,7 +185,6 @@ class FullJointFamily:
         self.mean = build.mean
         self.n_free = contraction.n_free
         self.dim = build.n
-        self._whitened = _StateCache(self._whiten_marginals)
 
     def prior(self, values=None):
         """Joint prior at the given free correlation coordinates."""
@@ -199,19 +194,12 @@ class FullJointFamily:
         return JointPrior(self.filter_p, self.filter_m, c,
                           self._template.mean_p, self._template.mean_m)
 
-    def _whiten_marginals(self, s):
-        xp, xm = self._template.split(s)
-        w1 = self.filter_p.apply(xp - self._template.mean_p)
-        return w1, float(w1 @ w1), self.filter_m.apply(xm - self._template.mean_m)
-
     def log_density(self, s, values):
-        """Joint log prior up to a constant independent of s and C; see
-        ``JointPrior.log_density``."""
-        w1, quad_p, wm = self._whitened(s)
-        c = self.contraction.with_values(values)  # a dense contraction returns itself
-        defect = self._template.defect if c is self.contraction else c.defect()
-        w2 = defect.apply(wm - c.rmatvec(w1))
-        return -0.5 * (quad_p + float(w2 @ w2) + c.logdet_complement())
+        """``prior(values).log_density(s)``: the joint log prior up to a
+        constant independent of s and C."""
+        if not np.all(np.isfinite(s)):
+            raise ValueError("field state has non-finite entries")
+        return self.prior(values).log_density(s)
 
     def draw(self, rng, values):
         """``prior(c).sample(eta)`` at one c, or a row per c of a stack
@@ -286,7 +274,6 @@ class ReducedJointFamily:
         # flattened so that w @ (w @ gram) is sum_ij w_i w_j X_i X_j^T
         self._gram = np.einsum("iak,jbk->ijab", self._x, self._x).reshape(nw, nw, ks * ks)
         self._eye = np.eye(ks)
-        self._grams = {}
         self._terms = _StateCache(self._conditional_terms)
 
     def _conditional_terms(self, shat):
@@ -296,36 +283,30 @@ class ReducedJointFamily:
     def cross_block(self, values):
         return np.tensordot(_weights(values), self._blocks, axes=1)
 
-    def _gram_factor(self, values):
-        """(w, R, log det R R^T) with R R^T = I - X X^T, the smaller Gram
-        complement at c; kept for the two most recently used values of c."""
-        key = np.asarray(values, dtype=float).tobytes()
-        state = self._grams.pop(key, None)
-        if state is None:
-            w = _weights(values)
-            gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
-            r = cholesky_lower(gram, "reduced Gram complement")
-            state = w, r, 2.0 * float(np.sum(np.log(np.diagonal(r))))
-        self._grams[key] = state
-        if len(self._grams) > 2:
-            del self._grams[next(iter(self._grams))]  # the least recently used
-        return state
-
     def log_density(self, shat, values):
         """Reduced joint log prior up to a constant independent of shat and C."""
         a, bb, xb = self._terms(shat)
-        w, r, logdet = self._gram_factor(values)
+        w = _weights(values)
+        gram = self._eye - (w @ (w @ self._gram)).reshape(self._eye.shape)
+        (r,), (pd,) = _cholesky_stack(gram[None], "reduced Gram complement")
+        if not pd:
+            raise FactorizationError(f"reduced Gram complement is not positive definite at "
+                                     f"{values}")
         resid = solve_lower(r, a - w @ xb)
-        return -0.5 * (bb + float(resid @ resid) + logdet)
+        return -0.5 * (bb + float(resid @ resid) + 2.0 * float(np.sum(np.log(np.diagonal(r)))))
 
     def draw(self, rng, values):
         """Draws b = z_b, a = X(c) b + R z_a at one c, or a row per c of a stack
-        (k, n_free); NaN at a c outside the box or with no Gram factor."""
+        (k, n_free), with one Gram factor per run of rows at one c; NaN at a
+        c outside the box or with no Gram factor."""
         w, ok = _stack_weights(np.atleast_2d(values))
         nw, ks, kb = self._x.shape
         gram = self._eye - ((w[:, :, None] * w[:, None, :]).reshape(-1, nw * nw)
                             @ self._gram.reshape(nw * nw, -1)).reshape(-1, ks, ks)
-        r, pd = _cholesky_stack(gram, "reduced Gram complement")
+        starts = np.concatenate([[True], np.any(w[1:] != w[:-1], axis=1)])
+        r, pd = _cholesky_stack(gram[starts], "reduced Gram complement")
+        run = np.cumsum(starts) - 1  # the run that holds each row
+        r, pd = r[run], pd[run]
         s = rng.standard_normal(len(w) * self.dim).reshape(len(w), self.dim)
         xb = (s[:, self._b] @ self._x.reshape(nw * ks, kb).T).reshape(-1, nw, ks)
         s[:, self._a] = np.einsum("kj,kja->ka", w, xb) + (r @ s[:, self._a, None])[..., 0]
@@ -374,13 +355,15 @@ BLOCK_LENGTH = 32  # this many independence moves are drawn and scored together
 class MwgConfig:
     """Lengths, kernel and seed of a Metropolis-within-Gibbs run.
 
-    With ``c_steps_per_s_step`` 0 each iteration takes one independence
-    move: of c on a linear model, where a retained iteration then gets one
-    exact Gibbs field draw, or of (c, s) on a nonlinear model, which needs a
-    reference linearisation (see ``mwg_run``).  With ``c_steps_per_s_step``
-    >= 1 an iteration on a nonlinear model takes one adaptive random-walk
-    field step and that many centred gamma steps; a linear model takes no
-    such steps.  Proposal adaptation happens during burn-in only.
+    ``c_steps_per_s_step`` picks the kernel of every chain, whether it
+    samples c or holds it fixed.  With 0 each iteration takes one
+    independence move: of c on a linear model, where a retained iteration
+    then gets one exact Gibbs field draw, or of (c, s) on a nonlinear model,
+    which needs a reference linearisation (see ``mwg_run``); a held c is its
+    own proposal.  With ``c_steps_per_s_step`` >= 1, for a nonlinear model
+    only, an iteration takes one adaptive random-walk field step and, when c
+    is sampled, that many centred gamma steps.  Proposal adaptation happens
+    during burn-in only.
     """
 
     total_samples: int
@@ -416,7 +399,6 @@ class Chain:
     block_steps: int = 0     # independence moves of c, or of (c, s)
     block_accepted: int = 0
     block_failed: int = 0    # independence moves rejected through a domain error
-    tau_trace: np.ndarray | None = None  # (records, 2): iteration, tau of a random walk
 
     @property
     def retained(self):
@@ -454,7 +436,6 @@ class AdaptiveProposal:
         self._batch_accepts = 0
         self._batch_count = 0
         self._batch_index = 0
-        self.trace = [(0, self.tau)]
 
     def step(self, rng):
         return self.tau * (self.factor @ rng.standard_normal(self.dim))
@@ -475,14 +456,10 @@ class AdaptiveProposal:
             ))
             self._batch_accepts = 0
             self._batch_count = 0
-            self.trace.append((iteration + 1, self.tau))
         if (iteration + 1) % COV_REFRESH == 0 and len(self.accepted_states) >= self.dim:
             cov = np.cov(np.asarray(self.accepted_states), rowvar=False)
             cov = np.atleast_2d(cov) + COV_RIDGE * np.eye(self.dim)
             self.factor = cholesky_lower(cov, "proposal covariance")
-
-    def trace_array(self):
-        return np.asarray(self.trace, dtype=float)
 
 
 def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
@@ -531,16 +508,22 @@ def independence_block(rng, count, current, table, evidence, excess=None):
     As l_lin(s) + log p(s | c) = log Z(c) + log q(s | c) and c is uniform a
     priori, (s, c) weighs w = l(s) - l_lin(s) + log Z(c) - log g(c), with
     ``excess(s)`` = l - l_lin (0 for a linear model, where only c moves).
+    With no table c is held: every proposal is the current c with its factor
+    R, and log Z(c) - log g(c) cancels from w' - w, so w = l(s) - l_lin(s).
     All proposals are drawn and scored, then a scalar pass accepts each in
     order with probability min(1, exp(w' - w)).  ``current`` is the state
     as a stack of one row (values, x, w, R), R R^T = K(c).  Returns it with
     the proposals as rows 1..count, the row held after each move, and the
     count rejected through DOMAIN_ERRORS or a factor that is not positive
     definite.  Other errors propagate; a NaN weight raises ValueError."""
-    values = table.draw(rng, count)
-    r, weight = evidence.factors(values)
+    if table is None:
+        values = np.repeat(current[0], count, axis=0)
+        r, weight = np.repeat(current[3], count, axis=0), np.zeros(count)
+    else:
+        values = table.draw(rng, count)
+        r, weight = evidence.factors(values)
+        weight -= table.log_density(values)  # -inf stays -inf
     failed = weight == -np.inf
-    weight -= table.log_density(values)
     x = current[1]
     if excess is not None:
         try:
@@ -707,23 +690,24 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
             init_state=None, init_gamma=None, proposal_factor=None, reference=None):
     """Metropolis-within-Gibbs over (s, c); fully reproducible from cfg.seed.
 
-    Linear models (model.is_linear with a ``matrix``) are collapsed: each
-    iteration takes one independence step of c on the marginal p(c | d), and
-    each retained iteration gets one exact Gibbs field draw at its c
-    (``Chain.s_steps`` counts them); ``cfg.c_steps_per_s_step`` must be 0
-    then.  A nonlinear model starts from
-    ``init_state`` (required).  With ``cfg.c_steps_per_s_step`` 0 each of its
-    iterations takes one independence move of (c, s), whose field proposal
-    is the conditional of the model linearised about ``reference`` (a
-    ``GaussNewtonResult``, required then).  Otherwise the field takes
-    adaptive random-walk Metropolis steps, from an optional initial proposal
-    factor (e.g. the warm start's Laplace factor), and gamma centred steps
-    at the fixed field.  An independence chain tabulates its proposal for c
-    (``_EvidenceTable``), then runs in blocks of BLOCK_LENGTH iterations
-    (``independence_block``); a linear chain draws a block's retained fields
-    together.  Blocks reorder the random stream, not the law of the chain.
-    When ``sample_correlation`` is false c stays at its initial value and
-    only the field is sampled.
+    ``cfg.c_steps_per_s_step`` picks the kernel.  With 0 each iteration takes
+    one independence move (``independence_block``).  A linear model
+    (model.is_linear with a ``matrix``) is collapsed: c moves on the
+    marginal p(c | d), and each retained iteration gets one exact Gibbs field
+    draw at its c (``Chain.s_steps`` counts them).  A nonlinear model moves
+    (c, s) together, s' from the conditional of the model linearised about
+    ``reference`` (a ``GaussNewtonResult``, required then).  A chain
+    tabulates its proposal for c (``_EvidenceTable``), then runs in blocks
+    of BLOCK_LENGTH iterations, and a linear chain draws a block's retained
+    fields together; blocks reorder the random stream, not the law of the
+    chain.  With ``cfg.c_steps_per_s_step`` >= 1, for a nonlinear model
+    only, the field takes adaptive random-walk Metropolis steps, from an
+    optional initial proposal factor (e.g. the warm start's Laplace factor),
+    and gamma that many centred steps at the fixed field.  A nonlinear model
+    starts from ``init_state`` (required).  When ``sample_correlation`` is
+    false c stays at its initial value, under the same kernel: an
+    independence move then proposes only s' (or, on a linear model, draws
+    the field exactly).
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -735,58 +719,45 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     track_gamma = sample_correlation and n_free > 0
 
     linear = bool(getattr(model, "is_linear", False))
-    independence = track_gamma and (linear or cfg.c_steps_per_s_step == 0)
-    if track_gamma and linear and cfg.c_steps_per_s_step:
-        raise ValueError("centred steps (c_steps_per_s_step >= 1) need a nonlinear model")
-    if independence and not linear and reference is None:
+    if linear and cfg.c_steps_per_s_step:
+        raise ValueError("random-walk steps (c_steps_per_s_step >= 1) need a nonlinear model")
+    if not (linear or cfg.c_steps_per_s_step or reference is not None):
         raise ValueError("independence moves on a nonlinear model need a reference linearisation")
-    excess = x = None
-    if linear:
-        evidence = _LinearGibbs(model.matrix, d, noise, family)
-    else:
-        if init_state is None:
-            raise ValueError("nonlinear models need an initial state")
-        # the correlation steps need the prior term on its own: the target
-        # keeps the (log likelihood, log prior) of its last evaluation
-        last = [None, None]
+    if not linear and init_state is None:
+        raise ValueError("nonlinear models need an initial state")
+    x = None if linear else np.asarray(init_state, dtype=float).copy()
+    states = np.empty((retained, family.dim))
+    corr = np.empty((retained, n_free))
 
-        def loglik(s):
-            return gaussian_loglik(d, model(s), noise)
+    def loglik(s):
+        return gaussian_loglik(d, model(s), noise)
 
-        def log_target(s):
-            last[:] = loglik(s), family.log_density(s, values)
-            return last[0] + last[1]
-
-        x = np.asarray(init_state, dtype=float).copy()
-        if not np.isfinite(log_target(x)):
-            raise ValueError("target log density is not finite at the initial state")
-        cur_ll, cur_pd = last
-        proposal = AdaptiveProposal(family.dim, proposal_factor)
-        if independence:
+    if not cfg.c_steps_per_s_step:  # independence moves
+        excess = None
+        if linear:
+            evidence = _LinearGibbs(model.matrix, d, noise, family)
+        else:
             evidence = _Evidence(reference.jacobian, linearised_data(reference, d), noise, family)
 
             def excess(s):
                 return loglik(s) - evidence.linear_loglik(s)
 
-    states = np.empty((retained, family.dim))
-    corr = np.empty((retained, n_free))
-    s_steps = s_accepted = gamma_steps = gamma_accepted = block_accepted = block_failed = 0
-    cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
-    if linear or independence:
         r, logz = evidence._factor(values[None])
-        table = _EvidenceTable(evidence, n_free) if independence else None
-        weight = ((0.0 if excess is None else excess(x)) + logz[0]
-                  - (table.log_density(values) if independence else 0.0))
+        table = _EvidenceTable(evidence, n_free) if track_gamma else None
+        weight = 0.0 if excess is None else excess(x)
+        if table is not None:
+            weight = weight + logz[0] - table.log_density(values)
+        if not np.isfinite(weight):
+            raise ValueError("independence weight is not finite at the initial state")
         current = (values[None], None if linear else x[None], np.array([weight]), r)
+        accepted = failed = 0
         for start in range(0, cfg.total_samples, BLOCK_LENGTH):
             count = min(BLOCK_LENGTH, cfg.total_samples - start)
-            stack, chosen = current, np.zeros(count, dtype=int)
-            if independence:
-                stack, chosen, failed = independence_block(
-                    rng, count, current, table, evidence, excess)
-                block_accepted += np.count_nonzero(np.diff(chosen, prepend=0))
-                block_failed += failed
-                current = tuple(None if a is None else a[chosen[-1:]] for a in stack)
+            stack, chosen, block_failed = independence_block(
+                rng, count, current, table, evidence, excess)
+            accepted += np.count_nonzero(np.diff(chosen, prepend=0))
+            failed += block_failed
+            current = tuple(None if a is None else a[chosen[-1:]] for a in stack)
             first = max(start, cfg.burn_in)  # the block's first retained iteration
             rows = chosen[first - start :]  # the row held at each retained iteration
             if rows.size:
@@ -794,17 +765,32 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
                 corr[kept] = stack[0][rows]
                 states[kept] = (evidence.draw(rng, stack[0][rows], stack[3][rows]) if linear
                                 else stack[1][rows])
-        if linear:
-            s_steps = s_accepted = retained
+        draws = retained if linear else 0
+        return Chain(states=states, corr=corr, total_samples=cfg.total_samples,
+                     burn_in=cfg.burn_in, seed=cfg.seed, s_steps=draws, s_accepted=draws,
+                     block_steps=cfg.total_samples, block_accepted=accepted,
+                     block_failed=failed)
 
-    for k in range(0 if linear or independence else cfg.total_samples):  # random-walk steps
-        adapting = k < cfg.burn_in
+    # random-walk steps; the correlation steps need the prior term on its
+    # own: the target keeps the (log likelihood, log prior) of its last evaluation
+    last = [None, None]
+
+    def log_target(s):
+        last[:] = loglik(s), family.log_density(s, values)
+        return last[0] + last[1]
+
+    if not np.isfinite(log_target(x)):
+        raise ValueError("target log density is not finite at the initial state")
+    cur_ll, cur_pd = last
+    cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
+    proposal = AdaptiveProposal(family.dim, proposal_factor)
+    s_accepted = gamma_steps = gamma_accepted = 0
+    for k in range(cfg.total_samples):
         x, _, accepted = adaptive_metropolis_update_s(
-            rng, x, cur_ll + cur_pd, log_target, proposal, k, adapting
+            rng, x, cur_ll + cur_pd, log_target, proposal, k, k < cfg.burn_in
         )
         if accepted:
             cur_ll, cur_pd = last
-        s_steps += 1
         s_accepted += int(accepted)
         if track_gamma:
             target = partial(family.log_density, x)
@@ -822,11 +808,8 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     return Chain(
         states=states, corr=corr, total_samples=cfg.total_samples,
         burn_in=cfg.burn_in, seed=cfg.seed,
-        s_steps=s_steps, s_accepted=s_accepted,
+        s_steps=cfg.total_samples, s_accepted=s_accepted,
         gamma_steps=gamma_steps, gamma_accepted=gamma_accepted,
-        block_steps=cfg.total_samples if independence else 0, block_accepted=block_accepted,
-        block_failed=block_failed,
-        tau_trace=None if linear or independence else proposal.trace_array(),
     )
 
 
@@ -844,8 +827,7 @@ class GaussNewtonError(RuntimeError):
 @dataclass
 class GaussNewtonResult:
     point: np.ndarray
-    covariance: np.ndarray  # Laplace (Gauss-Newton) posterior covariance
-    factor: np.ndarray      # lower factor L with L L^T = covariance
+    factor: np.ndarray      # lower factor L of the Laplace covariance L L^T
     jacobian: np.ndarray    # model Jacobian at point
     forward: np.ndarray     # model(point)
     iterations: int
@@ -925,7 +907,7 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
     cov = 0.5 * (cov + cov.T)
     factor = cholesky_lower(cov, "Laplace covariance")
     return GaussNewtonResult(
-        point=x, covariance=cov, factor=factor, jacobian=jac, forward=f,
+        point=x, factor=factor, jacobian=jac, forward=f,
         iterations=iterations, objective=fx, converged=converged,
         objective_trace=trace, halvings=halvings,
     )

@@ -78,6 +78,21 @@ class TestReducedSummary:
         np.testing.assert_allclose(summary.mean_p, p.mean(axis=1), atol=1e-10)
         np.testing.assert_allclose(summary.var_m, m.var(axis=1), atol=1e-10)
 
+    def test_variance_does_not_cancel_under_a_large_mean(self, rng):
+        # a field mean of 1e5 against a spread of order 1: a one-pass
+        # s2 / n - mean^2 loses about 10 digits here (relative error ~1e-7)
+        mesh = build_lattice_mesh(6, 5, 1.0, 1.0)
+        cov = sqexp_covariance(mesh.nodes, KernelConfig(0.4))
+        bp, bm = kl_truncate(cov, 4), kl_truncate(cov, 3)
+        states = rng.standard_normal((500, 7))
+        offset = np.full(30, 1e5)
+        summary = reduced_chain_field_summary(states, bp, bm, offset, offset, batch=64)
+        p = offset[:, None] + bp.expand(states[:, :4].T)
+        m = offset[:, None] + bm.expand(states[:, 4:].T)
+        np.testing.assert_allclose(summary.var_p, np.var(p, axis=1), rtol=1e-9)
+        np.testing.assert_allclose(summary.var_m, np.var(m, axis=1), rtol=1e-9)
+        np.testing.assert_allclose(summary.mean_p, p.mean(axis=1), rtol=1e-12)
+
     def test_median_ess_skips_constant_columns(self, rng):
         states = np.column_stack([rng.standard_normal(2000), np.ones(2000)])
         value = median_ess(states)
