@@ -10,8 +10,11 @@ adjoint solve each.  ``c_steps`` picks the kernel of both chains.  With 0
 (the default) each iteration of the joint chain takes one independence move
 of the correlation and the field together: c' from a table of the evidence
 of the model linearised at the warm start (its Jacobian and forward value,
-so no extra solve) and s' from that model's exact conditional at c', one
-forward solve per move for the Metropolis-Hastings weight; the independent
+so no extra solve) and s' from that model's exact conditional at c'; the
+Metropolis-Hastings weights of a block of 32 proposals come from one stacked
+forward evaluation (``ReducedModel.predict_rows``: the fields expanded by
+one GEMM each, one sparse product for all the bands and one for all the
+loads, then one banded factor and solve per proposal).  The independent
 chain takes the same move with c' = 0.  With ``c_steps`` >= 1
 (``scripts/paper_scale_configs/darcy_full.json``, where no global proposal
 is accepted) each chain takes one adaptive random-walk field step per

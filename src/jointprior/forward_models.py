@@ -3,7 +3,10 @@ finite-difference Jacobian that serves as their test oracle.
 
 Models are callables on a stacked coordinate vector with a ``jacobian``
 method; linear models also expose their matrix so samplers can switch to
-exact conditional updates.
+exact conditional updates.  The reduced Darcy model also predicts a stack
+of states at once (``predict_rows``), as the sampler scores a block of
+independence proposals, with the mask of the rows whose solve passed its
+checks.
 """
 
 from __future__ import annotations
@@ -130,6 +133,13 @@ class DarcyModel:
         p, m = s[: self.n_nodes], s[self.n_nodes :]
         return np.concatenate([self.b1 @ self.solver.solve(p, m), self.b2 @ p])
 
+    def predict_fields(self, p, m, p_elem):
+        """The observations of each row of stacks of nodal fields p and m
+        (k, n), given the element means of p (k, n_tri), with the mask of
+        the rows whose solve passed its checks (the others read NaN)."""
+        u, ok = self.solver.solve_rows(p_elem, m)
+        return np.hstack([u @ self.b1.T, p @ self.b2.T]), ok
+
     def jacobian(self, s):
         """(q, 2n) tangent-linear Jacobian: the head rows from one
         factorisation and one adjoint solve, the direct rows are B2."""
@@ -168,10 +178,24 @@ class ReducedModel:
     def __init__(self, base, field_map):
         self.base = base
         self.field_map = field_map
+        bp, bm = field_map.basis_p, field_map.basis_m
+        self._modes = (bp.modes * bp.scales, bm.modes * bm.scales)
+        # element means of p = mean_p + modes @ diag(scales) @ shat_p, per mode
+        means = base.solver.element_means
+        self._elem_mean_p, self._elem_modes_p = means(field_map.mean_p), means(self._modes[0].T)
 
     def __call__(self, shat):
         p, m = self.field_map.expand(shat)
         return self.base(np.concatenate([p, m]))
+
+    def predict_rows(self, shat):
+        """The observations of each row of a stack (k, k_p + k_m), with the
+        mask of the rows whose solve passed its checks (``base.predict_fields``):
+        one GEMM expands each field, and one more gives the element means of p."""
+        a, b = np.split(np.asarray(shat, dtype=float), [self.field_map.basis_p.k], axis=1)
+        return self.base.predict_fields(self.field_map.mean_p + a @ self._modes[0].T,
+                                        self.field_map.mean_m + b @ self._modes[1].T,
+                                        self._elem_mean_p + a @ self._elem_modes_p)
 
     def jacobian(self, shat):
         """Chain rule through the expansion: each field block of the base

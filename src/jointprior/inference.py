@@ -80,15 +80,16 @@ class NoiseModel:
 
 
 def gaussian_loglik(d, prediction, noise):
-    """Gaussian log likelihood up to a constant: -|d - prediction|^2_cov / 2."""
+    """Gaussian log likelihood up to a constant, -|d - prediction|^2_cov / 2,
+    of one prediction (q,), or of each row of a stack (k, q)."""
     d = np.asarray(d, dtype=float)
     prediction = np.asarray(prediction, dtype=float)
-    if d.shape != (noise.q,) or prediction.shape != (noise.q,):
+    if d.shape != (noise.q,) or prediction.shape[-1:] != (noise.q,) or prediction.ndim > 2:
         raise ValueError(
             f"data/prediction shapes {d.shape}, {prediction.shape} do not match q = {noise.q}"
         )
     r = (d - prediction) / noise.std_vector
-    return -0.5 * float(r @ r)
+    return -0.5 * float(r @ r) if r.ndim == 1 else -0.5 * np.einsum("kq,kq->k", r, r)
 
 
 def linear_gaussian_posterior(g, d, noise, prior_mean, prior_cov):
@@ -507,15 +508,20 @@ def independence_block(rng, count, current, table, evidence, excess=None):
     from ``table`` and, given ``excess``, s' ~ q(. | c') by ``evidence.draw``.
     As l_lin(s) + log p(s | c) = log Z(c) + log q(s | c) and c is uniform a
     priori, (s, c) weighs w = l(s) - l_lin(s) + log Z(c) - log g(c), with
-    ``excess(s)`` = l - l_lin (0 for a linear model, where only c moves).
+    l - l_lin from ``excess`` (0 for a linear model, where only c moves).
     With no table c is held: every proposal is the current c with its factor
     R, and log Z(c) - log g(c) cancels from w' - w, so w = l(s) - l_lin(s).
-    All proposals are drawn and scored, then a scalar pass accepts each in
-    order with probability min(1, exp(w' - w)).  ``current`` is the state
-    as a stack of one row (values, x, w, R), R R^T = K(c).  Returns it with
-    the proposals as rows 1..count, the row held after each move, and the
-    count rejected through DOMAIN_ERRORS or a factor that is not positive
-    definite.  Other errors propagate; a NaN weight raises ValueError."""
+    All proposals are drawn, then scored by one call ``excess(states)`` on
+    the stack of the drawn fields not yet rejected, which returns l - l_lin
+    of each row and the mask of the rows the model could evaluate (for a
+    Darcy model, those whose solve passed its checks); then a scalar pass
+    accepts each in order with probability min(1, exp(w' - w)).
+    ``current`` is the state as a stack of one row (values, x, w, R),
+    R R^T = K(c).  Returns it with the proposals as rows 1..count, the row
+    held after each move, and the count rejected outside the model's mask,
+    through DOMAIN_ERRORS in the draw or through a factor that is not
+    positive definite.  Other errors propagate; a NaN weight on a row that
+    passed raises ValueError."""
     if table is None:
         values = np.repeat(current[0], count, axis=0)
         r, weight = np.repeat(current[3], count, axis=0), np.zeros(count)
@@ -531,11 +537,10 @@ def independence_block(rng, count, current, table, evidence, excess=None):
         except DOMAIN_ERRORS:
             drawn = np.full((count, x.shape[1]), np.nan)
         failed |= ~np.isfinite(drawn).all(axis=1)
-        for i in np.flatnonzero(~failed):
-            try:
-                weight[i] += excess(drawn[i])
-            except DOMAIN_ERRORS:
-                failed[i] = True
+        rows = np.flatnonzero(~failed)
+        extra, ok = excess(drawn[rows])
+        weight[rows] += extra
+        failed[rows[~ok]] = True
         x = np.concatenate([x, drawn])
     weight[failed] = -np.inf
     if np.isnan(weight).any():
@@ -606,7 +611,8 @@ class _Evidence:
         return float(self._factor(np.atleast_2d(values))[1][0])
 
     def linear_loglik(self, s):
-        return gaussian_loglik(self.data, self.g @ s, self.noise)
+        """l_lin of one state, or of each row of a stack."""
+        return gaussian_loglik(self.data, s @ self.g.T, self.noise)
 
     def draw(self, rng, values, factors=None):
         """Draws from s | c, d at one c, or a row per c of a stack (k, n_free),
@@ -698,12 +704,16 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
     (c, s) together, s' from the conditional of the model linearised about
     ``reference`` (a ``GaussNewtonResult``, required then).  A chain
     tabulates its proposal for c (``_EvidenceTable``), then runs in blocks
-    of BLOCK_LENGTH iterations, and a linear chain draws a block's retained
-    fields together; blocks reorder the random stream, not the law of the
-    chain.  With ``cfg.c_steps_per_s_step`` >= 1, for a nonlinear model
-    only, the field takes adaptive random-walk Metropolis steps, from an
-    optional initial proposal factor (e.g. the warm start's Laplace factor),
-    and gamma that many centred steps at the fixed field.  A nonlinear model
+    of BLOCK_LENGTH iterations.  A nonlinear model scores a block's field
+    proposals by one stacked call, ``model.predict_rows(states)``, which
+    returns the predictions and the mask of the rows it could evaluate (a
+    row outside it counts in ``Chain.block_failed``); the initial weight is
+    one call ``model(x)``.  A linear chain draws a block's retained fields
+    together.  Blocks reorder the random stream, not the law of the chain.
+    With ``cfg.c_steps_per_s_step`` >= 1, for a nonlinear model only, the
+    field takes adaptive random-walk Metropolis steps, from an optional
+    initial proposal factor (e.g. the warm start's Laplace factor), and gamma
+    that many centred steps at the fixed field.  A nonlinear model
     starts from ``init_state`` (required).  When ``sample_correlation`` is
     false c stays at its initial value, under the same kernel: an
     independence move then proposes only s' (or, on a linear model, draws
@@ -739,12 +749,13 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
         else:
             evidence = _Evidence(reference.jacobian, linearised_data(reference, d), noise, family)
 
-            def excess(s):
-                return loglik(s) - evidence.linear_loglik(s)
+            def excess(states):  # one stacked forward evaluation per block
+                predicted, ok = model.predict_rows(states)
+                return gaussian_loglik(d, predicted, noise) - evidence.linear_loglik(states), ok
 
         r, logz = evidence._factor(values[None])
         table = _EvidenceTable(evidence, n_free) if track_gamma else None
-        weight = 0.0 if excess is None else excess(x)
+        weight = 0.0 if linear else loglik(x) - evidence.linear_loglik(x)
         if table is not None:
             weight = weight + logz[0] - table.log_density(values)
         if not np.isfinite(weight):

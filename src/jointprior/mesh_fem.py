@@ -9,10 +9,14 @@ A/12 (1 + delta_ij) for the mass matrix, and h/6 (1 + delta_ij) for the
 boundary edge mass.
 
 The Darcy solver factors its reduced stiffness matrix, which is symmetric
-positive definite, as a band: a scatter fixed per lattice sums the element
-matrices into LAPACK lower-band storage, and ``dpbtrf``/``dpbtrs`` (banded
-Cholesky; Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999) factor
-and solve it.
+positive definite, as a band.  A sparse scatter matrix, fixed per lattice,
+maps the per-element scales kappa_e / (4 A_e) to LAPACK lower-band storage,
+each slot summing its element terms in element order, so the bands of a
+whole stack of states come from one sparse product, as do their loads;
+``dpbtrf``/``dpbtrs`` (banded Cholesky; Anderson et al., LAPACK Users'
+Guide, 3rd ed., SIAM 1999) then factor and solve each band.  A single solve
+raises FemAssemblyError on a failed check; a stacked solve flags the rows
+that fail and leaves the others unchanged.
 """
 
 from __future__ import annotations
@@ -164,9 +168,13 @@ class DarcySolver:
     The interior unknowns are numbered along the shorter lattice side, so the
     reduced stiffness matrix A_I has half-bandwidth min(nx, ny) - 1.  Mesh
     geometry, the interior mass rows and the scatter of element stiffness
-    entries into the lower band of A_I are fixed per mesh, so a solve sums
-    the band, factors it by banded Cholesky and solves.  ``solve`` and
-    ``jacobian`` share one band assembly and one factorisation path.
+    entries into the lower band of A_I are fixed per mesh.  The scatter is a
+    sparse matrix S with band = S @ scale, scale_e = kappa_e / (4 A_e): it
+    takes the band of one state or of every row of a stack in one product,
+    and each slot sums its element terms in element order.  A solve then
+    factors each band by banded Cholesky and solves.  ``solve`` (one state,
+    which raises), ``solve_rows`` (a stack, which flags) and ``jacobian``
+    share that one assembly and factorisation path.
     """
 
     def __init__(self, mesh):
@@ -188,25 +196,72 @@ class DarcySolver:
         n_i = interior.size
         pos = np.full(mesh.n_nodes, -1)
         pos[interior] = np.arange(n_i)
-        # element entries k_e[a, b] that land in the lower band of A_I, as flat
-        # indices into k_elem, and their flat slots (i - j) n_I + j in the
-        # (kd + 1, n_I) lower-band storage
+        # element entries k_e[a, b] that land in the lower band of A_I go to
+        # the slot j (kd + 1) + i - j of the (kd + 1, n_I) lower-band storage,
+        # flattened in Fortran order; each element puts at most one entry in
+        # a slot
         i, j = pos[self._rows], pos[self._cols]
-        lower = (j >= 0) & (i >= j)
-        self._src = np.nonzero(lower)[0]
+        lower = np.flatnonzero((j >= 0) & (i >= j))
         self._kd = int((i - j)[lower].max(initial=0))
-        self._slot = (i - j)[lower] * n_i + j[lower]
+        self._scatter = sp.csr_matrix(
+            (self._bb.ravel()[lower], (j[lower] * (self._kd + 1) + (i - j)[lower], lower // 9)),
+            shape=((self._kd + 1) * n_i, m))
+
+    def element_means(self, p):
+        """Vertex means of a nodal field on each element, of one field (n,)
+        or of each row of a stack (k, n)."""
+        return np.asarray(p, dtype=float)[..., self.mesh.triangles].mean(axis=-1)
 
     def _nodal(self, data):
         """Sparse n x n matrix from per-element 3 x 3 blocks."""
         n = self.mesh.n_nodes
         return sp.coo_matrix((data.ravel(), (self._rows, self._cols)), shape=(n, n)).tocsr()
 
-    def _factor_solve(self, p, m):
-        """Assemble, factorise and solve the reduced system.  Returns the
-        nodal head u, the banded Cholesky factor of A_I (None when the mesh
-        has no interior node) and the element stiffness matrices
-        k_e = kappa_e / (4 A_e) bb_e."""
+    def _scales(self, p_elem):
+        """kappa_e / (4 A_e), kappa_e = exp of the element mean of p."""
+        return np.exp(p_elem) / self._area2**2 * self._area
+
+    def _factor_solve(self, scales, m):
+        """Assemble, factorise and solve the reduced system of each row of a
+        stack of element scales (k, n_tri) and nodal m (k, n).  Returns
+        the nodal heads u (k, n), NaN on a row that failed, each row's banded
+        Cholesky factor of A_I (None when it failed or the mesh has no
+        interior node), and each row's failed check (None when it passed):
+        a non-finite band, a factor that is not positive definite, or a
+        residual above 1e-10 |f|."""
+        k, n_i, kd = len(scales), self.interior.size, self._kd
+        u = np.zeros((k, self.mesh.n_nodes))
+        chols = [None] * k
+        errors = [None] * k
+        if n_i == 0:
+            return u, chols, errors
+        # one row of the product per row of the stack, each band Fortran-ordered
+        bands = np.ascontiguousarray((self._scatter @ scales.T).T)
+        bands = bands.reshape(k, n_i, kd + 1).transpose(0, 2, 1)
+        loads = (self._mass_i @ np.exp(m).T).T
+        heads, resid = np.zeros((k, n_i)), np.zeros((k, n_i))
+        for r, finite in enumerate(np.isfinite(bands).all(axis=(1, 2))):
+            if not finite:
+                errors[r] = "non-finite Darcy stiffness: exp(p) overflowed or p holds NaN"
+                continue
+            chols[r], info = dpbtrf(bands[r], lower=1)
+            if info > 0:
+                errors[r] = f"Darcy system not positive definite (leading minor {info})"
+                continue
+            heads[r] = dpbtrs(chols[r], loads[r, :, None], lower=1)[0][:, 0]
+            resid[r] = dsbmv(kd, 1.0, bands[r], heads[r], lower=1) - loads[r]
+        norms = np.sqrt(np.einsum("ki,ki->k", resid, resid))
+        limits = 1e-10 * np.maximum(np.sqrt(np.einsum("ki,ki->k", loads, loads)), 1e-300)
+        for r in np.flatnonzero(~(norms <= limits)):  # also catches NaN
+            errors[r] = errors[r] or f"Darcy solve residual too large: {norms[r]:.3e}"
+        u[:, self.interior] = heads
+        failed = [error is not None for error in errors]
+        u[failed] = np.nan
+        return u, [None if f else chol for f, chol in zip(failed, chols)], errors
+
+    def _solve_one(self, p, m):
+        """``_factor_solve`` of one nodal state, with its element scales; a
+        failed check raises FemAssemblyError."""
         mesh = self.mesh
         p = np.asarray(p, dtype=float)
         m = np.asarray(m, dtype=float)
@@ -215,32 +270,22 @@ class DarcySolver:
                 f"fields must be nodal with length {mesh.n_nodes}, "
                 f"got {p.shape} and {m.shape}"
             )
-        # per-element permeability: exp of the vertex mean of p
-        kappa = np.exp(p[mesh.triangles].mean(axis=1))
-        scale = kappa / self._area2**2 * self._area
-        k_elem = scale[:, None, None] * self._bb
-        u = np.zeros(mesh.n_nodes)
-        n_i = self.interior.size
-        if n_i == 0:
-            return u, None, k_elem
-
-        band = np.bincount(self._slot, weights=k_elem.ravel()[self._src],
-                           minlength=(self._kd + 1) * n_i).reshape(self._kd + 1, n_i)
-        if not np.all(np.isfinite(band)):
-            raise FemAssemblyError("non-finite Darcy stiffness: exp(p) overflowed or p holds NaN")
-        chol, info = dpbtrf(band, lower=1)
-        if info > 0:
-            raise FemAssemblyError(f"Darcy system not positive definite (leading minor {info})")
-        f_red = self._mass_i @ np.exp(m)
-        u_red = dpbtrs(chol, f_red[:, None], lower=1)[0][:, 0]
-        resid = np.linalg.norm(dsbmv(self._kd, 1.0, band, u_red, lower=1) - f_red)
-        if not resid <= 1e-10 * max(np.linalg.norm(f_red), 1e-300):  # also catches NaN
-            raise FemAssemblyError(f"Darcy solve residual too large: {resid:.3e}")
-        u[self.interior] = u_red
-        return u, chol, k_elem
+        scales = self._scales(self.element_means(p))
+        u, (chol,), (error,) = self._factor_solve(scales[None], m[None])
+        if error is not None:
+            raise FemAssemblyError(error)
+        return u[0], chol, scales
 
     def solve(self, p, m):
-        return self._factor_solve(p, m)[0]
+        return self._solve_one(p, m)[0]
+
+    def solve_rows(self, p_elem, m):
+        """Heads u (k, n) of each row of a stack of element means of p
+        (k, n_tri) and nodal m (k, n), and the mask of the rows that passed
+        the solver's checks; a failed row reads NaN and raises nothing."""
+        u, _, errors = self._factor_solve(self._scales(np.asarray(p_elem, dtype=float)),
+                                          np.asarray(m, dtype=float))
+        return u, np.array([e is None for e in errors], dtype=bool)
 
     def jacobian(self, p, m, obs):
         """Tangent-linear derivatives of the observed head obs @ u(p, m) with
@@ -249,13 +294,15 @@ class DarcySolver:
         One adjoint solve Z = A_I^-1 obs_I^T (A is symmetric) serves both:
         d/dm = Z^T M_I diag(e^m), and d/dp = -Z^T Q_I with
         Q[i, j] = sum over elements e holding i and j of (k_e u_e)_i / 3,
-        since kappa_e = exp(mean of p on e).
+        since kappa_e = exp(mean of p on e), with k_e = kappa_e / (4 A_e) bb_e
+        the element stiffness matrices.
         """
-        u, chol, k_elem = self._factor_solve(p, m)
+        u, chol, scales = self._solve_one(p, m)
         idx = self.interior
         z = obs[:, idx].T
         if z.size:
             z = dpbtrs(chol, z, lower=1)[0]
+        k_elem = scales[:, None, None] * self._bb
         ku = np.einsum("eab,eb->ea", k_elem, u[self.mesh.triangles]) / 3.0
         q = self._nodal(np.broadcast_to(ku[:, :, None], k_elem.shape))
         jac_m = (self._mass_i.T @ z).T * np.exp(m)

@@ -42,3 +42,21 @@ def spd_factory():
 @pytest.fixture
 def contraction_factory():
     return random_dense_contraction
+
+
+@pytest.fixture(scope="session")
+def desk_darcy_stack():
+    """The desk darcy problem (config seed 7) and a stack of 32 reduced
+    fields drawn by Matheron's rule from the conditional of the model
+    linearised at its warm start, as a block of independence moves
+    proposes them, at correlation values uniform on (-0.9, 0.9)^2."""
+    from jointprior.experiments import darcy
+    from jointprior.experiments.configs import DarcyConfig, load_config
+    from jointprior.inference import _Evidence, linearised_data
+
+    problem = darcy.build_problem(load_config(DarcyConfig, None, {"seed": 7}))
+    start = darcy.warm_start(problem)
+    evidence = _Evidence(start.jacobian, linearised_data(start, problem["d"]),
+                         problem["noise"], problem["family"])
+    rng = np.random.default_rng(3)
+    return problem, evidence.draw(rng, rng.uniform(-0.9, 0.9, (32, 2)))

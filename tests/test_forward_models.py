@@ -8,7 +8,8 @@ from jointprior.forward_models import (CokrigeModel, DarcyModel, ForwardModelErr
 from jointprior.covariance import KernelConfig, kl_truncate, sqexp_covariance
 from jointprior.experiments import darcy
 from jointprior.experiments.configs import DarcyConfig, load_config
-from jointprior.mesh_fem import build_lattice_mesh, point_observation_operator
+from jointprior.mesh_fem import (FemAssemblyError, build_lattice_mesh,
+                                 point_observation_operator)
 
 from test_mesh_fem import poisson_unit_square_oracle
 
@@ -212,6 +213,37 @@ class TestTangentLinearJacobian:
     def test_non_finite_jacobian_raises(self):
         with pytest.raises(ForwardModelError, match="non-finite"):
             MonodModel(SUBSTRATE).jacobian(np.array([0.7, -28.0]))
+
+
+class TestStackedPredictions:
+    """``predict_rows`` scores a block of proposals in one stacked
+    evaluation; it must agree with the models called row by row."""
+
+    def test_matches_row_by_row_calls(self, desk_darcy_stack):
+        problem, draws = desk_darcy_stack
+        reduced, model = problem["reduced_model"], problem["model"]
+        p, m = (np.stack(f) for f in zip(*map(problem["field_map"].expand, draws)))
+        for (predicted, ok), expected in (
+                (reduced.predict_rows(draws), [reduced(x) for x in draws]),
+                (model.predict_fields(p, m, model.solver.element_means(p)),
+                 [model(np.concatenate(s)) for s in zip(p, m)])):
+            assert ok.all()
+            np.testing.assert_allclose(predicted, expected, rtol=1e-12, atol=0.0)
+
+    def test_overflowing_row_is_flagged_alone(self, desk_darcy_stack):
+        problem, draws = desk_darcy_stack
+        model = problem["reduced_model"]
+        bad = draws[0].copy()
+        bad[0] = 1e4  # p = 1e4 x the first mode: exp overflows
+        predicted, ok = model.predict_rows(draws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with_bad, ok_bad = model.predict_rows(np.insert(draws, 5, bad, axis=0))
+            with pytest.raises(FemAssemblyError, match="non-finite"):
+                model(bad)
+        np.testing.assert_array_equal(ok_bad, np.arange(33) != 5)
+        # the GEMMs of the expansion see one more row: equal to round-off
+        np.testing.assert_allclose(np.delete(with_bad, 5, axis=0), predicted,
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestReducedFieldMap:

@@ -924,6 +924,9 @@ class FlaggedLinear:
     def __call__(self, s):
         return self.g @ s
 
+    def predict_rows(self, s):
+        return s @ self.g.T, np.ones(len(s), dtype=bool)
+
 
 class Cubic:
     """f(s) = (s_0 + 0.6 s_0^3, s_1 + 0.6 s_1^3, s_0 - s_1), on a state or on
@@ -940,6 +943,27 @@ class Cubic:
     def jacobian(self, s):
         return np.array([[1.0 + 1.8 * s[0] ** 2, 0.0], [0.0, 1.0 + 1.8 * s[1] ** 2],
                          [1.0, -1.0]])
+
+    def predict_rows(self, s):
+        return self(s), np.ones(len(s), dtype=bool)
+
+
+class FlagsPositive(FlaggedLinear):
+    """A flagged linear map whose stacked evaluation fails a check (NaN,
+    outside the mask) on each row with s_0 > 0, as a Darcy solve does."""
+
+    def predict_rows(self, s):
+        ok = s[:, 0] <= 0.0
+        return np.where(ok[:, None], s @ self.g.T, np.nan), ok
+
+
+def stacked_excess(model, d, noise, evidence):
+    """l - l_lin of each row of a stack, and the model's mask, as a chain of
+    independence moves scores its proposals."""
+    def excess(states):
+        predicted, ok = model.predict_rows(states)
+        return gaussian_loglik(d, predicted, noise) - evidence.linear_loglik(states), ok
+    return excess
 
 
 def block_problem(rng):
@@ -1224,8 +1248,7 @@ class TestBlockMoves:
         conditional = linearised(reference, d, noise, fam)
         current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         stack, chosen, failed = independence_block(
-            rng, 40, current, table, conditional,
-            lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
+            rng, 40, current, table, conditional, stacked_excess(model, d, noise, conditional))
         edge = np.flatnonzero(stack[0][:, 0] == 1.0)
         assert failed == edge.size > 0
         assert np.all(stack[2][edge] == -np.inf) and not np.isin(edge, chosen).any()
@@ -1238,7 +1261,70 @@ class TestBlockMoves:
         table = _EvidenceTable(conditional, 1)
         current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         with pytest.raises(ValueError, match="NaN"):
-            independence_block(rng, 4, current, table, conditional, lambda s: float("nan"))
+            independence_block(rng, 4, current, table, conditional,
+                               lambda s: (np.full(len(s), np.nan), np.ones(len(s), dtype=bool)))
+
+    def test_failed_check_rejects_its_row_alone(self, rng):
+        # the same block scored by a model that passes every row and by one
+        # that fails each row with s_0 > 0: those rows are counted and never
+        # held, and every other row keeps its weight bitwise
+        fam, model, noise, d, reference = block_problem(rng)
+        conditional = linearised(reference, d, noise, fam)
+        table = _EvidenceTable(conditional, 1)
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        flagging = FlagsPositive(model.g)
+        (_, x, passed, _), _, none_failed = independence_block(
+            np.random.default_rng(4), 64, current, table, conditional,
+            stacked_excess(model, d, noise, conditional))
+        (_, same_x, weights, _), chosen, failed = independence_block(
+            np.random.default_rng(4), 64, current, table, conditional,
+            stacked_excess(flagging, d, noise, conditional))
+        np.testing.assert_array_equal(same_x, x)
+        positive = x[:, 0] > 0.0
+        positive[0] = False  # the current state is not scored again
+        assert none_failed == 0 and failed == np.count_nonzero(positive) > 0
+        assert np.all(weights[positive] == -np.inf)
+        np.testing.assert_array_equal(weights[~positive], passed[~positive])
+        assert not np.isin(np.flatnonzero(positive), chosen).any()
+        # in a chain, they count in block_failed and no retained state has s_0 > 0
+        cfg = MwgConfig(total_samples=300, burn_in=100, seed=2)
+        start = reference.point * np.where(np.arange(5) == 0, -np.sign(reference.point[0]), 1.0)
+        chain = mwg_run(flagging, fam, noise, d, cfg, init_state=start, reference=reference)
+        assert chain.block_failed > 0 and chain.block_accepted > 0
+        assert chain.block_failed + chain.block_accepted <= chain.block_steps
+        assert np.all(chain.states[:, 0] <= 0.0)
+
+    def test_nan_on_a_row_that_passed_raises(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+        conditional = linearised(reference, d, noise, fam)
+        table = _EvidenceTable(conditional, 1)
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+
+        def nan_where(passes):
+            def excess(states):
+                return np.full(len(states), np.nan), passes(len(states))
+            return excess
+
+        # NaN on rows outside the mask is a counted rejection
+        _, chosen, failed = independence_block(
+            rng, 8, current, table, conditional, nan_where(lambda k: np.zeros(k, dtype=bool)))
+        assert failed == 8 and np.all(chosen == 0)
+        # on one row inside it, a ValueError
+        with pytest.raises(ValueError, match="NaN"):
+            independence_block(rng, 8, current, table, conditional,
+                               nan_where(lambda k: np.arange(k) == 3))
+
+    def test_type_error_in_model_propagates(self, rng):
+        fam, model, noise, d, reference = block_problem(rng)
+
+        class Broken(FlaggedLinear):
+            def predict_rows(self, s):
+                raise TypeError("unsupported operand type(s)")
+
+        cfg = MwgConfig(total_samples=20, burn_in=5, seed=1)
+        with pytest.raises(TypeError, match="unsupported"):
+            mwg_run(Broken(model.g), fam, noise, d, cfg, init_state=reference.point,
+                    reference=reference)
 
     def test_nan_evidence_terms_raise(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
@@ -1265,8 +1351,7 @@ class TestBlockMoves:
                                 log_density=lambda values: np.zeros(len(values)))
         current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
         out, chosen, failed = independence_block(
-            rng, 40, current, table, conditional,
-            lambda s: gaussian_loglik(d, model(s), noise) - conditional.linear_loglik(s))
+            rng, 40, current, table, conditional, stacked_excess(model, d, noise, conditional))
         assert failed == 20
         assert np.all(np.isin(out[0][chosen][:, 0], [0.0, 0.1, -0.4]))
         with pytest.raises(FactorizationError):

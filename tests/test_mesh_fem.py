@@ -246,6 +246,45 @@ class TestDarcySolve:
         jac = np.hstack(solver.jacobian(s[:n], s[n:], obs))
         assert np.abs(jac - oracle).max() < 1e-7 * np.abs(oracle).max()
 
+    def test_stacked_solve_matches_row_by_row(self, desk_darcy_stack):
+        problem, draws = desk_darcy_stack
+        solver = problem["model"].solver
+        p, m = (np.stack(f) for f in zip(*map(problem["field_map"].expand, draws)))
+        u, ok = solver.solve_rows(solver.element_means(p), m)
+        assert ok.all()
+        expected = np.array([solver.solve(pi, mi) for pi, mi in zip(p, m)])
+        np.testing.assert_allclose(u, expected, rtol=1e-12, atol=0.0)
+        # a row whose p overflows exp fails its check alone and raises
+        # nothing; every other row is unchanged
+        bad = p[0].copy()
+        bad[40] = 1e4
+        with np.errstate(over="ignore"):
+            u_bad, ok_bad = solver.solve_rows(solver.element_means(np.insert(p, 5, bad, axis=0)),
+                                              np.insert(m, 5, m[0], axis=0))
+            with pytest.raises(FemAssemblyError, match="non-finite"):
+                solver.solve(bad, m[0])
+        np.testing.assert_array_equal(ok_bad, np.arange(33) != 5)
+        assert np.isnan(u_bad[5]).all()
+        np.testing.assert_array_equal(np.delete(u_bad, 5, axis=0), u)
+
+    def test_stacked_solve_flags_each_failed_check(self):
+        # a NaN p (non-finite band) and an overflowing load (residual) among
+        # good rows; a mesh with no interior node flags nothing
+        mesh = build_lattice_mesh(7, 5, 2.0, 1.0)
+        solver = DarcySolver(mesh)
+        rng = np.random.default_rng(11)
+        p, m = rng.standard_normal((2, 4, mesh.n_nodes))
+        p[1, 10], m[2, 10] = np.nan, 1e4
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, ok = solver.solve_rows(solver.element_means(p), m)
+        np.testing.assert_array_equal(ok, [True, False, False, True])
+        for r in (0, 3):
+            np.testing.assert_array_equal(u[r], solver.solve(p[r], m[r]))
+        empty = DarcySolver(build_lattice_mesh(2, 6, 1.0, 1.0))
+        u, ok = empty.solve_rows(np.full((2, empty.mesh.n_triangles), np.nan),
+                                 np.zeros((2, empty.mesh.n_nodes)))
+        assert ok.all() and np.all(u == 0.0)
+
     def test_shape_validation(self):
         mesh = build_lattice_mesh(4, 4, 1.0, 1.0)
         with pytest.raises(ValueError, match="nodal"):
