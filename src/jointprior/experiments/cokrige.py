@@ -9,8 +9,10 @@ integrates the fields out: each iteration takes one independence
 Metropolis-Hastings step on p(c | d), proposed from a table of the evidence
 of the data on 144 cells of (-1, 1), and each retained iteration one exact
 Gibbs field draw at its c.  All come from one data-space algebra
-(``_LinearGibbs``), whose q x q factor gives the evidence and the fixed-c
-means and variances without densifying Gamma(c).
+(``_LinearGibbs``): the q x q covariance K(c) = K_0 + c K_1 of the data,
+diagonalised once as a pencil, gives the evidence, the Gibbs draws and the
+fixed-c means and variances at every c with no factorisation per c and
+without densifying Gamma(c).
 """
 
 from __future__ import annotations
@@ -132,9 +134,10 @@ def sign_gaps(w_pos, w_neg, n):
     Returns (largest gap of the p and m blocks, largest entry of the sum of
     the p-m blocks).
 
-    Both gaps are 0 by construction: with G block-diagonal, K(-c) = D K(c) D
-    holds bitwise for D = diag(I, -I), so the two factors, and the blocks of
-    W^T W, are exact sign flips of each other.  The gaps can therefore catch
+    Both gaps are 0 in exact arithmetic: with G block-diagonal, K(-c) =
+    D K(c) D for D = diag(I, -I), so W^T W at -c has the diagonal blocks of
+    W^T W at c and the negated cross blocks.  Through the pencil they agree
+    to round-off (about 1e-15), not bitwise.  The gaps can therefore catch
     a broken sign symmetry but not a wrong posterior; the fixed-c moments
     are checked by ``TestPathwiseGibbs::test_desk_moments_match_covariance_form``
     and ``test_moments_match_analytic_posterior`` in ``tests/test_inference.py``."""

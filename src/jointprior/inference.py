@@ -4,7 +4,9 @@ Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 Both studies move the correlation c by independence Metropolis-Hastings
 (Tierney 1994) through the evidence of a linear or linearised model,
 log Z(c) = -(r0^T K(c)^{-1} r0 + log det K(c)) / 2, with K(c) the q x q
-data-space covariance, affine in c (``_Evidence``).  A chain tabulates log Z
+data-space covariance, affine in c (``_Evidence``); with one coordinate
+K(c) is a pencil, diagonalised once, so no c needs a factorisation of its
+own.  A chain tabulates log Z
 at the centres of a grid of about TABLE_CELLS cells over (-1, 1)^n_free, the
 INLA recipe for a low-dimensional hyperparameter (Rue, Martino & Chopin
 2009), and proposes c' from the piecewise-constant density g of that table
@@ -40,7 +42,7 @@ from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
 from .forward_models import DOMAIN_ERRORS
 from .joint_prior import JointPrior, correlation_prior_logdensity
 from .linalg import (CONTRACTION_MARGIN, ContractionError, FactorizationError,
-                     cholesky_lower, solve_lower)
+                     cholesky_lower, solve_lower, sym_eig)
 
 
 @dataclass(frozen=True)
@@ -204,15 +206,21 @@ class FullJointFamily:
 
     def draw(self, rng, values):
         """``prior(c).sample(eta)`` at one c, or a row per c of a stack
-        (k, n_free), with one filter solve per marginal for the whole stack."""
+        (k, n_free), bitwise: the contraction and its defect act on the whole
+        stack in one pass, a pairing's entry e as eta_m <- e eta_p + sqrt(1 -
+        e^2) eta_m, then one filter solve per marginal.  A c outside the box
+        raises ContractionError."""
         stack, t = np.atleast_2d(np.asarray(values, dtype=float)), self._template
+        if not _stack_weights(stack)[1].all():
+            raise ContractionError(f"correlation values reached +-1: {values}")
         eta = rng.standard_normal(len(stack) * self.dim).reshape(len(stack), self.dim).T
         top, rest = eta[: t.n1], eta[t.n1 :].copy()
-        starts = [0, *(np.flatnonzero(np.any(stack[1:] != stack[:-1], axis=1)) + 1)]
-        for a, b in zip(starts, starts[1:] + [len(stack)]):  # a run of rows at one c
-            c = self.contraction.with_values(stack[a])
-            defect = t.defect if c is self.contraction else c.defect()
-            rest[:, a:b] = c.rmatvec(top[:, a:b]) + defect.solve(rest[:, a:b])
+        if self.n_free:
+            rows, cols, labels = self.contraction.pairing
+            e, d = stack[:, labels].T, np.sqrt(1.0 - stack**2)[:, labels].T
+            rest[cols] = e * top[rows] + d * rest[cols]
+        else:  # a dense contraction has no coordinates: every row is the template
+            rest[:] = self.contraction.rmatvec(top) + t.defect.solve(rest)
         s = np.concatenate([t.mean_p[:, None] + self.filter_p.solve(top),
                             t.mean_m[:, None] + self.filter_m.solve(rest)]).T
         return s[0] if np.ndim(values) == 1 else s
@@ -510,30 +518,30 @@ def independence_block(rng, count, current, table, evidence, excess=None):
     priori, (s, c) weighs w = l(s) - l_lin(s) + log Z(c) - log g(c), with
     l - l_lin from ``excess`` (0 for a linear model, where only c moves).
     With no table c is held: every proposal is the current c with its factor
-    R, and log Z(c) - log g(c) cancels from w' - w, so w = l(s) - l_lin(s).
+    F, and log Z(c) - log g(c) cancels from w' - w, so w = l(s) - l_lin(s).
     All proposals are drawn, then scored by one call ``excess(states)`` on
     the stack of the drawn fields not yet rejected, which returns l - l_lin
     of each row and the mask of the rows the model could evaluate (for a
     Darcy model, those whose solve passed its checks); then a scalar pass
     accepts each in order with probability min(1, exp(w' - w)).
-    ``current`` is the state as a stack of one row (values, x, w, R),
-    R R^T = K(c).  Returns it with the proposals as rows 1..count, the row
-    held after each move, and the count rejected outside the model's mask,
-    through DOMAIN_ERRORS in the draw or through a factor that is not
-    positive definite.  Other errors propagate; a NaN weight on a row that
-    passed raises ValueError."""
+    ``current`` is the state as a stack of one row (values, x, w, F), F the
+    factor of K(c) from ``evidence.factors``.  Returns it with the proposals
+    as rows 1..count, the row held after each move, and the count rejected
+    outside the model's mask, through DOMAIN_ERRORS in the draw or through a
+    K(c) that is not positive definite.  Other errors propagate; a NaN
+    weight on a row that passed raises ValueError."""
     if table is None:
         values = np.repeat(current[0], count, axis=0)
-        r, weight = np.repeat(current[3], count, axis=0), np.zeros(count)
+        f, weight = np.repeat(current[3], count, axis=0), np.zeros(count)
     else:
         values = table.draw(rng, count)
-        r, weight = evidence.factors(values)
+        f, weight = evidence.factors(values)
         weight -= table.log_density(values)  # -inf stays -inf
     failed = weight == -np.inf
     x = current[1]
     if excess is not None:
         try:
-            drawn = evidence.draw(rng, values, r)
+            drawn = evidence.draw(rng, values, f)
         except DOMAIN_ERRORS:
             drawn = np.full((count, x.shape[1]), np.nan)
         failed |= ~np.isfinite(drawn).all(axis=1)
@@ -551,7 +559,7 @@ def independence_block(rng, count, current, table, evidence, excess=None):
         if log_u < w[t] - w[row]:
             row = t
         chosen.append(row)
-    return ((np.concatenate([current[0], values]), x, weights, np.concatenate([current[3], r])),
+    return ((np.concatenate([current[0], values]), x, weights, np.concatenate([current[3], f])),
             np.array(chosen, dtype=int), int(np.count_nonzero(failed)))
 
 
@@ -563,15 +571,25 @@ class _Evidence:
 
     where T_j are the c-free n x q terms of B(c) = Gamma(c) G^T (affine in c,
     as both marginal blocks are fixed), from ``family.data_terms(G)``.  With
-    K(c) = R R^T and r0 = d - G mu,
+    r0 = d - G mu,
 
-        log Z(c) = -|R^{-1} r0|^2 / 2 - sum_i log R_ii
+        log Z(c) = -(r0^T K(c)^{-1} r0 + log det K(c)) / 2
 
     up to a constant (0 with no data, q = 0); Gamma(c) is never formed.  A
     draw is Matheron's rule, s = s0 + B K^{-1} (d - G s0 - e) with s0 ~
     prior(c), e ~ noise; ``_key`` holds the values of the last draw.  For a
     model linearised at a reference, G is its Jacobian and d the data of
-    ``linearised_data``."""
+    ``linearised_data``.
+
+    ``factors`` gives each c a factor F of K(c), in one of two forms.  With
+    one coordinate (n_free = 1, q > 0), K(c) = K_0 + c K_1 is a
+    symmetric-definite pencil, diagonalised once (Golub & Van Loan, Matrix
+    Computations, 8.7): with L_0 L_0^T = K_0 and L_0^{-1} K_1 L_0^{-T} =
+    V diag(lam) V^T, M = L_0^{-T} V gives K(c)^{-1} = M diag(F) M^T with
+    F = 1 / (1 + c lam), and log Z(c) = -(|F^{1/2} M^T r0|^2 - sum log F) / 2
+    - sum log L_0,ii at O(q) per c, no factorisation per c.  Otherwise F is
+    the Cholesky factor R R^T = K(c), from the LAPACK of ``cholesky_lower``,
+    and log Z(c) = -|R^{-1} r0|^2 / 2 - sum log R_ii."""
 
     def __init__(self, g, data, noise, family):
         g = np.asarray(g, dtype=float)
@@ -581,15 +599,34 @@ class _Evidence:
         self._gterms[0] += noise.covariance().ravel()
         self._r0 = self.data - g @ family.mean
         self._key = None
+        self._m = None  # the pencil's M, when there is one
+        q = self._r0.size
+        if family.n_free == 1 and q:
+            k0, k1 = (0.5 * (k + k.T) for k in self._gterms.reshape(2, q, q))
+            l0 = cholesky_lower(k0, "data-space covariance")  # K_0 >= Sigma
+            a = solve_lower(l0, solve_lower(l0, k1).T)
+            self._lam, v = sym_eig(0.5 * (a + a.T), "data-space covariance pencil")
+            self._m = solve_triangular(l0, v, lower=True, trans="T")
+            self._u = self._m.T @ self._r0
+            self._logdet0 = float(np.sum(np.log(np.diagonal(l0))))
 
     def columns(self, values):
         """B(c) = Gamma(c) G^T, assembled from its c-free terms."""
         return np.tensordot(_weights(values), self._terms, axes=1)
 
     def factors(self, values):
-        """(R, log Z(c)) for a stack of values (k, n_free); log Z is -inf at a
-        c outside the box or whose K(c) is not positive definite."""
+        """(F, log Z(c)) for a stack of values (k, n_free), F as in the class
+        docstring; log Z is -inf at a c outside the box or whose K(c) is not
+        positive definite, and F there is the neutral factor (ones, or I)."""
         w, ok = _stack_weights(values)
+        if self._m is not None:
+            shift = 1.0 + w[:, 1:] * self._lam
+            ok &= shift.min(axis=1) > 0.0
+            shift[~ok] = 1.0
+            f = 1.0 / shift
+            logz = -0.5 * (f @ self._u**2 + np.log(shift).sum(axis=1)) - self._logdet0
+            logz[~ok] = -np.inf
+            return f, logz
         q = self._r0.size
         k = (w @ self._gterms).reshape(len(w), q, q)
         r, pd = _cholesky_stack(0.5 * (k + k.transpose(0, 2, 1)), "data-space covariance")
@@ -601,11 +638,11 @@ class _Evidence:
 
     def _factor(self, values):
         """``factors`` of a stack that must all have one, or else it raises."""
-        r, logz = self.factors(values)
+        f, logz = self.factors(values)
         for c in values[logz == -np.inf][:1]:
             _weights(c)  # raises ContractionError outside the box
             raise FactorizationError(f"data-space covariance is not positive definite at {c}")
-        return r, logz
+        return f, logz
 
     def log_evidence(self, values):
         return float(self._factor(np.atleast_2d(values))[1][0])
@@ -616,15 +653,20 @@ class _Evidence:
 
     def draw(self, rng, values, factors=None):
         """Draws from s | c, d at one c, or a row per c of a stack (k, n_free),
-        given the stack's factors R if the caller has them."""
+        given the stack's factors F if the caller has them."""
         stack = np.atleast_2d(np.asarray(values, dtype=float))
         factors = self._factor(stack)[0] if factors is None else factors
         self._key = stack.tobytes()
         s0, q = self.family.draw(rng, stack), self.noise.q
         e = self.noise.std_vector * rng.standard_normal(len(stack) * q).reshape(len(stack), q)
         resid = self.data - s0 @ self.g.T - e
-        (potrs,) = get_lapack_funcs(("potrs",), (factors,))  # K^{-1} resid row by row
-        y = np.array([potrs(r, b, lower=True)[0] for r, b in zip(factors, resid)]) if q else resid
+        if self._m is not None:  # K^{-1} resid = M diag(F) M^T resid, two GEMMs
+            y = ((resid @ self._m) * factors) @ self._m.T
+        elif q:
+            (potrs,) = get_lapack_funcs(("potrs",), (factors,))  # row by row
+            y = np.array([potrs(r, b, lower=True)[0] for r, b in zip(factors, resid)])
+        else:
+            y = resid
         weights = _stack_weights(stack)[0].T
         s = s0 + sum((w[:, None] * y) @ t.T for w, t in zip(weights, self._terms))
         return s[0] if np.ndim(values) == 1 else s
@@ -636,8 +678,9 @@ class _EvidenceTable:
     n_free)) cells per coordinate, uniform within a cell.  Each cell's weight
     exp(log Z - max log Z) is floored at TABLE_FLOOR, so g > 0 wherever the
     target is, and the weights are kept as logarithms, so a table that spans
-    thousands of nats does not underflow.  It costs G^n_free factors of
-    K(c), made in stacks of BLOCK_LENGTH."""
+    thousands of nats does not underflow.  It costs G^n_free evaluations of
+    ``_Evidence.factors``, in stacks of BLOCK_LENGTH: O(q) each through the
+    pencil at n_free = 1, a Cholesky factor of K(c) each otherwise."""
 
     def __init__(self, evidence, n_free):
         self._n = n_free
@@ -678,18 +721,22 @@ def linearised_data(reference, d):
 
 class _LinearGibbs(_Evidence):
     """``_Evidence`` of a linear model, which also gives its exact fixed-c
-    posterior moments from the same factor.  The sampler's Gibbs draws of a
+    posterior moments from the same factors.  The sampler's Gibbs draws of a
     linear chain go through this class."""
 
     def moments(self, values):
-        """Posterior mean mu + B K^{-1} (d - G mu) and whitened columns
-        W = R^{-1} B^T, shape (q, n): the posterior covariance is
+        """Posterior mean mu + B K^{-1} (d - G mu) and whitened columns W,
+        shape (q, n), with W^T W = B K^{-1} B^T: W = diag(F^{1/2}) M^T B^T
+        through the pencil, R^{-1} B^T otherwise.  The posterior covariance is
         Gamma(c) - W^T W, so the variances are
         diag Gamma_p (+) diag Gamma_m - colsum(W * W) for every c."""
-        r = self._factor(np.atleast_2d(values))[0][0]
+        f = self._factor(np.atleast_2d(values))[0][0]
         b = self.columns(values)
-        return (self.family.mean + b @ cho_solve((r, True), self._r0),
-                solve_triangular(r, b.T, lower=True))
+        if self._m is not None:
+            bm = b @ self._m
+            return self.family.mean + bm @ (f * self._u), (bm * np.sqrt(f)).T
+        return (self.family.mean + b @ cho_solve((f, True), self._r0),
+                solve_triangular(f, b.T, lower=True))
 
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
@@ -753,14 +800,14 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
                 predicted, ok = model.predict_rows(states)
                 return gaussian_loglik(d, predicted, noise) - evidence.linear_loglik(states), ok
 
-        r, logz = evidence._factor(values[None])
+        f, logz = evidence._factor(values[None])
         table = _EvidenceTable(evidence, n_free) if track_gamma else None
         weight = 0.0 if linear else loglik(x) - evidence.linear_loglik(x)
         if table is not None:
             weight = weight + logz[0] - table.log_density(values)
         if not np.isfinite(weight):
             raise ValueError("independence weight is not finite at the initial state")
-        current = (values[None], None if linear else x[None], np.array([weight]), r)
+        current = (values[None], None if linear else x[None], np.array([weight]), f)
         accepted = failed = 0
         for start in range(0, cfg.total_samples, BLOCK_LENGTH):
             count = min(BLOCK_LENGTH, cfg.total_samples - start)

@@ -132,6 +132,11 @@ class Contraction:
             return self
         return Contraction(self.shape, values.copy(), self._pairs)
 
+    @property
+    def pairing(self):
+        """(rows, cols, labels) of a structured contraction, None for a dense one."""
+        return self._pairs
+
     def pairs(self, l):
         """Index pairs (rows, cols) whose entry is the coordinate ``l``."""
         if not 0 <= l < self.n_free:

@@ -282,6 +282,27 @@ class TestPathwiseGibbs:
             np.testing.assert_array_equal(draw, prior_draw)
             assert gibbs.log_evidence([c]) == 0.0
 
+    @pytest.mark.parametrize("variant", ["scalar", "piecewise", "paired_sparse", "dense"])
+    def test_stacked_prior_draw_is_each_rows_prior_draw(self, rng, variant):
+        # bitwise, at repeated and distinct c, against each row's prior
+        # colouring the same noise (a filter solve of one column can round
+        # otherwise than one of many); the paired_sparse contraction leaves
+        # column 1 of the m field unpaired
+        fam = variant_family(variant, rng)
+        n = fam.n_free
+        stack = np.array([np.resize(v, n) for v in ([0.3, -0.5, 0.1], [0.3, -0.5, 0.1],
+                                                    [-0.8, 0.2, 0.6], [0.0], [0.3, -0.5, 0.1])])
+        draws = fam.draw(np.random.default_rng(3), stack)
+        eta = np.random.default_rng(3).standard_normal((len(stack), fam.dim)).T
+        for j, values in enumerate(stack):
+            np.testing.assert_array_equal(draws[j], fam.prior(values).sample(eta)[:, j])
+        np.testing.assert_array_equal(fam.draw(np.random.default_rng(3), stack[0]),
+                                      fam.prior(stack[0]).sample(eta[:, :1])[:, 0])
+        if n:  # a row outside the box
+            stack[2, -1] = 1.0
+            with pytest.raises(ContractionError):
+                fam.draw(rng, stack)
+
     def test_key_changes_only_on_new_correlation(self, rng):
         fam, model, noise, d = small_linear_problem(rng)
         gibbs = _LinearGibbs(model.matrix, d, noise, fam)
@@ -1079,7 +1100,8 @@ class TestBlockMoves:
     @pytest.mark.parametrize("variant", ["reduced"] + CONSTRUCTORS)
     def test_log_evidence_matches_dense_gaussian(self, rng, variant):
         # log N(r0; 0, G Gamma(c) G^T + Sigma), less the constant q log(2 pi) / 2,
-        # at one c at a time and at all three as one stack, with its factors
+        # at one c at a time and at all five as one stack, with its factors:
+        # with one coordinate those of the pencil, K(c)^{-1} = M diag(F) M^T
         noise, d = NoiseModel(0.3, 2, 0.6, 3), rng.standard_normal(5)
         if variant == "reduced":
             fam = block_problem(rng)[0]
@@ -1093,7 +1115,8 @@ class TestBlockMoves:
             prior_cov = lambda values: fam.prior(values).dense_covariance()
         r0 = d - g @ fam.mean
         n = fam.n_free
-        stack = np.array([np.zeros(n), np.resize([0.4, -0.7, 0.2], n), np.full(n, -0.95)])
+        stack = np.array([np.zeros(n), np.resize([0.4, -0.7, 0.2], n), np.full(n, -0.95),
+                          np.full(n, 0.999), np.full(n, -0.999)])
         ours, dense, ks = [], [], []
         for values in stack:
             ks.append(g @ prior_cov(values) @ g.T + noise.covariance())
@@ -1101,10 +1124,15 @@ class TestBlockMoves:
             ours.append(evidence.log_evidence(values))
         np.testing.assert_allclose(ours, dense, rtol=1e-9)
         np.testing.assert_allclose(np.diff(ours), np.diff(dense), rtol=1e-9, atol=1e-12)
-        r, stacked = evidence.factors(stack)
+        f, stacked = evidence.factors(stack)
         np.testing.assert_allclose(stacked, dense, rtol=1e-9)
-        np.testing.assert_allclose(r @ r.transpose(0, 2, 1), ks, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ks).max())
+        if n == 1:
+            inverse = np.linalg.inv(ks)
+            np.testing.assert_allclose((evidence._m * f[:, None, :]) @ evidence._m.T, inverse,
+                                       rtol=1e-9, atol=1e-9 * np.abs(inverse).max())
+        else:
+            np.testing.assert_allclose(f @ f.transpose(0, 2, 1), ks, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ks).max())
 
     @pytest.mark.slow
     def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
@@ -1191,21 +1219,24 @@ class TestBlockMoves:
         assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.015
 
     def test_held_correlation_chain_factors_its_covariance_once(self, rng, monkeypatch):
-        # K(c) is factored once per chain, the Gram complement once per block
+        # with one coordinate K(c) is never factored: K(0) is, once per chain,
+        # for the pencil; the Gram complement is factored once per block
         fam, model, noise, d, reference = block_problem(rng)
         factored = []
 
-        def counting(a, name):
-            factored.append((name, len(a)))
-            return cholesky_stack(a, name)
+        def counting(factor):
+            def count(a, name):
+                factored.append((name, len(a)))
+                return factor(a, name)
+            return count
 
-        cholesky_stack = inference._cholesky_stack
-        monkeypatch.setattr(inference, "_cholesky_stack", counting)
+        for name in ("_cholesky_stack", "cholesky_lower"):
+            monkeypatch.setattr(inference, name, counting(getattr(inference, name)))
         cfg = MwgConfig(total_samples=100, burn_in=10, seed=2)
         chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
                         reference=reference, sample_correlation=False)
         assert chain.block_steps == chain.block_accepted == 100  # an exact linearisation
-        assert factored.count(("data-space covariance", 1)) == 1
+        assert factored.count(("data-space covariance", 4)) == 1  # K(0), q = 4
         assert factored.count(("reduced Gram complement", 1)) == 4  # blocks of 32
         assert len(factored) == 5
 
@@ -1246,7 +1277,8 @@ class TestBlockMoves:
             draw=lambda rng, count: np.where(rng.random((count, 1)) < 0.5, 1.0, 0.3),
             log_density=lambda values: np.zeros(len(values)))
         conditional = linearised(reference, d, noise, fam)
-        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1),
+                   conditional.factors(np.zeros((1, 1)))[0])
         stack, chosen, failed = independence_block(
             rng, 40, current, table, conditional, stacked_excess(model, d, noise, conditional))
         edge = np.flatnonzero(stack[0][:, 0] == 1.0)
@@ -1259,7 +1291,8 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
         conditional = linearised(reference, d, noise, fam)
         table = _EvidenceTable(conditional, 1)
-        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1),
+                   conditional.factors(np.zeros((1, 1)))[0])
         with pytest.raises(ValueError, match="NaN"):
             independence_block(rng, 4, current, table, conditional,
                                lambda s: (np.full(len(s), np.nan), np.ones(len(s), dtype=bool)))
@@ -1271,7 +1304,8 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
         conditional = linearised(reference, d, noise, fam)
         table = _EvidenceTable(conditional, 1)
-        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1),
+                   conditional.factors(np.zeros((1, 1)))[0])
         flagging = FlagsPositive(model.g)
         (_, x, passed, _), _, none_failed = independence_block(
             np.random.default_rng(4), 64, current, table, conditional,
@@ -1298,7 +1332,8 @@ class TestBlockMoves:
         fam, model, noise, d, reference = block_problem(rng)
         conditional = linearised(reference, d, noise, fam)
         table = _EvidenceTable(conditional, 1)
-        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1),
+                   conditional.factors(np.zeros((1, 1)))[0])
 
         def nan_where(passes):
             def excess(states):
@@ -1327,29 +1362,36 @@ class TestBlockMoves:
                     reference=reference)
 
     def test_nan_evidence_terms_raise(self, rng):
+        # before any table or move uses them: with one coordinate, when the
+        # pencil is built
         fam, model, noise, d, reference = block_problem(rng)
         jacobian = reference.jacobian.copy()
         jacobian[1, 2] = np.nan
-        conditional = linearised(
-            SimpleNamespace(point=reference.point, jacobian=jacobian, forward=reference.forward),
-            d, noise, fam)
         with pytest.raises(ValueError, match="non-finite"):
-            conditional.factors(np.array([[0.1], [0.5]]))
-        with pytest.raises(ValueError, match="non-finite"):
-            _EvidenceTable(conditional, 1)
+            linearised(SimpleNamespace(point=reference.point, jacobian=jacobian,
+                                       forward=reference.forward), d, noise, fam)
 
     def test_non_positive_definite_proposal_is_a_counted_rejection(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        conditional = linearised(reference, d, noise, fam)
-        # K(c) = (1 - 3 c) K(0): not positive definite for c > 1/3
-        conditional._gterms[1] = -3.0 * conditional._gterms[0]
+
+        class Collapsing(ReducedJointFamily):
+            def data_terms(self, g):
+                # G T_1 = -3 K(0), so K(c) = (1 - 3 c) K(0): not positive
+                # definite for c > 1/3
+                terms = super().data_terms(g)
+                terms[1] = -3.0 * (terms[0] + np.linalg.pinv(g) @ noise.covariance())
+                return terms
+
+        collapsing = Collapsing(fam.basis_p, fam.basis_m, fam.contraction)
+        conditional = linearised(reference, d, noise, collapsing)
         stack = np.array([[0.1], [0.8], [-0.4], [0.5]])
-        r, logz = conditional.factors(stack)
+        f, logz = conditional.factors(stack)
         np.testing.assert_array_equal(np.isinf(logz), [False, True, False, True])
-        np.testing.assert_array_equal(r[1], np.eye(4))
+        np.testing.assert_array_equal(f[1], np.ones(4))
         table = SimpleNamespace(draw=lambda rng, count: np.resize(stack, (count, 1)),
                                 log_density=lambda values: np.zeros(len(values)))
-        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1), np.eye(4)[None])
+        current = (np.zeros((1, 1)), reference.point[None], np.zeros(1),
+                   conditional.factors(np.zeros((1, 1)))[0])
         out, chosen, failed = independence_block(
             rng, 40, current, table, conditional, stacked_excess(model, d, noise, conditional))
         assert failed == 20
