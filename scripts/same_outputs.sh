@@ -4,7 +4,8 @@
 # Usage: scripts/same_outputs.sh REF
 #
 # Runs every CLI study at a fixed seed (darcy also with 100 centred
-# correlation steps, the kernel of scripts/paper_scale_configs/darcy_full.json),
+# correlation steps, the kernel of scripts/paper_scale_configs/darcy_full.json,
+# and cokrige also with a retained chain longer than one summary batch),
 # once on a temporary copy of REF (extracted with git archive, so nothing
 # under .git changes) and once on the working tree, with one BLAS thread (the
 # rounding of some outputs depends on the thread count), then compares each
@@ -40,6 +41,7 @@ runs=(
     "monod|monod --seed 7 --samples 3000 --burn-in 1000"
     "cokrige|cokrige --seed 7 --samples 600 --burn-in 100"
     "cokrige-2chains|cokrige --seed 7 --samples 400 --burn-in 100 --config $tmp/two_chains.json"
+    "cokrige-long|cokrige --seed 7 --samples 4600 --burn-in 100"  # spans 3 summary batches
     "sample-prior|sample-prior --seed 7"
     "factor-compare|factor-compare --seed 7"
     "verify|verify --seed 7"

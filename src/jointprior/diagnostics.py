@@ -89,14 +89,6 @@ def summary_from_gaussian(mean, var, n1):
     return PosteriorSummary(mean[:n1], mean[n1:], var[:n1], var[n1:])
 
 
-def summary_from_chain(states, n1):
-    """Moment summary of stored field samples (rows are retained samples)."""
-    states = np.asarray(states, dtype=float)
-    mean = states.mean(axis=0)
-    var = states.var(axis=0)
-    return PosteriorSummary(mean[:n1], mean[n1:], var[:n1], var[n1:])
-
-
 @dataclass
 class MetricsReport:
     """Relative errors E, uncertainty ratios U, pointwise std differences D

@@ -25,16 +25,16 @@ import numpy as np
 
 from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
                           sqexp_covariance, whitening_filter)
-from ..diagnostics import error_metrics, summary_from_chain, summary_from_gaussian
+from ..diagnostics import error_metrics, summary_from_gaussian
 from ..forward_models import CokrigeModel
 from ..inference import FullJointFamily, NoiseModel, _LinearGibbs, mwg_run
-from ..io_utils import save_field_csv, save_mesh_csv, save_table_csv, write_json
+from ..io_utils import save_mesh_csv, save_table_csv, write_json
 from ..joint_prior import Contraction
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
-from .common import (StageTimer, chain_ess, interior_grid, median_ess, range_noise_std,
-                     run_chains, save_correlation_histogram_csv,
-                     save_observation_csv, write_manifest, write_plot_script,
-                     write_timings)
+from .common import (StageTimer, chain_ess, chain_summary, field_ess, interior_grid,
+                     range_noise_std, run_chains, save_correlation_histogram_csv,
+                     save_fields_csv, save_observation_csv, write_manifest,
+                     write_plot_script, write_timings)
 from .configs import config_dict, mwg_config
 
 PLOT = """\
@@ -182,20 +182,17 @@ def run(cfg, out_dir):
     # joint run: independence steps for the correlation, exact Gibbs draws for the fields
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_chains)
     chains = run_chains(partial(_run_single_chain, problem, mwg_config(cfg)), seeds)
-    states = np.vstack([ch.states for ch in chains])
     c_samples = np.concatenate([ch.corr[:, 0] for ch in chains])
     timer.mark("mcmc")
 
-    joint = summary_from_chain(states, n)
+    joint = chain_summary([ch.states for ch in chains], n)
     ess_c = float(sum(chain_ess(ch.corr[:, 0]) for ch in chains))
-    ess_p = median_ess(chains[0].states[:, :n])
-    ess_m = median_ess(chains[0].states[:, n:])
     acceptance = chains[0].acceptance_rates()
 
     metrics_joint = error_metrics(
         problem["truth_p"], problem["truth_m"], joint,
         problem["prior_trace_p"], problem["prior_trace_m"], independent=independent,
-        ess_values={"c": ess_c, "p_median": ess_p, "m_median": ess_m},
+        ess_values={"c": ess_c, **field_ess(chains, n)},
         acceptance=acceptance,
     )
     metrics_independent = error_metrics(
@@ -221,20 +218,7 @@ def run(cfg, out_dir):
     timer.mark("metrics")
 
     save_mesh_csv(out_dir, mesh)
-    save_field_csv(out_dir / "fields.csv", mesh, {
-        "truth_p": problem["truth_p"],
-        "truth_m": problem["truth_m"],
-        "cm_p_independent": independent.mean_p,
-        "cm_m_independent": independent.mean_m,
-        "cm_p_joint": joint.mean_p,
-        "cm_m_joint": joint.mean_m,
-        "std_p_independent": independent.std_p,
-        "std_m_independent": independent.std_m,
-        "std_p_joint": joint.std_p,
-        "std_m_joint": joint.std_m,
-        "d_p": metrics_joint.d_p,
-        "d_m": metrics_joint.d_m,
-    })
+    save_fields_csv(out_dir, problem, independent, joint)
     clean = problem["clean"]
     q1 = noise.q1
     save_observation_csv(out_dir / "obs_p.csv", problem["obs_p"], d[:q1], clean[:q1])

@@ -1,5 +1,6 @@
-"""Shared experiment plumbing: observation layouts, posterior summaries from
-reduced chains, multi-chain runs, shared output tables and the run manifest."""
+"""Shared experiment plumbing: observation layouts, posterior summaries and
+field ESS of chains, multi-chain runs, shared output tables and the run
+manifest."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .. import __version__
 from ..diagnostics import PosteriorSummary, correlation_histogram, ess
-from ..io_utils import save_table_csv, write_json
+from ..io_utils import save_field_csv, save_table_csv, write_json
 
 
 def interior_grid(x0, x1, y0, y1, nx, ny):
@@ -42,26 +43,35 @@ def range_noise_std(values, percent):
     return percent / 100.0 * spread
 
 
-def reduced_chain_field_summary(states, basis_p, basis_m, mean_p, mean_m,
-                                batch=2000):
-    """Posterior mean and pointwise variance of the reconstructed fields
-    from a chain of reduced coordinates, accumulated in batches: each
-    batch's mean and centred sum of squares, merged by the pairwise rule
-    (Chan, Golub & LeVeque 1983), so a large field mean does not cancel."""
-    states = np.asarray(states, dtype=float)
-    kp = basis_p.k
-    n1 = basis_p.n
-    count, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, states.shape[0], batch):
-        block = states[start : start + batch]
-        p = mean_p[:, None] + basis_p.expand(block[:, :kp].T)
-        m = mean_m[:, None] + basis_m.expand(block[:, kp:].T)
-        f = np.vstack([p, m])
-        size, block_mean = block.shape[0], f.mean(axis=1)
-        delta, total = block_mean - mean, count + size
-        m2 = m2 + ((f - block_mean[:, None]) ** 2).sum(axis=1) + delta**2 * (count * size / total)
-        mean = mean + delta * (size / total)
-        count = total
+SUMMARY_BATCH = 2000  # chain rows expanded and summarised at a time
+
+
+def chain_summary(chains, n1, field_map=None):
+    """Posterior mean and pointwise variance of the fields over the rows of
+    every state array in ``chains``, without stacking them.  Each chain is
+    read SUMMARY_BATCH rows at a time and expanded to fields: the identity,
+    or the reduced coordinates through the bases and means of ``field_map``.
+    Batches merge by the pairwise rule (Chan, Golub & LeVeque 1983), with the
+    difference of their means corrected by the rounding residuals (``low``),
+    so a field mean far above its spread costs the variance no digits.  The
+    first n1 fields are p."""
+    count, mean, low, m2 = 0, 0.0, 0.0, 0.0
+    for states in chains:
+        for start in range(0, len(states), SUMMARY_BATCH):
+            f = states[start : start + SUMMARY_BATCH].T  # one column per sample
+            if field_map is not None:
+                f = np.vstack(field_map.expand(f))
+            size, block_mean = f.shape[1], f.mean(axis=1)
+            f = f - block_mean[:, None]  # a new array: the chain's states stay as they are
+            residual, total = f.mean(axis=1), count + size
+            f *= f
+            delta = block_mean - mean
+            m2 = m2 + f.sum(axis=1) + (delta + (residual - low)) ** 2 * (count * size / total)
+            step = delta * (size / total)
+            rounded = mean + step
+            # the residual's share and what rounding the running mean dropped
+            low = low + (residual - low) * (size / total) + (step - (rounded - mean))
+            mean, count = rounded, total
     var = m2 / count
     return PosteriorSummary(mean[:n1], mean[n1:], var[:n1], var[n1:])
 
@@ -83,6 +93,13 @@ def median_ess(states):
             for j in range(0, states.shape[1], width))
     vals = np.concatenate([[]] + [ess(r[r.std(axis=-1) > 0.0].T) for r in rows])
     return float(np.median(vals)) if vals.size else float("nan")
+
+
+def field_ess(chains, kp):
+    """Median ESS of the p columns (the first kp) and of the m columns of
+    the first chain's states."""
+    states = chains[0].states
+    return {"p_median": median_ess(states[:, :kp]), "m_median": median_ess(states[:, kp:])}
 
 
 _chain = None  # set in each forked pool worker by its initializer
@@ -119,6 +136,26 @@ def save_observation_csv(path, op, observed, clean):
          op.snapped[:, 0], op.snapped[:, 1], observed, clean, observed - clean],
         ["x_requested", "y_requested", "node", "x", "y", "value", "clean", "noise"],
     )
+
+
+def save_fields_csv(out_dir, problem, independent, joint):
+    """``fields.csv``: the truth, the conditional means and the pointwise
+    standard deviations of the independent and joint posteriors, and D (the
+    independent minus the joint standard deviation) of each field."""
+    return save_field_csv(Path(out_dir) / "fields.csv", problem["mesh"], {
+        "truth_p": problem["truth_p"],
+        "truth_m": problem["truth_m"],
+        "cm_p_independent": independent.mean_p,
+        "cm_m_independent": independent.mean_m,
+        "cm_p_joint": joint.mean_p,
+        "cm_m_joint": joint.mean_m,
+        "std_p_independent": independent.std_p,
+        "std_m_independent": independent.std_m,
+        "std_p_joint": joint.std_p,
+        "std_m_joint": joint.std_m,
+        "d_p": independent.std_p - joint.std_p,
+        "d_m": independent.std_m - joint.std_m,
+    })
 
 
 def save_correlation_histogram_csv(path, samples):

@@ -37,15 +37,14 @@ from ..covariance import (KernelConfig, PdePriorConfig, fem_precision_filter,
 from ..diagnostics import error_metrics
 from ..forward_models import DarcyModel, ReducedFieldMap, ReducedModel
 from ..inference import NoiseModel, ReducedJointFamily, gauss_newton_map, mwg_run
-from ..io_utils import (save_field_csv, save_kl_basis_csv, save_matrix_csv,
-                        save_mesh_csv, save_table_csv, write_json)
+from ..io_utils import (save_kl_basis_csv, save_matrix_csv, save_mesh_csv,
+                        save_table_csv, write_json)
 from ..joint_prior import Contraction, JointPrior
 from ..mesh_fem import build_lattice_mesh, point_observation_operator
-from .common import (StageTimer, chain_ess, interior_grid, median_ess, range_noise_std,
-                     reduced_chain_field_summary, run_chains,
-                     save_correlation_histogram_csv, save_observation_csv,
-                     well_points, write_manifest, write_plot_script,
-                     write_timings)
+from .common import (StageTimer, chain_ess, chain_summary, field_ess, interior_grid,
+                     range_noise_std, run_chains, save_correlation_histogram_csv,
+                     save_fields_csv, save_observation_csv, well_points,
+                     write_manifest, write_plot_script, write_timings)
 from .configs import config_dict, mwg_config
 
 PLOT = """\
@@ -186,14 +185,10 @@ def run(cfg, out_dir):
     chains_joint = run_chains(partial(chain, True), seed_pairs[cfg.n_chains :])
     timer.mark("mcmc_joint")
 
-    states_ind = np.vstack([ch.states for ch in chains_ind])
-    states_joint = np.vstack([ch.states for ch in chains_joint])
     corr = np.vstack([ch.corr for ch in chains_joint])
-
-    summary_ind = reduced_chain_field_summary(
-        states_ind, basis_p, basis_m, np.zeros(n), np.zeros(n))
-    summary_joint = reduced_chain_field_summary(
-        states_joint, basis_p, basis_m, np.zeros(n), np.zeros(n))
+    field_map = problem["field_map"]
+    summary_ind = chain_summary([ch.states for ch in chains_ind], n, field_map)
+    summary_joint = chain_summary([ch.states for ch in chains_joint], n, field_map)
 
     ess_c1 = float(sum(chain_ess(ch.corr[:, 0]) for ch in chains_joint))
     ess_c2 = float(sum(chain_ess(ch.corr[:, 1]) for ch in chains_joint))
@@ -204,8 +199,7 @@ def run(cfg, out_dir):
             "c1": ess_c1, "c2": ess_c2,
             "p_first_mode": chain_ess(chains_joint[0].states[:, 0]),
             "m_first_mode": chain_ess(chains_joint[0].states[:, kp]),
-            "p_median": median_ess(chains_joint[0].states[:, :kp]),
-            "m_median": median_ess(chains_joint[0].states[:, kp:]),
+            **field_ess(chains_joint, kp),
         },
         acceptance=chains_joint[0].acceptance_rates(),
     )
@@ -215,8 +209,7 @@ def run(cfg, out_dir):
         ess_values={
             "p_first_mode": chain_ess(chains_ind[0].states[:, 0]),
             "m_first_mode": chain_ess(chains_ind[0].states[:, kp]),
-            "p_median": median_ess(chains_ind[0].states[:, :kp]),
-            "m_median": median_ess(chains_ind[0].states[:, kp:]),
+            **field_ess(chains_ind, kp),
         },
         acceptance=chains_ind[0].acceptance_rates(),
     )
@@ -226,20 +219,7 @@ def run(cfg, out_dir):
     save_mesh_csv(out_dir, mesh)
     save_kl_basis_csv(out_dir / "basis_p.csv", basis_p)
     save_kl_basis_csv(out_dir / "basis_m.csv", basis_m)
-    save_field_csv(out_dir / "fields.csv", mesh, {
-        "truth_p": problem["truth_p"],
-        "truth_m": problem["truth_m"],
-        "cm_p_independent": summary_ind.mean_p,
-        "cm_m_independent": summary_ind.mean_m,
-        "cm_p_joint": summary_joint.mean_p,
-        "cm_m_joint": summary_joint.mean_m,
-        "std_p_independent": summary_ind.std_p,
-        "std_m_independent": summary_ind.std_m,
-        "std_p_joint": summary_joint.std_p,
-        "std_m_joint": summary_joint.std_m,
-        "d_p": metrics_joint.d_p,
-        "d_m": metrics_joint.d_m,
-    })
+    save_fields_csv(out_dir, problem, summary_ind, summary_joint)
     q1 = problem["noise"].q1
     d, clean = problem["d"], problem["clean"]
     save_observation_csv(out_dir / "obs_u.csv", problem["obs_u"], d[:q1], clean[:q1])

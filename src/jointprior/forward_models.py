@@ -163,10 +163,12 @@ class ReducedFieldMap:
         return self.basis_p.k + self.basis_m.k
 
     def expand(self, shat):
+        """The fields (p, m) of reduced coordinates shat, (k,) or one column
+        per state (k, N)."""
         shat = np.asarray(shat, dtype=float)
         kp = self.basis_p.k
-        p = self.mean_p + self.basis_p.expand(shat[:kp])
-        m = self.mean_m + self.basis_m.expand(shat[kp:])
+        p = (self.basis_p.expand(shat[:kp]).T + self.mean_p).T
+        m = (self.basis_m.expand(shat[kp:]).T + self.mean_m).T
         return p, m
 
 

@@ -7,8 +7,8 @@ from scipy.signal import lfilter
 from jointprior.diagnostics import (PosteriorSummary,
                                     ZeroVarianceError, autocorrelation,
                                     correlation_histogram, error_metrics, ess,
-                                    relative_error, summary_from_chain,
-                                    summary_from_gaussian)
+                                    relative_error, summary_from_gaussian)
+from jointprior.experiments import common
 from jointprior.io_utils import write_json
 
 from conftest import random_spd
@@ -63,8 +63,6 @@ class TestEss:
         assert ess(ar1(rng, phi, m)) == pytest.approx(expected, rel=0.15)
 
     def test_columns_match_one_column_at_a_time(self, rng):
-        from jointprior.experiments import common
-
         block = np.column_stack([ar1(rng, phi, 3000) for phi in (-0.5, 0.0, 0.5, 0.9, 0.99)])
         one_by_one = [ess(column) for column in block.T]
         np.testing.assert_allclose(ess(block), one_by_one, rtol=1e-12)
@@ -114,8 +112,8 @@ class TestMetrics:
         chol = np.linalg.cholesky(cov)
         a = (chol @ rng.standard_normal((6, 100000))).T
         b = (chol @ rng.standard_normal((6, 100000))).T
-        sa = summary_from_chain(a, 3)
-        sb = summary_from_chain(b, 3)
+        sa = common.chain_summary([a], 3)
+        sb = common.chain_summary([b], 3)
         report = error_metrics(np.ones(3), np.ones(3), sa, 1.0, 1.0, independent=sb)
         assert np.abs(report.d_p).max() < 0.02
         assert np.abs(report.d_m).max() < 0.02
@@ -124,7 +122,7 @@ class TestMetrics:
         cov = random_spd(rng, 6)
         chol = np.linalg.cholesky(cov)
         draws = (chol @ rng.standard_normal((6, 100000))).T
-        summary = summary_from_chain(draws, 3)
+        summary = common.chain_summary([draws], 3)
         analytic = summary_from_gaussian(np.zeros(6), np.diagonal(cov), 3)
         assert summary.trace_p / analytic.trace_p == pytest.approx(1.0, abs=0.03)
         assert summary.trace_m / analytic.trace_m == pytest.approx(1.0, abs=0.03)

@@ -1,16 +1,15 @@
 import json
 import os
 import pickle
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from jointprior.experiments import common
-from jointprior.experiments.common import (interior_grid, median_ess,
-                                           range_noise_std,
-                                           reduced_chain_field_summary,
-                                           run_chains, well_points)
+from jointprior.experiments.common import (chain_summary, interior_grid, median_ess,
+                                           range_noise_std, run_chains, well_points)
 from jointprior import forward_models, inference
 from jointprior.experiments import cokrige, darcy
 from jointprior.experiments.configs import (CokrigeConfig, ConfigError, DarcyConfig,
@@ -63,35 +62,53 @@ class TestNoiseScaling:
             range_noise_std(np.ones(4), 1.0)
 
 
-class TestReducedSummary:
-    def test_matches_direct_reconstruction(self, rng):
+class TestChainSummary:
+    @pytest.mark.parametrize("offset", [0.0, 1e5], ids=["centred", "offset"])
+    @pytest.mark.parametrize("reduced", [False, True], ids=["identity", "kl"])
+    def test_merged_chains_match_stacked_rows(self, rng, monkeypatch, reduced, offset):
+        # two chains of unequal length, each longer than one batch, summarised
+        # apart equal np.mean / np.var of their stacked expanded rows; a field
+        # mean of 1e5 against a spread of order 1 would cost a one-pass
+        # s2 / n - mean^2 about 10 digits
+        monkeypatch.setattr(common, "SUMMARY_BATCH", 64)
         mesh = build_lattice_mesh(6, 5, 1.0, 1.0)
-        cov = sqexp_covariance(mesh.nodes, KernelConfig(0.4))
-        bp, bm = kl_truncate(cov, 4), kl_truncate(cov, 3)
-        states = rng.standard_normal((500, 7))
-        mean_p = rng.standard_normal(30)
-        mean_m = rng.standard_normal(30)
-        summary = reduced_chain_field_summary(states, bp, bm, mean_p, mean_m,
-                                              batch=64)
-        p = mean_p[:, None] + bp.expand(states[:, :4].T)
-        m = mean_m[:, None] + bm.expand(states[:, 4:].T)
-        np.testing.assert_allclose(summary.mean_p, p.mean(axis=1), atol=1e-10)
-        np.testing.assert_allclose(summary.var_m, m.var(axis=1), atol=1e-10)
+        n = mesh.n_nodes
+        chains = [rng.standard_normal((150, 7)), rng.standard_normal((230, 7))]
+        stacked = np.vstack(chains)
+        if reduced:
+            cov = sqexp_covariance(mesh.nodes, KernelConfig(0.4))
+            bp, bm = kl_truncate(cov, 4), kl_truncate(cov, 3)
+            fmap = forward_models.ReducedFieldMap(bp, bm, offset + rng.standard_normal(n),
+                                                  offset + rng.standard_normal(n))
+            summary = chain_summary(chains, n, fmap)
+            fields = np.hstack([fmap.mean_p + bp.expand(stacked[:, :4].T).T,
+                                fmap.mean_m + bm.expand(stacked[:, 4:].T).T])
+        else:
+            chains = [offset + ch for ch in chains]
+            summary = chain_summary(chains, 3)
+            fields = np.vstack(chains)
+        mean, var = fields.mean(axis=0), fields.var(axis=0)
+        n1 = n if reduced else 3
+        np.testing.assert_allclose(summary.mean_p, mean[:n1], rtol=1e-12)
+        np.testing.assert_allclose(summary.mean_m, mean[n1:], rtol=1e-12)
+        np.testing.assert_allclose(summary.var_p, var[:n1], rtol=1e-12)
+        np.testing.assert_allclose(summary.var_m, var[n1:], rtol=1e-12)
 
-    def test_variance_does_not_cancel_under_a_large_mean(self, rng):
-        # a field mean of 1e5 against a spread of order 1: a one-pass
-        # s2 / n - mean^2 loses about 10 digits here (relative error ~1e-7)
-        mesh = build_lattice_mesh(6, 5, 1.0, 1.0)
-        cov = sqexp_covariance(mesh.nodes, KernelConfig(0.4))
-        bp, bm = kl_truncate(cov, 4), kl_truncate(cov, 3)
-        states = rng.standard_normal((500, 7))
-        offset = np.full(30, 1e5)
-        summary = reduced_chain_field_summary(states, bp, bm, offset, offset, batch=64)
-        p = offset[:, None] + bp.expand(states[:, :4].T)
-        m = offset[:, None] + bm.expand(states[:, 4:].T)
-        np.testing.assert_allclose(summary.var_p, np.var(p, axis=1), rtol=1e-9)
-        np.testing.assert_allclose(summary.var_m, np.var(m, axis=1), rtol=1e-9)
-        np.testing.assert_allclose(summary.mean_p, p.mean(axis=1), rtol=1e-12)
+    def test_cokrige_memory_grows_by_one_state_per_sample(self, tmp_path, monkeypatch):
+        # the chain's own states are the only copy that grows with its length:
+        # no stacked copy of the chains and no full-length temporary in the summary
+        monkeypatch.setattr(common, "SUMMARY_BATCH", 200)
+        peaks = {}
+        for samples in (1100, 2100):
+            cfg = load_config(CokrigeConfig, None, {"samples": samples, "burn_in": 100})
+            tracemalloc.start()
+            try:
+                cokrige.run(cfg, tmp_path / str(samples))
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        state = 8 * 2 * cfg.nx * cfg.ny  # bytes of one retained field state
+        assert (peaks[2100] - peaks[1100]) / 1000 <= 1.2 * state
 
     def test_median_ess_skips_constant_columns(self, rng):
         states = np.column_stack([rng.standard_normal(2000), np.ones(2000)])
