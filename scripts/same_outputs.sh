@@ -3,9 +3,10 @@
 #
 # Usage: scripts/same_outputs.sh REF
 #
-# Runs every CLI study at a fixed seed (darcy also with 100 centred
-# correlation steps, the kernel of scripts/paper_scale_configs/darcy_full.json,
-# and cokrige also with a retained chain longer than one summary batch),
+# Runs every CLI study at a fixed seed (darcy also with its centred kernel,
+# one pCN field step and 100 centred correlation steps per iteration, the
+# kernel of scripts/paper_scale_configs/darcy_full.json, and cokrige also
+# with a retained chain longer than one summary batch),
 # once on a temporary copy of REF (extracted with git archive, so nothing
 # under .git changes) and once on the working tree, with one BLAS thread (the
 # rounding of some outputs depends on the thread count), then compares each

@@ -197,13 +197,11 @@ class MonodConfig:
     m_range: tuple = (2.0, 122.0)
     samples: int = 30000
     burn_in: int = 5000
-    c_steps: int = 1
 
     SCALABLE = {"grid_n": 41}
 
     def validate(self):
         mwg_config(self)
-        _check_at_least(self, 1, "c_steps")  # no reference linearisation for independence moves
         _check_at_least(self, 0, "seed")
         _check_at_least(self, 11, "grid_n")
         for name in ("substrate", "scan_correlations", "noise_levels"):

@@ -16,11 +16,11 @@ forward evaluation (``ReducedModel.predict_rows``: the fields expanded by
 one GEMM each, one sparse product for all the bands and one for all the
 loads, then one banded factor and solve per proposal).  The independent
 chain takes the same move with c' = 0.  With ``c_steps`` >= 1
-(``scripts/paper_scale_configs/darcy_full.json``, where no global proposal
-is accepted) each chain takes one adaptive random-walk field step per
-iteration, whose proposal starts from the warm start's Laplace factor, and
-the joint chain ``c_steps`` centred Metropolis steps on the two correlation
-coordinates at the fixed field.
+(``scripts/paper_scale_configs/darcy_full.json``, where a global proposal is
+rarely accepted) each chain takes one pCN field step per iteration about the
+same linearised conditional at the current c, and the joint chain
+``c_steps`` centred Metropolis steps on the two correlation coordinates at
+the fixed field.
 Every chain samples from the one built problem, forked when there are several.
 """
 
@@ -140,9 +140,8 @@ def build_problem(cfg):
 def warm_start(problem):
     """Gauss-Newton MAP in the reduced coordinates under the identity prior
     precision, the prior at c = 0: its point starts every chain, its
-    Jacobian and forward value are the linearisation of the independence
-    moves (at the held value for the independent chain), and its Laplace
-    factor seeds the random-walk field proposal."""
+    Jacobian and forward value are the linearisation that every move of
+    either chain is taken from."""
     k = problem["family"].dim
     return gauss_newton_map(
         problem["reduced_model"], problem["d"], problem["noise"],
@@ -153,13 +152,12 @@ def warm_start(problem):
 def _run_single_chain(problem, mcfg, start, joint, chain_seed):
     """One chain on the built problem, c sampled (``joint``) or held at 0;
     only the seed varies.  It starts at the warm start ``start`` (a
-    ``GaussNewtonResult``), whose linearisation the independence moves of
-    either chain use and whose Laplace factor seeds the random-walk field
-    proposal."""
+    ``GaussNewtonResult``), whose linearisation either kernel takes its
+    moves from."""
     return mwg_run(
         problem["reduced_model"], problem["family"], problem["noise"], problem["d"],
         replace(mcfg, seed=int(chain_seed)), sample_correlation=joint,
-        init_state=start.point, proposal_factor=start.factor, reference=start,
+        init_state=start.point, reference=start,
     )
 
 

@@ -2,7 +2,10 @@
 
 Fixed-correlation posterior scans on a dense (p, m) grid quantify how the
 assumed prior correlation moves the posterior relative to the truth, and a
-full MCMC treats the correlation as unknown alongside the parameters.
+full MCMC treats the correlation as unknown alongside the parameters.  The
+chain starts at the Gauss-Newton MAP under the prior at c = 0 and takes one
+independence move of (c, p, m) per iteration, from the model linearised
+there (``mwg_run``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from ..covariance import whitening_filter
 from ..forward_models import MonodModel
-from ..inference import FullJointFamily, NoiseModel, mwg_run
+from ..inference import FullJointFamily, NoiseModel, gauss_newton_map, mwg_run
 from ..io_utils import save_matrix_csv, save_table_csv
 from ..joint_prior import Contraction
 from .common import (StageTimer, chain_ess, save_correlation_histogram_csv, write_manifest,
@@ -123,11 +126,10 @@ def run(cfg, out_dir):
     )
     noise = NoiseModel(cfg.mcmc_noise, model.q)
     d = mu_truth + cfg.mcmc_noise * zs.get(cfg.mcmc_noise, rng.standard_normal(model.q))
-    chain = mwg_run(
-        model, family, noise, d, mwg_config(cfg, cfg.seed),
-        init_state=family.mean,
-        proposal_factor=np.diag([cfg.prior_std_p, cfg.prior_std_m]),
-    )
+    reference = gauss_newton_map(model, d, noise, family.mean,
+                                 np.diag([cfg.prior_std_p**-2, cfg.prior_std_m**-2]))
+    chain = mwg_run(model, family, noise, d, mwg_config(cfg, cfg.seed),
+                    init_state=reference.point, reference=reference)
     timer.mark("mcmc")
 
     c_samples = chain.corr[:, 0]
@@ -160,4 +162,5 @@ def run(cfg, out_dir):
         "best_scan_correlation": best,
         "positive_correlation_mass": pos_mass,
         "chain": chain,
+        "mcmc_data": d,
     }

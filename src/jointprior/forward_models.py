@@ -3,10 +3,10 @@ finite-difference Jacobian that serves as their test oracle.
 
 Models are callables on a stacked coordinate vector with a ``jacobian``
 method; linear models also expose their matrix so samplers can switch to
-exact conditional updates.  The reduced Darcy model also predicts a stack
-of states at once (``predict_rows``), as the sampler scores a block of
-independence proposals, with the mask of the rows whose solve passed its
-checks.
+exact conditional updates.  The nonlinear models the sampler runs also
+predict a stack of states at once (``predict_rows``), as it scores its
+proposals, with the mask of the rows they could evaluate (for the reduced
+Darcy model, those whose solve passed its checks).
 """
 
 from __future__ import annotations
@@ -58,6 +58,18 @@ class MonodModel:
     def __call__(self, s):
         p, m = np.asarray(s, dtype=float)
         return monod_forward(p, m, self.substrate)
+
+    def predict_rows(self, s):
+        """``model(s)`` of each row of a stack (k, 2) in one broadcast, and the
+        mask of the rows with every |m + S_i| >= 1e-12 (the others read NaN)."""
+        p, m = np.asarray(s, dtype=float).T[..., None]
+        sv = np.asarray(self.substrate, dtype=float)
+        denom = m + sv
+        ok = np.all(np.abs(denom) >= 1e-12, axis=1)  # False for NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = p * sv / denom
+        mu[~ok] = np.nan
+        return mu, ok
 
     def jacobian(self, s):
         """Analytic Jacobian columns (d mu / d p, d mu / d m)."""

@@ -1,4 +1,4 @@
-"""Likelihoods, exact linear-Gaussian posteriors, the adaptive
+"""Likelihoods, exact linear-Gaussian posteriors, the
 Metropolis-within-Gibbs sampler, and the Gauss-Newton warm start.
 
 Both studies move the correlation c by independence Metropolis-Hastings
@@ -19,11 +19,12 @@ nonlinear target whatever the table holds.  A chain that holds c fixed takes
 the same moves with c' = c.  No proposal depends on the chain, so chains
 draw and score them in blocks (``independence_block``).
 
-The random-walk kernel, for a nonlinear model only, takes adaptive
-random-walk Metropolis field steps, and c = tanh(gamma) takes centred
-random-walk steps at the fixed field; the random-walk rules are module
-constants, and proposal adaptation runs during burn-in only, so the retained
-chain is Markovian.  Centred steps use the prior families: the reduced
+Every nonlinear chain takes its moves from one reference linearisation.  The
+centred kernel, for a nonlinear model only, takes one generalised pCN field
+step about the same conditional q(. | c) per iteration (Cotter, Roberts,
+Stuart & White 2013; Rudolf & Sprungk 2018), and c = tanh(gamma) takes
+centred random-walk steps at the fixed field; both step sizes are module
+constants.  Centred steps use the prior families: the reduced
 family computes the terms of a field state once per state and factors the
 smaller of its two Gram complements (k_p x k_p when k_p <= k_m).  A
 non-finite state raises ValueError; a correlation value outside (-1, 1)
@@ -337,20 +338,12 @@ class ReducedJointFamily:
 # ----------------------------------------------------------------------------
 
 
-# Fixed random-walk rules.  The gamma walk takes Gaussian steps of standard
-# deviation GAMMA_STEP_STD.  The field proposal scale tau starts at the
-# optimal-scaling value START_SCALE / sqrt(dim) and, every ADAPT_BATCH
-# iterations, follows ln tau += batch^(-ADAPT_DECAY) * (batch acceptance -
-# ACCEPT_TARGET) (Roberts, Gelman & Gilks 1997); the proposal factor is
-# refreshed from the accepted history every COV_REFRESH iterations, with a
-# ridge of COV_RIDGE.
+# The centred kernel's steps.  The gamma walk takes Gaussian steps of
+# standard deviation GAMMA_STEP_STD.  The pCN field step moves s to
+# m + sqrt(1 - PCN_BETA^2) (s - m) + PCN_BETA (xi - m), xi ~ q(. | c) of mean
+# m; at the paper-scale Darcy geometry 0.7 collapsed its acceptance to 0.03.
 GAMMA_STEP_STD = 1.0
-START_SCALE = 2.38
-ACCEPT_TARGET = 0.23
-ADAPT_DECAY = 0.6
-ADAPT_BATCH = 50
-COV_REFRESH = 1000
-COV_RIDGE = 1e-8
+PCN_BETA = 0.5
 
 # The independence proposal for c tabulates log Z(c) on about TABLE_CELLS
 # cells of (-1, 1)^n_free, G = round(TABLE_CELLS^(1/n_free)) per coordinate,
@@ -367,12 +360,11 @@ class MwgConfig:
     ``c_steps_per_s_step`` picks the kernel of every chain, whether it
     samples c or holds it fixed.  With 0 each iteration takes one
     independence move: of c on a linear model, where a retained iteration
-    then gets one exact Gibbs field draw, or of (c, s) on a nonlinear model,
-    which needs a reference linearisation (see ``mwg_run``); a held c is its
-    own proposal.  With ``c_steps_per_s_step`` >= 1, for a nonlinear model
-    only, an iteration takes one adaptive random-walk field step and, when c
-    is sampled, that many centred gamma steps.  Proposal adaptation happens
-    during burn-in only.
+    then gets one exact Gibbs field draw, or of (c, s) on a nonlinear model;
+    a held c is its own proposal.  With ``c_steps_per_s_step`` >= 1, for a
+    nonlinear model only, an iteration takes one pCN field step and, when c
+    is sampled, that many centred gamma steps.  A nonlinear model takes
+    either kernel's moves from a reference linearisation (see ``mwg_run``).
     """
 
     total_samples: int
@@ -394,14 +386,14 @@ class MwgConfig:
 
 @dataclass
 class Chain:
-    """Retained MCMC samples with acceptance and adaptation bookkeeping."""
+    """Retained MCMC samples with acceptance bookkeeping."""
 
     states: np.ndarray     # (retained, dim) field or reduced coordinates
     corr: np.ndarray       # (retained, n_free) correlation values tanh(gamma)
     total_samples: int
     burn_in: int
     seed: int
-    s_steps: int = 0         # random-walk field steps, or the Gibbs draws made
+    s_steps: int = 0         # pCN field steps, or the Gibbs draws made
     s_accepted: int = 0
     gamma_steps: int = 0     # centred random-walk correlation steps
     gamma_accepted: int = 0
@@ -430,64 +422,6 @@ class Chain:
             rates["block"] = self.block_accepted / self.block_steps
             rates["block_failed"] = self.block_failed
         return rates
-
-
-class AdaptiveProposal:
-    """Random-walk proposal tau * A @ z with diminishing adaptation of tau and
-    periodic refresh of A from the accepted history, after the fixed rules
-    above; A starts at ``factor0`` (the identity by default)."""
-
-    def __init__(self, dim, factor0=None):
-        self.dim = dim
-        self.tau = START_SCALE / np.sqrt(dim)
-        self.factor = np.eye(dim) if factor0 is None else np.asarray(factor0, dtype=float)
-        self.accepted_states = []
-        self._batch_accepts = 0
-        self._batch_count = 0
-        self._batch_index = 0
-
-    def step(self, rng):
-        return self.tau * (self.factor @ rng.standard_normal(self.dim))
-
-    def register(self, accepted, state, iteration, adapting):
-        if accepted and adapting:
-            self.accepted_states.append(np.array(state, dtype=float))
-        if not adapting:
-            return
-        self._batch_accepts += int(accepted)
-        self._batch_count += 1
-        if self._batch_count >= ADAPT_BATCH:
-            self._batch_index += 1
-            rate = self._batch_accepts / self._batch_count
-            self.tau = float(np.exp(
-                np.log(self.tau)
-                + self._batch_index ** (-ADAPT_DECAY) * (rate - ACCEPT_TARGET)
-            ))
-            self._batch_accepts = 0
-            self._batch_count = 0
-        if (iteration + 1) % COV_REFRESH == 0 and len(self.accepted_states) >= self.dim:
-            cov = np.cov(np.asarray(self.accepted_states), rowvar=False)
-            cov = np.atleast_2d(cov) + COV_RIDGE * np.eye(self.dim)
-            self.factor = cholesky_lower(cov, "proposal covariance")
-
-
-def adaptive_metropolis_update_s(rng, x, cur_logdens, log_target, proposal,
-                                 iteration=0, adapting=False):
-    """One adaptive random-walk Metropolis step on the field block.
-
-    A proposal where the target raises or returns a non-finite value is
-    rejected and counted.  Returns (state, log density, accepted).
-    """
-    prop = x + proposal.step(rng)
-    try:
-        cand = float(log_target(prop))
-    except DOMAIN_ERRORS:
-        cand = -np.inf
-    accepted = np.isfinite(cand) and np.log(rng.random()) < cand - cur_logdens
-    if accepted:
-        x, cur_logdens = prop, cand
-    proposal.register(accepted, x, iteration, adapting)
-    return x, cur_logdens, accepted
 
 
 def metropolis_update_correlation(rng, gamma, cur_logdens, corr_prior, log_target, step_std):
@@ -647,6 +581,14 @@ class _Evidence:
     def log_evidence(self, values):
         return float(self._factor(np.atleast_2d(values))[1][0])
 
+    def mean(self, values, factor):
+        """Mean mu + B K^{-1} (d - G mu) of s | c, d at one c, given its
+        factor F from ``factors``."""
+        b = self.columns(values)
+        if self._m is not None:
+            return self.family.mean + (b @ self._m) @ (factor * self._u)
+        return self.family.mean + b @ cho_solve((factor, True), self._r0)
+
     def linear_loglik(self, s):
         """l_lin of one state, or of each row of a stack."""
         return gaussian_loglik(self.data, s @ self.g.T, self.noise)
@@ -733,38 +675,40 @@ class _LinearGibbs(_Evidence):
         f = self._factor(np.atleast_2d(values))[0][0]
         b = self.columns(values)
         if self._m is not None:
-            bm = b @ self._m
-            return self.family.mean + bm @ (f * self._u), (bm * np.sqrt(f)).T
-        return (self.family.mean + b @ cho_solve((f, True), self._r0),
-                solve_triangular(f, b.T, lower=True))
+            return self.mean(values, f), ((b @ self._m) * np.sqrt(f)).T
+        return self.mean(values, f), solve_triangular(f, b.T, lower=True)
 
 
 def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
-            init_state=None, init_gamma=None, proposal_factor=None, reference=None):
+            init_state=None, init_gamma=None, reference=None):
     """Metropolis-within-Gibbs over (s, c); fully reproducible from cfg.seed.
 
-    ``cfg.c_steps_per_s_step`` picks the kernel.  With 0 each iteration takes
-    one independence move (``independence_block``).  A linear model
-    (model.is_linear with a ``matrix``) is collapsed: c moves on the
-    marginal p(c | d), and each retained iteration gets one exact Gibbs field
-    draw at its c (``Chain.s_steps`` counts them).  A nonlinear model moves
-    (c, s) together, s' from the conditional of the model linearised about
-    ``reference`` (a ``GaussNewtonResult``, required then).  A chain
-    tabulates its proposal for c (``_EvidenceTable``), then runs in blocks
-    of BLOCK_LENGTH iterations.  A nonlinear model scores a block's field
-    proposals by one stacked call, ``model.predict_rows(states)``, which
-    returns the predictions and the mask of the rows it could evaluate (a
-    row outside it counts in ``Chain.block_failed``); the initial weight is
-    one call ``model(x)``.  A linear chain draws a block's retained fields
-    together.  Blocks reorder the random stream, not the law of the chain.
-    With ``cfg.c_steps_per_s_step`` >= 1, for a nonlinear model only, the
-    field takes adaptive random-walk Metropolis steps, from an optional
-    initial proposal factor (e.g. the warm start's Laplace factor), and gamma
-    that many centred steps at the fixed field.  A nonlinear model
-    starts from ``init_state`` (required).  When ``sample_correlation`` is
-    false c stays at its initial value, under the same kernel: an
-    independence move then proposes only s' (or, on a linear model, draws
-    the field exactly).
+    A linear model (model.is_linear with a ``matrix``) is collapsed: c moves
+    on the marginal p(c | d) by one independence move per iteration
+    (``independence_block``), and each retained iteration gets one exact
+    Gibbs field draw at its c (``Chain.s_steps`` counts them).  A nonlinear
+    model starts from ``init_state`` and takes every move from the model
+    linearised about ``reference`` (a ``GaussNewtonResult``; both required).
+    With q(. | c) that model's conditional, the target is pi(s | c) =
+    exp(e(s)) q(s | c) up to a constant, with e = l - l_lin, scored by one
+    stacked call ``model.predict_rows(states)``, which returns the
+    predictions and the mask of the rows it could evaluate (a row outside it
+    is a rejection); the initial e is one call ``model(x)``.
+
+    ``cfg.c_steps_per_s_step`` picks the kernel.  With 0 each iteration of a
+    nonlinear chain moves (c, s) together, s' ~ q(. | c'), and a block's
+    proposals are scored together (outside the mask they count in
+    ``Chain.block_failed``).  A chain tabulates its proposal for c
+    (``_EvidenceTable``), then runs in blocks of BLOCK_LENGTH iterations; a
+    linear chain draws a block's retained fields together.  Blocks reorder
+    the random stream, not the law of the chain.  With
+    ``cfg.c_steps_per_s_step`` >= 1, for a nonlinear model only, each
+    iteration takes one pCN field step about q(. | c), accepted with
+    min(1, exp(e(s') - e(s))), then that many centred gamma steps at the
+    fixed field; K(c) is factored again only when c has moved.  When
+    ``sample_correlation`` is false c stays at its initial value, under the
+    same kernel: an independence move then proposes only s' (or, on a linear
+    model, draws the field exactly).
     """
     rng = np.random.default_rng(cfg.seed)
     retained = cfg.total_samples - cfg.burn_in
@@ -777,36 +721,33 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
     linear = bool(getattr(model, "is_linear", False))
     if linear and cfg.c_steps_per_s_step:
-        raise ValueError("random-walk steps (c_steps_per_s_step >= 1) need a nonlinear model")
-    if not (linear or cfg.c_steps_per_s_step or reference is not None):
-        raise ValueError("independence moves on a nonlinear model need a reference linearisation")
+        raise ValueError("centred steps (c_steps_per_s_step >= 1) need a nonlinear model")
+    if not (linear or reference is not None):
+        raise ValueError("a nonlinear model needs a reference linearisation")
     if not linear and init_state is None:
         raise ValueError("nonlinear models need an initial state")
-    x = None if linear else np.asarray(init_state, dtype=float).copy()
     states = np.empty((retained, family.dim))
     corr = np.empty((retained, n_free))
 
-    def loglik(s):
-        return gaussian_loglik(d, model(s), noise)
+    excess = None
+    if linear:
+        x, e = None, 0.0
+        evidence = _LinearGibbs(model.matrix, d, noise, family)
+    else:
+        x = np.asarray(init_state, dtype=float).copy()
+        evidence = _Evidence(reference.jacobian, linearised_data(reference, d), noise, family)
+        e = gaussian_loglik(d, model(x), noise) - evidence.linear_loglik(x)
+        if not np.isfinite(e):
+            raise ValueError("target log density is not finite at the initial state")
+
+        def excess(states):  # one stacked forward evaluation
+            predicted, ok = model.predict_rows(states)
+            return gaussian_loglik(d, predicted, noise) - evidence.linear_loglik(states), ok
 
     if not cfg.c_steps_per_s_step:  # independence moves
-        excess = None
-        if linear:
-            evidence = _LinearGibbs(model.matrix, d, noise, family)
-        else:
-            evidence = _Evidence(reference.jacobian, linearised_data(reference, d), noise, family)
-
-            def excess(states):  # one stacked forward evaluation per block
-                predicted, ok = model.predict_rows(states)
-                return gaussian_loglik(d, predicted, noise) - evidence.linear_loglik(states), ok
-
         f, logz = evidence._factor(values[None])
         table = _EvidenceTable(evidence, n_free) if track_gamma else None
-        weight = 0.0 if linear else loglik(x) - evidence.linear_loglik(x)
-        if table is not None:
-            weight = weight + logz[0] - table.log_density(values)
-        if not np.isfinite(weight):
-            raise ValueError("independence weight is not finite at the initial state")
+        weight = e if table is None else e + logz[0] - table.log_density(values)
         current = (values[None], None if linear else x[None], np.array([weight]), f)
         accepted = failed = 0
         for start in range(0, cfg.total_samples, BLOCK_LENGTH):
@@ -829,36 +770,40 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
                      block_steps=cfg.total_samples, block_accepted=accepted,
                      block_failed=failed)
 
-    # random-walk steps; the correlation steps need the prior term on its
-    # own: the target keeps the (log likelihood, log prior) of its last evaluation
-    last = [None, None]
-
-    def log_target(s):
-        last[:] = loglik(s), family.log_density(s, values)
-        return last[0] + last[1]
-
-    if not np.isfinite(log_target(x)):
-        raise ValueError("target log density is not finite at the initial state")
-    cur_ll, cur_pd = last
+    # centred kernel: a pCN field step about q(. | c), then centred gamma steps
+    cur_pd = family.log_density(x, values) if track_gamma else 0.0
     cur_cp = correlation_prior_logdensity(gamma) if track_gamma else 0.0
-    proposal = AdaptiveProposal(family.dim, proposal_factor)
+    shrink = np.sqrt(1.0 - PCN_BETA**2)
+    factored = None  # the c of f and centre
     s_accepted = gamma_steps = gamma_accepted = 0
     for k in range(cfg.total_samples):
-        x, _, accepted = adaptive_metropolis_update_s(
-            rng, x, cur_ll + cur_pd, log_target, proposal, k, k < cfg.burn_in
-        )
-        if accepted:
-            cur_ll, cur_pd = last
-        s_accepted += int(accepted)
+        if factored is None or np.any(values != factored):
+            factored = values
+            f = evidence._factor(values[None])[0]
+            centre = evidence.mean(values, f[0])
+        xi = evidence.draw(rng, values[None], f)[0]
+        prop = centre + shrink * (x - centre) + PCN_BETA * (xi - centre)
+        e_prop = -np.inf
+        if np.isfinite(prop).all():  # a reduced draw with no Gram factor reads NaN
+            extra, ok = excess(prop[None])
+            if ok[0]:
+                e_prop = extra[0]
+        if np.isnan(e_prop):
+            raise ValueError(f"pCN weight is NaN at c = {values}")
+        if np.log(rng.random()) < e_prop - e:
+            x, e = prop, e_prop
+            s_accepted += 1
+            if track_gamma:
+                cur_pd = family.log_density(x, values)
         if track_gamma:
             target = partial(family.log_density, x)
             for _ in range(cfg.c_steps_per_s_step):
                 gamma, cur_pd, cur_cp, acc = metropolis_update_correlation(
                     rng, gamma, cur_pd, cur_cp, target, GAMMA_STEP_STD
                 )
-                values = np.tanh(gamma)
                 gamma_steps += 1
                 gamma_accepted += int(acc)
+            values = np.tanh(gamma)
         if k >= cfg.burn_in:
             states[k - cfg.burn_in] = x
             corr[k - cfg.burn_in] = values
@@ -872,7 +817,7 @@ def mwg_run(model, family, noise, d, cfg: MwgConfig, *, sample_correlation=True,
 
 
 # ----------------------------------------------------------------------------
-# Gauss-Newton MAP and Laplace warm start
+# Gauss-Newton MAP warm start
 # ----------------------------------------------------------------------------
 
 
@@ -885,7 +830,6 @@ class GaussNewtonError(RuntimeError):
 @dataclass
 class GaussNewtonResult:
     point: np.ndarray
-    factor: np.ndarray      # lower factor L of the Laplace covariance L L^T
     jacobian: np.ndarray    # model Jacobian at point
     forward: np.ndarray     # model(point)
     iterations: int
@@ -898,9 +842,8 @@ class GaussNewtonResult:
 def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
                      grad_tol=1e-8, max_iter=100, max_halvings=30):
     """Gauss-Newton minimisation of the negative log posterior with Armijo
-    backtracking, returning the MAP point and the Laplace covariance factor,
-    with the Jacobian and the forward value at the point (a reference for
-    ``mwg_run``'s independence moves at no extra solve).
+    backtracking, returning the MAP point with the Jacobian and the forward
+    value there: the reference linearisation of ``mwg_run`` at no extra solve.
 
     The model supplies its Jacobian as ``model.jacobian(x)``.  Terminates
     when the gradient norm falls below grad_tol * (1 + initial norm) or after
@@ -959,13 +902,8 @@ def gauss_newton_map(model, d, noise, prior_mean, prior_precision, init=None, *,
 
     if not converged:  # the last Jacobian was taken before the last step
         jac = model.jacobian(x)
-    h = (jac.T * w) @ jac + prior_precision
-    rchol = cholesky_lower(0.5 * (h + h.T), "Laplace precision")
-    cov = cho_solve((rchol, True), np.eye(x.size))
-    cov = 0.5 * (cov + cov.T)
-    factor = cholesky_lower(cov, "Laplace covariance")
     return GaussNewtonResult(
-        point=x, factor=factor, jacobian=jac, forward=f,
+        point=x, jacobian=jac, forward=f,
         iterations=iterations, objective=fx, converged=converged,
         objective_trace=trace, halvings=halvings,
     )

@@ -255,10 +255,6 @@ class JointPrior:
     def mean(self):
         return np.concatenate([self.mean_p, self.mean_m])
 
-    def split(self, s):
-        s = np.asarray(s, dtype=float)
-        return s[: self.n1], s[self.n1 :]
-
     def sample(self, eta):
         """Colour white noise eta (shape (n,) or (n, k)) into joint draws."""
         eta = np.asarray(eta, dtype=float)

@@ -197,8 +197,8 @@ class TestCliRuns:
         # a deleted setting (cokrige always takes one independence c step)
         "cokrige-payload7": ("cokrige", {**TINY_COKRIGE, "c_steps": 1},
                              "unknown config keys: ['c_steps']"),
-        # monod has no reference linearisation, so it needs centred steps
-        "monod-payload9": ("monod", {"c_steps": 0}, "c_steps"),
+        # a deleted setting (monod always takes one independence move)
+        "monod-payload9": ("monod", {"c_steps": 1}, "unknown config keys: ['c_steps']"),
         "darcy-payload13": ("darcy", {**TINY_DARCY, "c_steps": -1}, "c_steps"),
         # values of the wrong type
         "cokrige-float-count": ("cokrige", {**TINY_COKRIGE, "samples": 400.5}, "samples"),

@@ -38,6 +38,19 @@ class TestMonod:
         assert not model.is_linear
         np.testing.assert_allclose(model([0.7, 65.0]), monod_forward(0.7, 65.0, SUBSTRATE))
 
+    def test_predict_rows_matches_calls_and_flags_singular_rows(self, rng):
+        model = MonodModel(SUBSTRATE)
+        rows = np.column_stack([rng.uniform(0.0, 1.2, 20), rng.uniform(2.0, 122.0, 20)])
+        rows[7, 1] = -SUBSTRATE[2]  # m + S_3 = 0
+        rows[11, 1] = -SUBSTRATE[0] + 1e-13
+        predicted, ok = model.predict_rows(rows)
+        np.testing.assert_array_equal(ok, ~np.isin(np.arange(20), [7, 11]))
+        for row, mu in zip(rows[ok], predicted[ok]):
+            np.testing.assert_array_equal(mu, model(row))
+        assert np.all(np.isnan(predicted[~ok]))
+        with pytest.raises(ForwardModelError):
+            model(rows[11])
+
 
 class TestCokrige:
     def make(self, rng):

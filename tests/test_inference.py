@@ -10,10 +10,9 @@ from jointprior.covariance import fem_precision_filter, PdePriorConfig, whitenin
 from jointprior.forward_models import (DOMAIN_ERRORS, CokrigeModel, ForwardModelError,
                                        MonodModel)
 from jointprior import inference
-from jointprior.inference import (TABLE_CELLS, AdaptiveProposal, FullJointFamily,
+from jointprior.inference import (TABLE_CELLS, FullJointFamily,
                                   GaussNewtonError, MwgConfig, NoiseModel,
                                   ReducedJointFamily, _Evidence, _EvidenceTable, _LinearGibbs,
-                                  adaptive_metropolis_update_s,
                                   gauss_newton_map, gaussian_loglik, independence_block,
                                   linear_gaussian_posterior, linearised_data,
                                   metropolis_update_correlation, mwg_run)
@@ -370,124 +369,52 @@ class TestCorrelationUpdate:
         assert ks.statistic < 0.03
 
 
-class TestAdaptiveMetropolis:
-    def test_zero_proposal_always_accepted(self, rng):
-        proposal = AdaptiveProposal(3)
-        proposal.tau = 0.0
-        target = lambda x: -0.5 * float(x @ x)
-        x = np.ones(3)
-        for _ in range(5):
-            x, logd, accepted = adaptive_metropolis_update_s(
-                rng, x, target(x), target, proposal)
-            assert accepted
-
-    def test_standard_normal_calibration(self, rng):
-        dim = 10
-        proposal = AdaptiveProposal(dim)
-        target = lambda x: -0.5 * float(x @ x)
-        x = np.zeros(dim)
-        logd = target(x)
-        accepts = 0
-        n_steps = 100000
-        adapt_until = 50000
-        for k in range(n_steps):
-            x, logd, accepted = adaptive_metropolis_update_s(
-                rng, x, logd, target, proposal, iteration=k, adapting=k < adapt_until)
-            if k >= adapt_until:
-                accepts += accepted
-        rate = accepts / (n_steps - adapt_until)
-        assert 0.15 < rate < 0.35
-
-    def test_chain_mean_converges(self, rng):
-        dim = 4
-        mu = np.array([1.0, -2.0, 0.5, 3.0])
-        proposal = AdaptiveProposal(dim)
-        target = lambda x: -0.5 * float((x - mu) @ (x - mu))
-        x = np.zeros(dim)
-        logd = target(x)
-        total = np.zeros(dim)
-        count = 0
-        for k in range(100000):
-            x, logd, _ = adaptive_metropolis_update_s(
-                rng, x, logd, target, proposal, iteration=k, adapting=k < 20000)
-            if k >= 20000:
-                total += x
-                count += 1
-        np.testing.assert_allclose(total / count, mu, atol=0.05)
-
-    def test_non_finite_proposal_rejected_and_counted(self, rng):
-        proposal = AdaptiveProposal(1)
-        proposal.tau = 1.0
-
-        def target(x):
-            if abs(x[0]) > 0.0:
-                return -np.inf
-            return 0.0
-
-        x = np.zeros(1)
-        x2, logd, accepted = adaptive_metropolis_update_s(rng, x, 0.0, target, proposal)
-        assert not accepted
-        np.testing.assert_array_equal(x2, x)
-
-
 class TestLoudFailures:
     """A programming error inside a target propagates; a failure that makes
-    a proposal impossible (here a forward-model error) is a counted
-    rejection."""
+    a proposal impossible (here a forward model's flagged row) is a counted
+    rejection.  The model is s -> s_0 on a scalar family, linearised
+    exactly at 0."""
 
     @staticmethod
     def shape_bug(x):
         raise ValueError("operands could not be broadcast together")
 
-    def test_value_error_propagates_from_field_step(self, rng):
-        proposal = AdaptiveProposal(2)
+    @staticmethod
+    def run(model, c_steps):
+        reference = SimpleNamespace(point=np.zeros(2), jacobian=model.g, forward=np.zeros(1))
+        cfg = MwgConfig(total_samples=30, burn_in=5, c_steps_per_s_step=c_steps, seed=1)
+        return mwg_run(model, scalar_family(), NoiseModel(1.0, 1), np.zeros(1), cfg,
+                       init_state=np.zeros(2), reference=reference)
+
+    def shape_bug_after_start(self):
+        """The map, whose stacked evaluation (every one after the start)
+        has a programming error."""
+        class ShapeBugAfterStart(FlaggedLinear):
+            predict_rows = staticmethod(self.shape_bug)
+
+        return ShapeBugAfterStart(np.array([[1.0, 0.0]]))
+
+    def test_value_error_propagates_from_field_step(self):
         with pytest.raises(ValueError, match="broadcast"):
-            adaptive_metropolis_update_s(rng, np.zeros(2), 0.0, self.shape_bug, proposal)
+            self.run(self.shape_bug_after_start(), 1)
 
     def test_value_error_propagates_from_correlation_step(self, rng):
         with pytest.raises(ValueError, match="broadcast"):
             metropolis_update_correlation(rng, np.zeros(1), 0.0, 0.0, self.shape_bug, 1.0)
 
     def test_value_error_propagates_from_chain(self):
-        class ShapeBugAfterStart:
-            is_linear = False
-            calls = 0
-
-            def __call__(self, x):
-                self.calls += 1
-                if self.calls > 1:
-                    raise ValueError("operands could not be broadcast together")
-                return x[:1]
-
-        cfg = MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=1, seed=1)
+        # from a block of independence moves
         with pytest.raises(ValueError, match="broadcast"):
-            mwg_run(ShapeBugAfterStart(), scalar_family(), NoiseModel(1.0, 1),
-                    np.zeros(1), cfg, init_state=np.zeros(2))
+            self.run(self.shape_bug_after_start(), 0)
 
-    def test_forward_model_error_is_counted_rejection(self, rng):
-        def failing(x):
-            raise ForwardModelError("non-finite heads")
+    def test_forward_model_error_is_counted_rejection(self):
+        class FlagsAll(FlaggedLinear):
+            def predict_rows(self, s):
+                return np.full((len(s), 1), np.nan), np.zeros(len(s), dtype=bool)
 
-        proposal = AdaptiveProposal(2)
-        x, logd, accepted = adaptive_metropolis_update_s(
-            rng, np.ones(2), -1.0, failing, proposal)
-        assert not accepted and logd == -1.0
-        np.testing.assert_array_equal(x, np.ones(2))
-
-        class FailsAfterStart:
-            is_linear = False
-            calls = 0
-
-            def __call__(self, x):
-                self.calls += 1
-                if self.calls > 1:
-                    raise ForwardModelError("non-finite heads")
-                return x[:1]
-
-        cfg = MwgConfig(total_samples=30, burn_in=5, c_steps_per_s_step=1, seed=1)
-        chain = mwg_run(FailsAfterStart(), scalar_family(), NoiseModel(1.0, 1),
-                        np.zeros(1), cfg, init_state=np.zeros(2))
+        chain = self.run(FlagsAll(np.array([[1.0, 0.0]])), 1)
         assert chain.s_steps == 30 and chain.s_accepted == 0
+        assert chain.gamma_steps == 30 and chain.gamma_accepted > 0
         assert np.all(chain.states == 0.0)
 
 
@@ -640,10 +567,14 @@ class TestMwgRun:
         fam = scalar_family()
         model = MonodModel(np.array([28.0, 55.0]))
         noise = NoiseModel(0.1, 2)
-        cfg = MwgConfig(total_samples=10, burn_in=1, c_steps_per_s_step=1)
-        with pytest.raises((ValueError, ForwardModelError)):
-            mwg_run(model, fam, noise, np.zeros(2), cfg,
-                    init_state=np.array([0.5, -28.0]))
+        point = np.array([0.5, 40.0])
+        reference = SimpleNamespace(point=point, jacobian=model.jacobian(point),
+                                    forward=model(point))
+        for c_steps in (0, 1):
+            cfg = MwgConfig(total_samples=10, burn_in=1, c_steps_per_s_step=c_steps)
+            with pytest.raises(ForwardModelError, match="half-velocity"):
+                mwg_run(model, fam, noise, np.zeros(2), cfg,
+                        init_state=np.array([0.5, -28.0]), reference=reference)
 
     def test_adaptive_path_detailed_balance(self, rng):
         # chi-squared goodness of fit of the Mahalanobis radius against its
@@ -738,10 +669,11 @@ class TestReducedFamily:
         bp, bm = kl_truncate(random_spd(rng, 6), 3), kl_truncate(random_spd(rng, 5), 2)
         fam = ReducedJointFamily(bp, bm, Contraction.dense(random_dense_contraction(rng, 6, 5)))
         noise = NoiseModel(0.5, 2)
-        chain = mwg_run(lambda s: np.tanh(s[:2]) + s[3:], fam, noise, np.array([0.3, -0.2]),
+        model = TanhMap(rng.standard_normal((2, 5)))
+        chain = mwg_run(model, fam, noise, np.array([0.3, -0.2]),
                         MwgConfig(total_samples=60, burn_in=20, c_steps_per_s_step=1, seed=3),
-                        init_state=np.zeros(fam.dim))
-        assert chain.s_steps == 60 and chain.block_steps == 0  # random-walk field steps
+                        init_state=np.zeros(fam.dim), reference=model.reference)
+        assert chain.s_steps == 60 and chain.block_steps == 0  # pCN field steps
         assert chain.states.shape == (40, 5) and chain.corr.shape == (40, 0)
         assert chain.s_accepted > 0 and chain.gamma_steps == 0
 
@@ -763,19 +695,36 @@ class TestReducedFamily:
         # factors the larger Gram complement; the chain must not notice
         bp, bm = kl_truncate(random_spd(rng, 7), 3), kl_truncate(random_spd(rng, 7), 5)
         contraction = Contraction.piecewise([0, 0, 1, 1, 0, 1, 0], [0.0, 0.0])
-        a = rng.standard_normal((4, 8)) / np.sqrt(8)
-        model = lambda s: np.tanh(a @ s)
+        model = TanhMap(rng.standard_normal((4, 8)) / np.sqrt(8))
         noise = NoiseModel(0.2, 4)
         d = model(rng.standard_normal(8)) + noise.sample(rng)
         cfg = MwgConfig(total_samples=300, burn_in=100, c_steps_per_s_step=5, seed=4)
         chains = [mwg_run(model, cls(bp, bm, contraction), noise, d, cfg,
-                          init_state=np.zeros(8))
+                          init_state=np.zeros(8), reference=model.reference)
                   for cls in (ReducedJointFamily, MSideReducedFamily)]
         ours, oracle = chains
         assert ours.s_accepted == oracle.s_accepted > 0
         assert ours.gamma_accepted == oracle.gamma_accepted > 0
         np.testing.assert_allclose(ours.states, oracle.states, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(ours.corr, oracle.corr, rtol=1e-10, atol=1e-10)
+
+
+class TanhMap:
+    """s -> tanh(A s) on a state or on rows of states, with its exact
+    linearisation at 0 as ``reference``."""
+
+    is_linear = False
+
+    def __init__(self, a):
+        self.a = a
+        self.reference = SimpleNamespace(point=np.zeros(a.shape[1]), jacobian=a,
+                                         forward=np.zeros(len(a)))
+
+    def __call__(self, s):
+        return np.tanh(s @ self.a.T)
+
+    def predict_rows(self, s):
+        return self(s), np.ones(len(s), dtype=bool)
 
 
 def reduced_oracle(fam, sh, values):
@@ -871,10 +820,13 @@ class TestGaussNewton:
         fam, model, noise, d = small_linear_problem(rng)
         prior_cov = fam.prior([0.0]).dense_covariance()
         mean, cov = linear_gaussian_posterior(model.matrix, d, noise, fam.mean, prior_cov)
-        result = gauss_newton_map(model, d, noise, fam.mean, np.linalg.inv(prior_cov))
+        prior_prec = np.linalg.inv(prior_cov)
+        result = gauss_newton_map(model, d, noise, fam.mean, prior_prec)
         assert result.iterations == 1
         np.testing.assert_allclose(result.point, mean, atol=1e-8)
-        np.testing.assert_allclose(result.factor @ result.factor.T, cov, atol=1e-6)
+        jac = result.jacobian
+        hessian = (jac.T / noise.var_vector) @ jac + prior_prec
+        np.testing.assert_allclose(np.linalg.inv(hessian), cov, atol=1e-6)
         assert result.converged
 
     def test_monod_map_inside_laplace_ellipse(self):
@@ -887,8 +839,11 @@ class TestGaussNewton:
         prior_prec = np.diag([1.0 / 0.01, 1.0 / 100.0])
         result = gauss_newton_map(model, d, noise, prior_mean, prior_prec)
         assert result.converged
+        # the Laplace covariance is the inverse of the Gauss-Newton Hessian
+        jac = result.jacobian
+        hessian = (jac.T / noise.var_vector) @ jac + prior_prec
         delta = truth - result.point
-        r2 = delta @ np.linalg.solve(result.factor @ result.factor.T, delta)
+        r2 = delta @ hessian @ delta
         assert r2 < stats.chi2(df=2).ppf(0.99)
 
     def test_objective_monotone_decrease(self):
@@ -914,8 +869,8 @@ class TestGaussNewton:
 
     def test_each_point_is_evaluated_once(self):
         """A converged run takes one Jacobian per iteration plus one at the
-        MAP, shared with the Laplace factor, and one forward solve at the
-        start and at each line-search trial point."""
+        MAP, kept as the reference linearisation, and one forward solve at
+        the start and at each line-search trial point."""
         calls = {"forward": 0, "jacobian": 0}
 
         class Saturation:
@@ -1042,10 +997,11 @@ def reduced_cov(fam, c):
                                     fam.contraction.with_values([c]))
 
 
-def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
-    """A 60,000-iteration chain of 1 independence move per iteration against
-    a 1999-point quadrature of the c marginal (KS < 0.02) and the field's
-    mixture moments over c (mean and covariance gaps < 0.03)."""
+def assert_block_chain_matches_oracle(fam, model, noise, d, reference, c_steps=0):
+    """A 60,000-iteration chain, of 1 independence move per iteration or
+    (``c_steps`` >= 1) of 1 pCN field step and that many centred c steps,
+    against a 1999-point quadrature of the c marginal (KS < 0.02) and the
+    field's mixture moments over c (mean and covariance gaps < 0.03)."""
     g = model.g
     cs = np.linspace(-0.999, 0.999, 1999)
     logev, means, covs = np.empty(cs.size), [], []
@@ -1065,11 +1021,15 @@ def assert_block_chain_matches_oracle(fam, model, noise, d, reference):
     cov = np.einsum("i,ijk->jk", weights, np.array(covs)) \
         + np.einsum("i,ij,ik->jk", weights, means - mean, means - mean)
 
-    cfg = MwgConfig(total_samples=60000, burn_in=2000, seed=5)
+    cfg = MwgConfig(total_samples=60000, burn_in=2000, c_steps_per_s_step=c_steps, seed=5)
     chain = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
                     reference=reference)
-    assert chain.block_steps == 60000 and chain.block_failed == 0
-    assert 0.3 < chain.acceptance_rates()["block"] < 1.0
+    if c_steps:
+        assert chain.s_steps == 60000 and chain.gamma_steps == 60000 * c_steps
+        assert 0.3 < chain.gamma_acceptance < 1.0
+    else:
+        assert chain.block_steps == 60000 and chain.block_failed == 0
+        assert 0.3 < chain.acceptance_rates()["block"] < 1.0
     samples = np.sort(chain.corr[:, 0])
     quantiles = np.interp(samples, cs, cdf)
     ks = np.abs(quantiles - np.arange(1, samples.size + 1) / samples.size).max()
@@ -1149,7 +1109,10 @@ class TestBlockMoves:
 
     @pytest.mark.slow
     def test_chain_matches_quadrature_and_analytic_posterior(self, rng):
-        assert_block_chain_matches_oracle(*block_problem(rng))
+        # both kernels: independence moves, and pCN with centred c steps
+        problem = block_problem(rng)
+        for c_steps in (0, 5):
+            assert_block_chain_matches_oracle(*problem, c_steps=c_steps)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("case", ["default", "two-cells", "steep"])
@@ -1186,7 +1149,7 @@ class TestBlockMoves:
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.corr, b.corr)
         assert a.block_steps == 300 and 0 < a.block_accepted == b.block_accepted
-        # a chain with independence moves takes no random-walk steps
+        # a chain with independence moves takes no pCN or centred steps
         assert a.s_steps == a.gamma_steps == 0
         assert set(a.acceptance_rates()) == {"s", "gamma", "block", "block_failed"}
         # a chain that holds c fixed takes the same moves, with c' = c
@@ -1200,7 +1163,8 @@ class TestBlockMoves:
         # model whose linearisation at the warm start is off by 0.11 in the
         # posterior mean and 0.028 in its covariance: the chain must follow
         # the nonlinear posterior, which only the l - l_lin term of the
-        # weight gives it (chain seeds 5-7 read gaps of 0.002-0.007)
+        # weight, or the pCN acceptance, gives it (chain seeds 5-7 read gaps
+        # of 0.002-0.007 with independence moves, 0.001-0.007 with pCN)
         fam = ReducedJointFamily(kl_truncate(random_spd(rng, 4), 1),
                                  kl_truncate(random_spd(rng, 4), 1), Contraction.scalar(0.0, 4))
         model, noise = Cubic(), NoiseModel(0.5, 3)
@@ -1222,14 +1186,18 @@ class TestBlockMoves:
         lin_mean, lin_cov = moments(reference.forward
                                     + (grid - reference.point) @ reference.jacobian.T)
         assert np.abs(lin_mean - mean).max() > 0.1 and np.abs(lin_cov - cov).max() > 0.025
-        cfg = MwgConfig(total_samples=40000, burn_in=1000, seed=5)
-        chain = mwg_run(model, fam, noise, d, cfg, sample_correlation=False,
-                        init_gamma=[np.arctanh(0.6)], init_state=reference.point,
-                        reference=reference)
-        assert chain.block_steps == 40000 and 0.3 < chain.acceptance_rates()["block"] < 1.0
-        assert np.all(chain.corr == np.tanh(np.arctanh(0.6)))
-        np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.03)
-        assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.015
+        for c_steps in (0, 5):  # independence moves, and pCN steps (no c step: c is held)
+            cfg = MwgConfig(total_samples=40000, burn_in=1000, c_steps_per_s_step=c_steps,
+                            seed=5)
+            chain = mwg_run(model, fam, noise, d, cfg, sample_correlation=False,
+                            init_gamma=[np.arctanh(0.6)], init_state=reference.point,
+                            reference=reference)
+            steps, rate = ((chain.s_steps, chain.s_acceptance) if c_steps else
+                           (chain.block_steps, chain.acceptance_rates()["block"]))
+            assert steps == 40000 and 0.3 < rate < 1.0 and chain.gamma_steps == 0
+            assert np.all(chain.corr == np.tanh(np.arctanh(0.6)))
+            np.testing.assert_allclose(chain.states.mean(axis=0), mean, atol=0.03)
+            assert np.abs(np.cov(chain.states, rowvar=False) - cov).max() < 0.015
 
     def test_held_correlation_chain_factors_its_covariance_once(self, rng, monkeypatch):
         # with one coordinate K(c) is never factored: K(0) is, once per chain,
@@ -1252,6 +1220,32 @@ class TestBlockMoves:
         assert factored.count(("data-space covariance", 4)) == 1  # K(0), q = 4
         assert factored.count(("reduced Gram complement", 1)) == 4  # blocks of 32
         assert len(factored) == 5
+
+    def test_centred_chain_factors_k_only_when_c_moves(self, rng, monkeypatch):
+        # the pCN step needs the factor of K(c) and the mean of q(. | c) at
+        # the current c: a held c is factored once, a sampled c once per move
+        fam, model, noise, d, reference = block_problem(rng)
+        factored = []
+
+        def counting(evidence, values):
+            factored.append(values.copy())
+            return factors(evidence, values)
+
+        factors = _Evidence.factors
+        monkeypatch.setattr(_Evidence, "factors", counting)
+        cfg = MwgConfig(total_samples=200, burn_in=0, c_steps_per_s_step=5, seed=2)
+        held = mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                       reference=reference, sample_correlation=False)
+        assert len(factored) == 1 and held.s_steps == 200 and held.gamma_steps == 0
+        factored.clear()
+        chains = [mwg_run(model, fam, noise, d, cfg, init_state=reference.point,
+                          reference=reference) for _ in range(2)]
+        np.testing.assert_array_equal(chains[0].states, chains[1].states)
+        np.testing.assert_array_equal(chains[0].corr, chains[1].corr)
+        path = np.concatenate([np.zeros((1, 1)), chains[0].corr[:-1]])  # c at each iteration
+        moves = np.count_nonzero(np.diff(path[:, 0]))
+        assert 0 < moves < 199 and len(factored) == 2 * (1 + moves)
+        assert chains[0].s_accepted == 200  # an exact linearisation: e = 0
 
     def test_type_error_in_conditional_propagates(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
@@ -1435,13 +1429,13 @@ class TestBlockMoves:
 
     def test_block_moves_need_a_reference_and_a_nonlinear_model(self, rng):
         fam, model, noise, d, reference = block_problem(rng)
-        # c_steps_per_s_step 0: independence moves, which a nonlinear model
-        # takes from a reference linearisation; >= 1: centred steps, which a
-        # linear model never takes
+        # a nonlinear model takes either kernel's moves from a reference
+        # linearisation; a linear model never takes centred steps
         independence = MwgConfig(total_samples=20, burn_in=5)
         centred = MwgConfig(total_samples=20, burn_in=5, c_steps_per_s_step=1)
-        with pytest.raises(ValueError, match="reference"):
-            mwg_run(model, fam, noise, d, independence, init_state=reference.point)
+        for cfg in (independence, centred):
+            with pytest.raises(ValueError, match="reference"):
+                mwg_run(model, fam, noise, d, cfg, init_state=reference.point)
         linear = CokrigeModel(model.g[:, :2], model.g[:, 2:])
         with pytest.raises(ValueError, match="nonlinear"):
             mwg_run(linear, fam, noise, d, centred)
